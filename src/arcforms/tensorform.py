@@ -206,25 +206,6 @@ def evaluation_table(gf: GF, mf: MultiForm, vectors):
     return data
 
 
-def permute_blocks(mf: MultiForm, sigma) -> MultiForm:
-    """The form with block m reading the variables of block sigma[m]."""
-    N, blocks = mf.mode_dim, mf.blocks
-    strides = [N ** (blocks - 1 - m) for m in range(blocks)]
-    out = [0] * len(mf.coeffs)
-    for pos, J in enumerate(product(range(N), repeat=blocks)):
-        src = sum(J[sigma[m]] * strides[m] for m in range(blocks))
-        out[pos] = mf.coeffs[src]
-    return MultiForm(mf.k, blocks, mf.t, tuple(out))
-
-
-def mf_sub(gf: GF, a: MultiForm, b: MultiForm) -> MultiForm:
-    if (a.k, a.blocks, a.t) != (b.k, b.blocks, b.t):
-        raise ValueError("tensor shape mismatch")
-    return MultiForm(
-        a.k, a.blocks, a.t, tuple(gf.sub(x, y) for x, y in zip(a.coeffs, b.coeffs))
-    )
-
-
 def is_block_congruent(D: MultiForm, arc: Arc) -> bool:
     """Whether D is a sum of terms carrying, in some block, a form that
     vanishes on the arc.
@@ -238,19 +219,39 @@ def is_block_congruent(D: MultiForm, arc: Arc) -> bool:
     return not any(table)
 
 
-def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report | None = None) -> Report:
-    """Check the four contract properties of the tensor form."""
-    report = report or Report("tensor-verify", {}, [])
-    gf = arc.gf
-    n, blocks = arc.n, F.blocks
-    table = evaluation_table(gf, F, arc.points)
-
-    contract = report.check("matches-signed-tangent-evaluations")
-    for pos, tup in enumerate(product(range(n), repeat=blocks)):
-        contract.tally(
+def check_signed_evaluations(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report) -> list:
+    """Tally the defining contract F(a) = g(a) over every tuple a of arc
+    points and return the evaluation table it was read from."""
+    table = evaluation_table(arc.gf, F, arc.points)
+    chk = report.check("matches-signed-tangent-evaluations")
+    for pos, tup in enumerate(product(range(arc.n), repeat=F.blocks)):
+        chk.tally(
             table[pos] == g_value(ts, tup),
             {"tuple": list(tup), "got": table[pos]},
         )
+    return table
+
+
+def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report | None = None) -> Report:
+    """Check the four contract properties of the tensor form.
+
+    Apart from the partial evaluations, every check reads the one table
+    T[a] = F(x_a) over tuples a of arc points, using that a form is block
+    congruent to zero exactly when its table vanishes (is_block_congruent)
+    and that the table is linear in the form:
+
+    - F with its blocks permuted by sigma has table a -> T[a o sigma], so
+      antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a];
+    - the partial evaluation at a prefix, evaluated at x_j, is
+      T[prefix + (j,)], so it vanishes on the arc when those entries are 0;
+    - F minus the alternative build is block congruent to zero exactly
+      when both forms have the same table.
+    """
+    report = report or Report("tensor-verify", {}, [])
+    gf = arc.gf
+    n, blocks = arc.n, F.blocks
+    table = check_signed_evaluations(arc, ts, F, report)
+    tuples = list(product(range(n), repeat=blocks))
 
     prop1 = report.check("partial-eval-is-tangent-form-mod-vanishing")
     for S in combinations(range(n), arc.k - 2):
@@ -264,29 +265,30 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
         )
 
     prop2 = report.check("repeated-points-vanish")
-    for tup in product(range(n), repeat=blocks - 1):
+    for pos, tup in enumerate(product(range(n), repeat=blocks - 1)):
         if len(set(tup)) == len(tup):
             continue
-        f = partial_evaluate(gf, F, [arc.points[i] for i in tup])
-        prop2.tally(forms.vanishes_on(gf, f, arc.points), {"prefix": list(tup)})
-    for pos, tup in enumerate(product(range(n), repeat=blocks)):
+        prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": list(tup)})
+    for pos, tup in enumerate(tuples):
         if len(set(tup)) < len(tup):
             prop2.tally(table[pos] == 0, {"tuple": list(tup)})
 
     prop3 = report.check("block-permutation-antisymmetry")
+    strides = [n ** (blocks - 1 - m) for m in range(blocks)]
     for sigma in permutations(range(blocks)):
         if sigma == tuple(range(blocks)):
             continue
         sign = _sign_power(gf, perm_parity(sigma) * (arc.t + 1))
-        scaled = MultiForm(
-            F.k, blocks, F.t, tuple(gf.mul(sign, c) for c in F.coeffs)
+        ok = all(
+            table[sum(tup[s] * st for s, st in zip(sigma, strides))]
+            == gf.mul(sign, table[pos])
+            for pos, tup in enumerate(tuples)
         )
-        D = mf_sub(gf, permute_blocks(F, sigma), scaled)
-        prop3.tally(is_block_congruent(D, arc), {"sigma": list(sigma)})
+        prop3.tally(ok, {"sigma": list(sigma)})
 
     prop4 = report.check("unique-modulo-block-vanishing")
     alt = build_tensor_form(arc, ts, reverse_complement=True)
-    prop4.tally(is_block_congruent(mf_sub(gf, F, alt), arc), {})
+    prop4.tally(evaluation_table(gf, alt, arc.points) == table, {})
     return report
 
 

@@ -42,6 +42,13 @@ def test_arc_verify_fails_on_corrupt_data(tmp_path, capsys):
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["arc", "new", "--type", "nrc", "--q", "6", "--k", "3", "-o", str(tmp_path / "x.json")]) == 2
     assert main(["arc", "verify", str(tmp_path / "missing.json")]) == 2
+    zero_path = tmp_path / "zero.json"
+    zero_path.write_text(json.dumps({
+        "field": {"p": 5, "h": 1, "irreducible": [0, 1]},
+        "k": 3,
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    }))
+    assert main(["arc", "mds", str(zero_path)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["arc", "new", "--badflag"])
     assert exc.value.code == 2

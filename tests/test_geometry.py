@@ -175,12 +175,12 @@ def test_mds_examples():
 def test_mds_detects_forged_point(gf5):
     arc = corpus_arc(5, 3)
     forged = Arc(gf5, 3, arc.points[:-1] + ((1, 1, 0),))
-    # (1,1,0) is on the line through (1,0,0)=s=0 and ... make sure it breaks
-    ok, _, witness = mds_check(forged)
-    ok2, witness2 = is_arc(gf5, 3, forged.points)
-    assert ok == ok2
-    if not ok:
-        assert witness is not None
+    # (1,1,0) lies on the chord through the points s=3 and s=4
+    ok, gen, witness = mds_check(forged)
+    assert not ok
+    assert (ok, witness) == is_arc(gf5, 3, forged.points)
+    minor = [[gen[r][c] for c in witness] for r in range(3)]
+    assert linalg.det(gf5, minor) == 0
 
 
 def test_mds_agrees_with_is_arc_on_corpus():

@@ -11,7 +11,12 @@ from arcforms.forms import (
     vanishing_subspace,
 )
 from arcforms.geometry import Arc, normalize
-from arcforms.tangents import build_tangent_system, g_value, tangent_hyperplanes
+from arcforms.tangents import (
+    build_tangent_system,
+    g_value,
+    perm_parity,
+    tangent_hyperplanes,
+)
 from arcforms.tensorform import (
     MultiForm,
     build_tensor_form,
@@ -20,8 +25,6 @@ from arcforms.tensorform import (
     extend_basis,
     is_block_congruent,
     partial_evaluate,
-    permute_blocks,
-    mf_sub,
     quadric_check,
     search_exact_tangent_match,
     shift_extract,
@@ -117,17 +120,45 @@ def test_block_congruence_examples():
 
 
 def test_block_permutation_sign():
-    # odd q, t = 2: swapping two blocks flips the sign modulo congruence
+    # odd q, t = 2: permuting the blocks by sigma multiplies every value on
+    # arc points by (-1)^(parity(sigma)(t+1)), computed by direct evaluation
     arc, ts, F = corpus_tensor(5, 4)
     gf = arc.gf
-    swapped = permute_blocks(F, (1, 0, 2))
-    flipped = MultiForm(F.k, F.blocks, F.t, tuple(gf.neg(c) for c in F.coeffs))
-    assert is_block_congruent(mf_sub(gf, swapped, flipped), arc)
-    assert not is_block_congruent(mf_sub(gf, swapped, F), arc)
+    tuples = list(itertools.product(range(arc.n), repeat=F.blocks))
+    value = {a: evaluate(gf, F, [arc.points[i] for i in a]) for a in tuples}
+    unsigned_fails = False
+    for sigma in itertools.permutations(range(F.blocks)):
+        sign = gf.neg(1) if perm_parity(sigma) * (F.t + 1) % 2 else 1
+        for a in tuples:
+            permuted = tuple(a[s] for s in sigma)
+            assert value[permuted] == gf.mul(sign, value[a]), (sigma, a)
+            unsigned_fails |= value[permuted] != value[a]
+    assert unsigned_fails
 
 
-def test_corrupted_tensor_entry_is_caught():
-    arc, ts, F = corpus_tensor(5, 3)
+@pytest.mark.parametrize(
+    "q,k,failed",
+    [
+        # t = 1: g is symmetric and the corrupted x0*y0 entry is too
+        (5, 3, {
+            "matches-signed-tangent-evaluations": 25,
+            "partial-eval-is-tangent-form-mod-vanishing": 5,
+            "repeated-points-vanish": 5,
+            "block-permutation-antisymmetry": 0,
+            "unique-modulo-block-vanishing": 1,
+        }),
+        (7, 4, {
+            "matches-signed-tangent-evaluations": 343,
+            "partial-eval-is-tangent-form-mod-vanishing": 21,
+            "repeated-points-vanish": 140,
+            "block-permutation-antisymmetry": 3,
+            "unique-modulo-block-vanishing": 1,
+        }),
+    ],
+    ids=["q5-k3", "q7-k4"],
+)
+def test_corrupted_tensor_entry_is_caught(q, k, failed):
+    arc, ts, F = corpus_tensor(q, k)
     gf = arc.gf
     for pos in range(len(F.coeffs)):
         delta = [0] * len(F.coeffs)
@@ -137,7 +168,7 @@ def test_corrupted_tensor_entry_is_caught():
     bad = list(F.coeffs)
     bad[pos] = gf.add(bad[pos], 1)
     report = verify_tensor_form(arc, ts, MultiForm(F.k, F.blocks, F.t, tuple(bad)))
-    assert not report.passed
+    assert {c.name: c.failed for c in report.checks} == failed
 
 
 def test_rescaled_representative_rebuild():
