@@ -116,7 +116,7 @@ class GF:
         self.q = p**h
         self.irreducible = tuple(c % p for c in irreducible)
         if h == 1:
-            self._add = self._mul_table = self._inv_table = None
+            self._add = self._neg = self._mul_table = self._inv_table = None
         else:
             self._build_tables()
 
@@ -155,6 +155,7 @@ class GF:
                     inv[a] = b
                     break
         self._add, self._mul_table, self._inv_table = add, mul, inv
+        self._neg = [row.index(0) for row in add]
 
     # -- element representation -----------------------------------------
 
@@ -193,7 +194,7 @@ class GF:
     def neg(self, a: int) -> int:
         if self.h == 1:
             return -a % self.p
-        return self.from_coeffs((-c) % self.p for c in self.coeffs(a))
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -259,13 +260,14 @@ class GF:
         return a if self.h == 1 else list(self.coeffs(a))
 
     def element_from_json(self, obj) -> int:
-        if self.h == 1:
-            if not isinstance(obj, int):
-                raise ValueError(f"expected residue int, got {obj!r}")
-            return self.check(obj % self.p)
-        if not isinstance(obj, (list, tuple)) or len(obj) != self.h:
-            raise ValueError(f"expected {self.h} coefficients, got {obj!r}")
-        return self.from_coeffs(obj)
+        """Parse the canonical form element_to_json writes: a residue int
+        for h = 1, else h coefficient ints, each in range(p)."""
+        digits = [obj] if self.h == 1 else obj
+        if not isinstance(digits, list) or len(digits) != self.h or not all(
+            type(c) is int and 0 <= c < self.p for c in digits
+        ):
+            raise ValueError(f"not a canonical element of {self!r}: {obj!r}")
+        return self.from_coeffs(digits)
 
 
 def make_field(p: int, h: int = 1, irreducible=None) -> GF:
@@ -299,4 +301,11 @@ def make_field(p: int, h: int = 1, irreducible=None) -> GF:
 
 
 def field_from_json(obj) -> GF:
-    return make_field(obj["p"], obj["h"], obj.get("irreducible"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"field must be a JSON object, got {obj!r}")
+    irreducible = obj.get("irreducible")
+    if not isinstance(irreducible, (list, type(None))) or not all(
+        type(v) is int for v in [obj["p"], obj["h"], *(irreducible or [])]
+    ):
+        raise ValueError(f"malformed field {obj!r}")
+    return make_field(obj["p"], obj["h"], irreducible)

@@ -60,11 +60,16 @@ class Arc:
 
     @classmethod
     def from_json(cls, obj) -> "Arc":
+        if not isinstance(obj, dict):
+            raise ValueError(f"an arc must be a JSON object, got {type(obj).__name__}")
         gf = field_from_json(obj["field"])
-        pts = tuple(
-            tuple(gf.element_from_json(c) for c in p) for p in obj["points"]
-        )
-        return cls(gf, int(obj["k"]), pts)
+        k, points = obj["k"], obj["points"]
+        if type(k) is not int or not isinstance(points, list) or not all(
+            isinstance(p, list) for p in points
+        ):
+            raise ValueError("k must be an int and points a list of coordinate lists")
+        pts = tuple(tuple(gf.element_from_json(c) for c in p) for p in points)
+        return cls(gf, k, pts)
 
 
 def is_arc(gf: GF, k: int, points):

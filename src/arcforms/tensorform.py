@@ -1,14 +1,14 @@
 """The multihomogeneous tensor form attached to an arc.
 
-The construction: take a minimal subset of arc points whose degree-t
-Veronese images span the arc's image (the socle), tabulate the signed
-tangent evaluations on all socle tuples, extend the socle images to a full
-basis by unit vectors, and push the table through the inverse basis to get
-a dense coefficient tensor.  The resulting form agrees with the signed
-tangent evaluation at every tuple of arc points, is degree t in each of
-its k-1 blocks of k variables, and its partial evaluations at (k-2)-tuples
-of arc points reproduce the scaled tangent forms up to forms vanishing on
-the arc.
+The construction: take the arc points whose degree-t Veronese images are
+pivots of the arc's Veronese matrix (the socle, a basis of the arc's
+image), tabulate the signed tangent evaluations on all socle tuples, and
+contract every mode of that table with one left inverse M of the socle's
+Veronese matrix (coordinate_map) to get a dense coefficient tensor.  The
+resulting form agrees with the signed tangent evaluation at every tuple of
+arc points, is degree t in each of its k-1 blocks of k variables, and its
+partial evaluations at (k-2)-tuples of arc points reproduce the scaled
+tangent forms up to forms vanishing on the arc.
 """
 
 from __future__ import annotations
@@ -64,63 +64,44 @@ class MultiForm:
         )
 
 
-@dataclass(frozen=True)
-class Socle:
-    """Arc indices whose Veronese images span the arc's Veronese span."""
+def socle(arc: Arc, t: int) -> tuple:
+    """Arc indices whose Veronese images span the arc's Veronese span.
 
-    indices: tuple
-
-    @property
-    def w(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class BasisExtension:
-    """Invertible matrix whose first w columns are socle Veronese images,
-    completed greedily by unit coordinate vectors."""
-
-    B: tuple
-    Binv: tuple
-
-
-def socle(arc: Arc, t: int) -> Socle:
-    """Greedy pass in arc order keeping points that raise the Veronese rank."""
-    gf = arc.gf
-    chosen, rows = [], []
-    r = 0
-    for i, p in enumerate(arc.points):
-        v = forms.veronese(gf, p, t)
-        nr = linalg.rank(gf, rows + [v])
-        if nr > r:
-            chosen.append(i)
-            rows.append(v)
-            r = nr
-    return Socle(tuple(chosen))
-
-
-def extend_basis(gf: GF, columns, dim: int, reverse: bool = False) -> BasisExtension:
-    """Complete independent columns to a basis of F^dim with unit vectors.
-
-    Candidates are tried in ascending coordinate order (descending when
-    reverse is set, the alternate tie-breaking used by the uniqueness
-    check).
+    These are the pivot columns of the reduced echelon form of the N x n
+    matrix whose columns are the Veronese images in arc order: a column is
+    a pivot exactly when it is independent of the columns before it, so
+    this is the greedy pass keeping each point that raises the rank.
     """
-    cols = [list(c) for c in columns]
-    order = range(dim - 1, -1, -1) if reverse else range(dim)
-    for j in order:
-        if len(cols) == dim:
-            break
-        unit = [1 if i == j else 0 for i in range(dim)]
-        if linalg.rank(gf, cols + [unit]) > len(cols):
-            cols.append(unit)
-    if len(cols) != dim:
-        raise ValueError("could not complete to a basis")
-    B = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    Binv = linalg.inverse(gf, B)
-    return BasisExtension(
-        tuple(tuple(r) for r in B), tuple(tuple(r) for r in Binv)
-    )
+    gf = arc.gf
+    cols = [forms.veronese(gf, p, t) for p in arc.points]
+    return tuple(linalg.rref(gf, list(zip(*cols)))[1])
+
+
+def coordinate_map(gf: GF, columns, dim: int, reverse: bool = False):
+    """Left inverse M (w x dim) of the independent columns V (dim x w):
+    the first w rows of B^-1, where B = [V | unit vectors] completes V
+    greedily to a basis of F^dim.
+
+    Candidates e_j are tried in ascending order of j (descending when
+    reverse is set, the alternate tie-breaking used by the uniqueness
+    check).  Ascending, e_j is added exactly when no vector of span(V) has
+    its last nonzero coordinate at j; descending, exactly when none has
+    its first nonzero coordinate there.  Those coordinates P are the
+    pivots of one echelon form of V^T (columns reversed when ascending).
+    As M V = I and M e_j = 0 off P, M is zero off the columns P and equals
+    V[P, :]^-1 on them.
+    """
+    order = range(dim) if reverse else range(dim - 1, -1, -1)
+    _, pivots = linalg.rref(gf, [[c[j] for j in order] for c in columns])
+    if len(pivots) != len(columns):
+        raise ValueError("columns are dependent")
+    P = [order[j] for j in pivots]
+    square_inv = linalg.inverse(gf, [[c[r] for c in columns] for r in P])
+    M = [[0] * dim for _ in columns]
+    for row, inv_row in zip(M, square_inv):
+        for r, v in zip(P, inv_row):
+            row[r] = v
+    return M
 
 
 def _contract_mode(gf: GF, shape, data, mode: int, matrix):
@@ -158,15 +139,14 @@ def build_tensor_form(arc: Arc, ts: TangentSystem, reverse_complement: bool = Fa
     blocks = arc.k - 1
     N = forms.num_monomials(arc.k, t)
     soc = socle(arc, t)
-    w = soc.w
-    vcols = [forms.veronese(gf, arc.points[i], t) for i in soc.indices]
-    ext = extend_basis(gf, vcols, N, reverse=reverse_complement)
-    M = [list(ext.Binv[i]) for i in range(w)]  # w x N: coordinates map
+    w = len(soc)
+    vcols = [forms.veronese(gf, arc.points[i], t) for i in soc]
+    M = coordinate_map(gf, vcols, N, reverse=reverse_complement)
 
     shape = [w] * blocks
     data = [0] * (w**blocks)
     for pos, tup in enumerate(product(range(w), repeat=blocks)):
-        data[pos] = g_value(ts, tuple(soc.indices[i] for i in tup))
+        data[pos] = g_value(ts, tuple(soc[i] for i in tup))
     for mode in range(blocks):
         shape, data = _contract_mode(gf, shape, data, mode, M)
     return MultiForm(arc.k, blocks, t, tuple(data))
@@ -235,15 +215,18 @@ def check_signed_evaluations(arc: Arc, ts: TangentSystem, F: MultiForm, report: 
 def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report | None = None) -> Report:
     """Check the four contract properties of the tensor form.
 
-    Apart from the partial evaluations, every check reads the one table
-    T[a] = F(x_a) over tuples a of arc points, using that a form is block
-    congruent to zero exactly when its table vanishes (is_block_congruent)
-    and that the table is linear in the form:
+    Every check reads the one table T[a] = F(x_a) over tuples a of arc
+    points, using that a form is block congruent to zero exactly when its
+    table vanishes (is_block_congruent) and that the table is linear in
+    the form:
 
+    - F is multilinear in its blocks, so its partial evaluation at x_S,
+      evaluated at x_j, is T[S + (j,)]; the residual against the scaled
+      tangent form f_S vanishes on the arc exactly when
+      T[S + (j,)] = f_S(x_j) for every j;
+    - a repeated prefix has a zero table row;
     - F with its blocks permuted by sigma has table a -> T[a o sigma], so
       antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a];
-    - the partial evaluation at a prefix, evaluated at x_j, is
-      T[prefix + (j,)], so it vanishes on the arc when those entries are 0;
     - F minus the alternative build is block congruent to zero exactly
       when both forms have the same table.
     """
@@ -252,16 +235,18 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     n, blocks = arc.n, F.blocks
     table = check_signed_evaluations(arc, ts, F, report)
     tuples = list(product(range(n), repeat=blocks))
+    strides = [n ** (blocks - 1 - m) for m in range(blocks)]
 
     prop1 = report.check("partial-eval-is-tangent-form-mod-vanishing")
     for S in combinations(range(n), arc.k - 2):
-        residual = forms.form_sub(
-            gf,
-            partial_evaluate(gf, F, [arc.points[i] for i in S]),
-            ts.form(S),
-        )
+        row = sum(i * st for i, st in zip(S, strides))
+        f = ts.form(S)
         prop1.tally(
-            forms.vanishes_on(gf, residual, arc.points), {"S": list(S)}
+            all(
+                table[row + j] == forms.evaluate(gf, f, x)
+                for j, x in enumerate(arc.points)
+            ),
+            {"S": list(S)},
         )
 
     prop2 = report.check("repeated-points-vanish")
@@ -274,7 +259,6 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
             prop2.tally(table[pos] == 0, {"tuple": list(tup)})
 
     prop3 = report.check("block-permutation-antisymmetry")
-    strides = [n ** (blocks - 1 - m) for m in range(blocks)]
     for sigma in permutations(range(blocks)):
         if sigma == tuple(range(blocks)):
             continue

@@ -49,6 +49,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
     }))
     assert main(["arc", "mds", str(zero_path)]) == 2
+    gf7 = {"p": 7, "h": 1, "irreducible": [0, 1]}
+    gf9 = {"p": 3, "h": 2, "irreducible": [2, 2, 1]}
+    o, z = [1, 0], [0, 0]
+    malformed = [
+        [1, 2, 3],  # not an object
+        {"field": [7, 1], "k": 3, "points": [[1, 0, 0]]},  # field not an object
+        {"field": gf7, "k": "3", "points": [[1, 0, 0]]},  # k not an int
+        {"field": gf7, "k": 3, "points": {"0": [1, 0, 0]}},  # points not a list
+        {"field": gf7, "k": 3, "points": [1, 0, 0]},  # a point not a list
+        # non-canonical elements: out of range, a bool, an unreduced digit
+        {"field": gf7, "k": 3, "points": [[8, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
+        {"field": gf7, "k": 3, "points": [[True, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
+        {"field": gf9, "k": 3, "points": [[[5, 7], z, z], [z, o, z], [z, z, o], [o, o, o]]},
+    ]
+    for i, blob in enumerate(malformed):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(blob))
+        assert main(["arc", "verify", str(path)]) == 2, blob
     with pytest.raises(SystemExit) as exc:
         main(["arc", "new", "--badflag"])
     assert exc.value.code == 2

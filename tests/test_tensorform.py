@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import defaultdict
 from math import comb
@@ -7,10 +9,13 @@ import pytest
 
 from arcforms.forms import (
     monomial_basis,
+    num_monomials,
     vanishes_on,
     vanishing_subspace,
+    veronese,
 )
 from arcforms.geometry import Arc, normalize
+from arcforms.linalg import identity, inverse, mat_mul, rank
 from arcforms.tangents import (
     build_tangent_system,
     g_value,
@@ -20,9 +25,9 @@ from arcforms.tangents import (
 from arcforms.tensorform import (
     MultiForm,
     build_tensor_form,
+    coordinate_map,
     evaluate,
     evaluation_table,
-    extend_basis,
     is_block_congruent,
     partial_evaluate,
     quadric_check,
@@ -32,34 +37,90 @@ from arcforms.tensorform import (
     verify_tensor_form,
 )
 
-from conftest import CORPUS, corpus_arc, corpus_tensor, field
+from conftest import CORPUS, corpus_arc, corpus_system, corpus_tensor, field
+
+
+def greedy_socle(arc, t):
+    """Reference socle: keep each arc point that raises the Veronese rank."""
+    chosen, rows = [], []
+    for i, p in enumerate(arc.points):
+        v = veronese(arc.gf, p, t)
+        if rank(arc.gf, rows + [v]) > len(rows):
+            chosen.append(i)
+            rows.append(v)
+    return tuple(chosen)
+
+
+def greedy_left_inverse(gf, columns, dim, reverse):
+    """Reference coordinate map: complete the columns to a basis B of F^dim
+    by unit vectors tried in order, invert B and keep its first w rows."""
+    cols = [list(c) for c in columns]
+    for j in range(dim - 1, -1, -1) if reverse else range(dim):
+        unit = [int(i == j) for i in range(dim)]
+        if rank(gf, cols + [unit]) > len(cols):
+            cols.append(unit)
+    assert len(cols) == dim
+    return inverse(gf, [list(row) for row in zip(*cols)])[: len(columns)]
 
 
 def test_socle_sizes():
     arc5 = corpus_arc(5, 3)
-    assert socle(arc5, 1).indices == (0, 1, 2)
-    assert socle(arc5, 2).w == 5  # dim Phi_2 = 1 of 6
+    assert socle(arc5, 1) == (0, 1, 2)
+    assert len(socle(arc5, 2)) == 5  # dim Phi_2 = 1 of 6
     arc7 = corpus_arc(7, 4)
-    assert socle(arc7, 2).w == 7  # dim Phi_2 = 3 of 10
+    assert len(socle(arc7, 2)) == 7  # dim Phi_2 = 3 of 10
 
 
-def test_extend_basis_tiebreaks_differ():
+@pytest.mark.parametrize("q,p,h,k", CORPUS)
+def test_socle_is_greedy_and_coordinate_map_is_basis_inverse(q, p, h, k):
+    arc = corpus_arc(q, k)
+    gf = arc.gf
+    for t in range(1, 5):
+        soc = socle(arc, t)
+        assert soc == greedy_socle(arc, t), t
+        V = [veronese(gf, arc.points[i], t) for i in soc]
+        N = num_monomials(k, t)
+        for reverse in (False, True):
+            M = coordinate_map(gf, V, N, reverse=reverse)
+            assert M == greedy_left_inverse(gf, V, N, reverse), (t, reverse)
+            assert mat_mul(gf, M, [list(r) for r in zip(*V)]) == identity(len(V))
+
+
+def test_coordinate_map_tiebreaks_differ():
     gf = field(5)
-    cols = [(1, 0, 0, 0), (0, 1, 0, 0)]
-    fwd = extend_basis(gf, cols, 4)
-    rev = extend_basis(gf, cols, 4, reverse=True)
-    assert fwd.B != rev.B
-    # both are genuine inverses
-    for ext in (fwd, rev):
-        n = 4
-        prod = [
-            [
-                sum(ext.B[i][l] * ext.Binv[l][j] for l in range(n)) % 5
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cols = [(1, 1, 0, 0), (0, 1, 1, 0)]
+    # ascending completion adds e_0, e_3: last nonzero coordinates are 1, 2
+    fwd = coordinate_map(gf, cols, 4)
+    assert fwd == [[0, 1, 4, 0], [0, 0, 1, 0]]
+    # descending completion adds e_3, e_2: first nonzero coordinates are 0, 1
+    rev = coordinate_map(gf, cols, 4, reverse=True)
+    assert rev == [[1, 0, 0, 0], [4, 1, 0, 0]]
+    arc = corpus_arc(5, 3)
+    V = [veronese(gf, arc.points[i], 2) for i in socle(arc, 2)]
+    assert coordinate_map(gf, V, 6) != coordinate_map(gf, V, 6, reverse=True)
+
+
+def test_coordinate_map_rejects_dependent_columns():
+    with pytest.raises(ValueError):
+        coordinate_map(field(5), [(1, 2, 0), (2, 4, 0)], 3)
+
+
+# SHA-256 of json.dumps(F.to_json(gf)), recorded before the basis
+# completion was derived from pivots; the artifacts must stay byte-stable.
+ARTIFACT_SHA256 = {
+    (7, 4, False): "52d288b817302921ccd5fcf228e14e8ff37fbcac92249ea22b37dacf27e236ac",
+    (7, 4, True): "3fce311fd704ef18fa615a22e2c1e8ce1520b5147f629f27cc3466ed08673e77",
+    (8, 4, False): "903939f8b03ec132a385062ff0daca84ec7e1d525e985844e55b4dfb63be8111",
+    (8, 4, True): "6c909fc625ae264294c4364376e515932977798d807a9df71a81fef6fd077aae",
+}
+
+
+@pytest.mark.parametrize("q,k,reverse", sorted(ARTIFACT_SHA256))
+def test_tensor_form_bytes_are_stable(q, k, reverse):
+    arc, ts = corpus_system(q, k)
+    F = build_tensor_form(arc, ts, reverse_complement=reverse)
+    blob = json.dumps(F.to_json(arc.gf)).encode()
+    assert hashlib.sha256(blob).hexdigest() == ARTIFACT_SHA256[q, k, reverse]
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
