@@ -66,9 +66,8 @@ def cmd_arc_new(args) -> Report:
         with open(args.points, encoding="utf-8") as fh:
             data = json.load(fh)
         pts = data["points"] if isinstance(data, dict) else data
-        arc = geometry.arc_from_points(
-            gf, args.k, [[gf.element_from_json(c) for c in p] for p in pts]
-        )
+        arc = Arc.from_json({"field": gf.to_json(), "k": args.k, "points": pts})
+        geometry.check_arc(arc)
     report = Report("arc new", _arc_inputs(arc), [])
     chk = report.check("is-arc")
     ok, witness = geometry.is_arc(arc.gf, arc.k, arc.points)

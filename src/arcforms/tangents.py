@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from . import forms, linalg
@@ -81,8 +82,13 @@ class TangentSystem:
     def form(self, subset) -> forms.Form:
         return self.fS[tuple(sorted(subset))]
 
+    @cached_property
+    def point_vectors(self) -> list:
+        """The degree-t Veronese vector of every arc point, in arc order."""
+        return [forms.monomial_vector(self.gf, x, self.arc.t) for x in self.arc.points]
+
     def eval_fS(self, subset, point_index: int) -> int:
-        return forms.evaluate(self.gf, self.form(subset), self.arc.points[point_index])
+        return linalg.dot(self.gf, self.form(subset).coeffs, self.point_vectors[point_index])
 
     def to_json(self) -> dict:
         gf = self.gf
@@ -97,10 +103,14 @@ class TangentSystem:
 
     @classmethod
     def from_json(cls, arc: Arc, obj) -> "TangentSystem":
-        fS = {
-            tuple(entry["S"]): forms.form_from_json(arc.gf, entry["form"])
-            for entry in obj["fS"]
-        }
+        fS, subsets = {}, set(combinations(range(arc.n), arc.k - 2))
+        for entry in obj["fS"]:
+            S, f = entry["S"], forms.form_from_json(arc.gf, entry["form"])
+            if not (isinstance(S, list) and all(type(i) is int for i in S) and tuple(S) in subsets):
+                raise ValueError(f"S = {S} is not a sorted {arc.k - 2}-subset of range({arc.n})")
+            if (f.k, f.t) != (arc.k, arc.t):
+                raise ValueError(f"the form of S = {S} needs (k, t) = ({arc.k}, {arc.t})")
+            fS[tuple(S)] = f
         return cls(arc, tuple(obj["E"]), int(obj["anchor"]), fS)
 
 
@@ -152,7 +162,7 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
         by_level.setdefault(len(set(S) - set(E)), []).append(S)
 
     base = _unscaled_product(arc, E)
-    v = forms.evaluate(gf, base, arc.points[anchor])
+    v = linalg.dot(gf, base.coeffs, ts.point_vectors[anchor])
     ts.fS[E] = forms.form_scale(gf, gf.inv(v), base)
 
     for r in range(1, max(by_level) + 1):
@@ -160,7 +170,7 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
             p_S = _unscaled_product(arc, S)
             e, a, parent, sign = scaling_rule(ts, S)
             target = gf.mul(sign, ts.eval_fS(parent, a))
-            denom = forms.evaluate(gf, p_S, arc.points[e])
+            denom = linalg.dot(gf, p_S.coeffs, ts.point_vectors[e])
             # e is an arc point off S, hence on no tangent S-hyperplane
             ts.fS[S] = forms.form_scale(gf, gf.div(target, denom), p_S)
     return ts

@@ -4,9 +4,12 @@ The construction: take the arc points whose degree-t Veronese images are
 pivots of the arc's Veronese matrix (the socle, a basis of the arc's
 image), tabulate the signed tangent evaluations on all socle tuples, and
 contract every mode of that table with one left inverse M of the socle's
-Veronese matrix (coordinate_map) to get a dense coefficient tensor.  The
-resulting form agrees with the signed tangent evaluation at every tuple of
-arc points, is degree t in each of its k-1 blocks of k variables, and its
+Veronese matrix (coordinate_map) to get a dense coefficient tensor.  M is
+zero off the w pivot coordinates P of that matrix, so the tensor is
+supported on P^(k-1): w^(k-1) of its N^(k-1) entries at most, and every
+contraction below costs what its nonzero entries cost.  The resulting
+form agrees with the signed tangent evaluation at every tuple of arc
+points, is degree t in each of its k-1 blocks of k variables, and its
 partial evaluations at (k-2)-tuples of arc points reproduce the scaled
 tangent forms up to forms vanishing on the arc.
 """
@@ -14,7 +17,7 @@ tangent forms up to forms vanishing on the arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from math import comb, prod
 
 from . import forms, linalg
@@ -105,29 +108,24 @@ def coordinate_map(gf: GF, columns, dim: int, reverse: bool = False):
 
 
 def _contract_mode(gf: GF, shape, data, mode: int, matrix):
-    """Contract one tensor mode with an old_dim x new_dim matrix."""
-    old_dim = shape[mode]
+    """Contract one tensor mode with an old_dim x new_dim matrix.
+
+    The work scales with the nonzero entries: one C-speed scan of data
+    finds its nonzero positions, and each of them costs one mul and one
+    add per nonzero entry of its matrix row.
+    """
     new_dim = len(matrix[0])
-    outer = prod(shape[:mode])
     inner = prod(shape[mode + 1 :])
-    new_data = [0] * (outer * new_dim * inner)
-    for o in range(outer):
-        base_in = o * old_dim * inner
-        base_out = o * new_dim * inner
-        for i in range(old_dim):
-            row = matrix[i]
-            off_in = base_in + i * inner
-            for j in range(new_dim):
-                m = row[j]
-                if not m:
-                    continue
-                off_out = base_out + j * inner
-                for r in range(inner):
-                    v = data[off_in + r]
-                    if v:
-                        new_data[off_out + r] = gf.add(
-                            new_data[off_out + r], gf.mul(v, m)
-                        )
+    rows = [[(j * inner, m) for j, m in enumerate(row) if m] for row in matrix]
+    new_data = [0] * (prod(shape[:mode]) * new_dim * inner)
+    add, mul = gf.add, gf.mul
+    for pos in compress(range(len(data)), data):
+        oi, r = divmod(pos, inner)
+        o, i = divmod(oi, shape[mode])
+        base = o * new_dim * inner + r
+        v = data[pos]
+        for off, m in rows[i]:
+            new_data[base + off] = add(new_data[base + off], mul(v, m))
     return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
 
 
@@ -154,7 +152,7 @@ def build_tensor_form(arc: Arc, ts: TangentSystem, reverse_complement: bool = Fa
 
 def _contract_leading(gf: GF, mf: MultiForm, points):
     # contract leading modes with point Veronese vectors, squeezing each
-    shape, data = [mf.mode_dim] * mf.blocks, list(mf.coeffs)
+    shape, data = [mf.mode_dim] * mf.blocks, mf.coeffs
     for x in points:
         col = [[v] for v in forms.monomial_vector(gf, x, mf.t)]
         shape, data = _contract_mode(gf, shape, data, 0, col)
@@ -180,7 +178,7 @@ def evaluation_table(gf: GF, mf: MultiForm, vectors):
     """Flat table of evaluations at every tuple from `vectors`, row-major."""
     ver = [forms.monomial_vector(gf, x, mf.t) for x in vectors]
     mat = [[ver[a][J] for a in range(len(vectors))] for J in range(mf.mode_dim)]
-    shape, data = [mf.mode_dim] * mf.blocks, list(mf.coeffs)
+    shape, data = [mf.mode_dim] * mf.blocks, mf.coeffs
     for mode in range(mf.blocks):
         shape, data = _contract_mode(gf, shape, data, mode, mat)
     return data
@@ -240,12 +238,8 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     prop1 = report.check("partial-eval-is-tangent-form-mod-vanishing")
     for S in combinations(range(n), arc.k - 2):
         row = sum(i * st for i, st in zip(S, strides))
-        f = ts.form(S)
         prop1.tally(
-            all(
-                table[row + j] == forms.evaluate(gf, f, x)
-                for j, x in enumerate(arc.points)
-            ),
+            all(table[row + j] == ts.eval_fS(S, j) for j in range(n)),
             {"S": list(S)},
         )
 
@@ -296,31 +290,24 @@ def shift_extract(gf: GF, F: MultiForm, exponents) -> forms.Form:
     degree = F.blocks * F.t - sum(sum(e) for e in exponents)
     out = [0] * forms.num_monomials(F.k, degree)
     idx = forms.monomial_index(F.k, degree)
-    for pos, J in enumerate(product(range(N), repeat=F.blocks)):
-        c = F.coeffs[pos]
-        if not c:
-            continue
-        jm = [basis[j] for j in J]
-        if all(jm[m] == exponents[m] for m in range(F.blocks - 1)):
-            continue  # the unshifted form cancels exactly these terms
-        coef = c
-        ok = True
-        xexp = list(jm[-1])
-        for m, im in enumerate(exponents):
-            for j in range(F.k):
-                d, i = jm[m][j], im[j]
-                if d < i:
-                    ok = False
-                    break
-                if i:
-                    coef = gf.mul(coef, comb(d, i) % gf.p)
-                xexp[j] += d - i
-            if not ok or not coef:
-                break
-        if not ok or not coef:
-            continue
-        p = idx[tuple(xexp)]
-        out[p] = gf.add(out[p], coef)
+    for pos in compress(range(len(F.coeffs)), F.coeffs):
+        coef, jm, rest = F.coeffs[pos], [], pos
+        for _ in range(F.blocks):
+            rest, j = divmod(rest, N)
+            jm.append(basis[j])
+        jm.reverse()
+        pairs = [(d, i) for m, im in enumerate(exponents) for d, i in zip(jm[m], im)]
+        if jm[:-1] == exponents or any(d < i for d, i in pairs):
+            continue  # cancelled by the unshifted form, or no such Y-term
+        for d, i in pairs:
+            if i:
+                coef = gf.mul(coef, comb(d, i) % gf.p)
+        if coef:
+            xexp = tuple(
+                x + sum(jm[m][j] - im[j] for m, im in enumerate(exponents))
+                for j, x in enumerate(jm[-1])
+            )
+            out[idx[xexp]] = gf.add(out[idx[xexp]], coef)
     return forms.Form(F.k, degree, tuple(out))
 
 

@@ -67,6 +67,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(blob))
         assert main(["arc", "verify", str(path)]) == 2, blob
+    # a custom points file goes through the same validated parse
+    for i, blob in enumerate([[1, 2, 3], {"points": 5}]):
+        path = tmp_path / f"points{i}.json"
+        path.write_text(json.dumps(blob))
+        argv = ["arc", "new", "--type", "custom", "--q", "7", "--k", "3",
+                "--points", str(path), "-o", str(tmp_path / "custom.json")]
+        assert main(argv) == 2, blob
     with pytest.raises(SystemExit) as exc:
         main(["arc", "new", "--badflag"])
     assert exc.value.code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from arcforms import linalg
 from arcforms.field import make_field
-from arcforms.forms import form_scale
+from arcforms.forms import evaluate, form_scale, form_to_json, zero_form
 from arcforms.geometry import Arc, hyperoval, normalize, projective_points
 from arcforms.tangents import (
     TangentCountError,
@@ -217,3 +217,42 @@ def test_tangent_system_json_roundtrip():
     assert again.E == ts.E and again.anchor == ts.anchor
     assert again.fS == ts.fS
     assert again.to_json() == blob
+
+
+@pytest.mark.parametrize("q,p,h,k", CORPUS)
+def test_eval_fS_matches_direct_evaluation(q, p, h, k):
+    arc = corpus_arc(q, k)
+    ts = build_tangent_system(arc)  # fresh, mutable copy
+    gf = arc.gf
+    subsets = list(itertools.combinations(range(arc.n), k - 2))
+    for S in subsets:
+        for j, x in enumerate(arc.points):
+            assert ts.eval_fS(S, j) == evaluate(gf, ts.form(S), x), (S, j)
+    # the cached point vectors do not depend on the forms
+    ts.fS = dict(ts.fS)
+    for S in subsets:
+        ts.fS[S] = form_scale(gf, 2, ts.fS[S])
+    for S in subsets:
+        for j, x in enumerate(arc.points):
+            assert ts.eval_fS(S, j) == evaluate(gf, ts.form(S), x), (S, j)
+
+
+@pytest.mark.parametrize(
+    "q,k,entry",
+    [
+        (5, 3, {"S": [0], "form": zero_form(3, 2)}),  # degree t + 1
+        (5, 3, {"S": [0], "form": zero_form(4, 1)}),  # k + 1 variables
+        (5, 3, {"S": [6], "form": zero_form(3, 1)}),  # index out of range
+        (5, 3, {"S": [True], "form": zero_form(3, 1)}),  # not an int
+        (7, 4, {"S": [3, 1], "form": zero_form(4, 2)}),  # not sorted
+        (7, 4, {"S": [1, 1], "form": zero_form(4, 2)}),  # repeated index
+        (7, 4, {"S": [1], "form": zero_form(4, 2)}),  # not k - 2 indices
+    ],
+    ids=["degree", "variables", "range", "bool", "unsorted", "repeat", "size"],
+)
+def test_tangent_system_from_json_rejects_malformed_entries(q, k, entry):
+    arc, ts = corpus_system(q, k)
+    blob = ts.to_json()
+    blob["fS"][0] = {"S": entry["S"], "form": form_to_json(arc.gf, entry["form"])}
+    with pytest.raises(ValueError):
+        TangentSystem.from_json(arc, blob)

@@ -9,6 +9,7 @@ import pytest
 
 from arcforms.forms import (
     monomial_basis,
+    monomial_vector,
     num_monomials,
     vanishes_on,
     vanishing_subspace,
@@ -24,6 +25,7 @@ from arcforms.tangents import (
 )
 from arcforms.tensorform import (
     MultiForm,
+    _contract_mode,
     build_tensor_form,
     coordinate_map,
     evaluate,
@@ -245,6 +247,113 @@ def test_rescaled_representative_rebuild():
     for pos, tup in enumerate(itertools.product(range(arc.n), repeat=2)):
         assert table[pos] == g_value(ts, tup)
     assert verify_tensor_form(arc, ts, F).passed
+
+
+# -- contraction oracles -----------------------------------------------------
+
+
+def direct_value(gf, mf, points):
+    """sum_J F[J] prod_m nu(x_m)_{J_m} over the leading len(points) modes,
+    as a flat list over the remaining modes; no tensor contraction used."""
+    vecs = [monomial_vector(gf, x, mf.t) for x in points]
+    rest = mf.mode_dim ** (mf.blocks - len(points))
+    out = [0] * rest
+    for pos, c in enumerate(mf.coeffs):
+        lead, tail = divmod(pos, rest)
+        J = []
+        for _ in points:
+            lead, j = divmod(lead, mf.mode_dim)
+            J.append(j)
+        term = c
+        for v, j in zip(vecs, reversed(J)):
+            term = gf.mul(term, v[j])
+        out[tail] = gf.add(out[tail], term)
+    return out
+
+
+def oracle_tensors(gf, k, blocks, t, rng):
+    """A fully dense tensor (every entry nonzero), the zero tensor and a
+    single-entry tensor of the given shape."""
+    size = num_monomials(k, t) ** blocks
+    dense = tuple(rng.randrange(1, gf.q) for _ in range(size))
+    single = [0] * size
+    single[rng.randrange(size)] = rng.randrange(1, gf.q)
+    return [
+        MultiForm(k, blocks, t, dense),
+        MultiForm(k, blocks, t, (0,) * size),
+        MultiForm(k, blocks, t, tuple(single)),
+    ]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_contractions_match_direct_sum(q, blocks):
+    gf = field(q)
+    rng = random.Random(q * 10 + blocks)
+    k, t = 3, 2
+    points = [tuple(rng.randrange(gf.q) for _ in range(k)) for _ in range(3)]
+    points.append((0, 0, 1))
+    for mf in oracle_tensors(gf, k, blocks, t, rng):
+        table = evaluation_table(gf, mf, points)
+        tuples = list(itertools.product(points, repeat=blocks))
+        assert table == [direct_value(gf, mf, tup)[0] for tup in tuples]
+        for tup in tuples:
+            assert evaluate(gf, mf, list(tup)) == direct_value(gf, mf, tup)[0]
+        for prefix in itertools.product(points, repeat=blocks - 1):
+            got = partial_evaluate(gf, mf, list(prefix))
+            assert list(got.coeffs) == direct_value(gf, mf, prefix)
+
+
+class CountingField:
+    """Delegates add and mul to a field and counts the mul calls."""
+
+    def __init__(self, gf):
+        self.gf, self.muls = gf, 0
+
+    def add(self, a, b):
+        return self.gf.add(a, b)
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self.gf.mul(a, b)
+
+
+class CountingList(list):
+    """A list that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_contraction_work_follows_nonzeros(mode):
+    # one nonzero entry: one indexed read of the data and one mul per
+    # nonzero entry of its matrix row, whatever the tensor's size
+    gf = field(7)
+    rng = random.Random(mode)
+    shape, new_dim = [6, 6, 6], 5
+    matrix = [
+        [rng.randrange(7) if rng.random() < 0.5 else 0 for _ in range(new_dim)]
+        for _ in range(6)
+    ]
+    for J in itertools.product(range(6), repeat=3):
+        pos = (J[0] * 6 + J[1]) * 6 + J[2]
+        data = CountingList([0] * 216)
+        data[pos] = 3
+        counting = CountingField(gf)
+        new_shape, out = _contract_mode(counting, list(shape), data, mode, matrix)
+        row = matrix[J[mode]]
+        assert data.reads <= 1
+        assert counting.muls <= sum(1 for m in row if m)
+        assert new_shape == shape[:mode] + [new_dim] + shape[mode + 1 :]
+        want = [0] * len(out)
+        for j, m in enumerate(row):
+            K = J[:mode] + (j,) + J[mode + 1 :]
+            want[(K[0] * new_shape[1] + K[1]) * new_shape[2] + K[2]] = gf.mul(3, m)
+        assert out == want
 
 
 # -- shift extraction --------------------------------------------------------
