@@ -3,6 +3,11 @@
 Every subcommand prints a JSON report to stdout (or a text rendering with
 --format human) and a one-line-per-check summary to stderr.  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage or input error.
+
+``main`` builds or loads the arc and opens the report; each handler is
+called as ``handler(pipeline, args, report)``, reads the stages it needs
+from the lazy ``Pipeline``, adds to the report and returns the JSON
+artifact for ``-o`` (``main`` writes it and notes the path) or ``None``.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cached_property
 from itertools import product
 
 from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
@@ -20,17 +26,34 @@ from .report import Report
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, h
-    raise ValueError(f"q = {q} is not a prime power")
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)
+    h = next((h for h in range(1, q.bit_length()) if p and p**h == q), None)
+    if h is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, h
+
+
+def _new_arc(args) -> Arc:
+    p, h = _factor_prime_power(args.q)
+    gf = make_field(p, h)
+    if args.type != "custom" and args.points is not None:
+        raise ValueError(f"--points is only read with --type custom, not {args.type}")
+    if args.type in ("conic", "hyperoval") and args.k != 3:
+        raise ValueError(f"a {args.type} is a plane arc: --k must be 3, got {args.k}")
+    if args.type == "nrc":
+        return geometry.normal_rational_curve(gf, args.k)
+    if args.type == "conic":
+        return geometry.conic(gf)
+    if args.type == "hyperoval":
+        return geometry.hyperoval(gf)
+    if not args.points:
+        raise ValueError("--type custom requires --points FILE")
+    with open(args.points, encoding="utf-8") as fh:
+        data = json.load(fh)
+    pts = data["points"] if isinstance(data, dict) else data
+    arc = Arc.from_json({"field": gf.to_json(), "k": args.k, "points": pts})
+    geometry.check_arc(arc)
+    return arc
 
 
 def _load_arc(path: str) -> Arc:
@@ -44,79 +67,80 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _arc_inputs(arc: Arc) -> dict:
-    return {"q": arc.gf.q, "k": arc.k, "n": arc.n, "t": arc.t}
+class Pipeline:
+    """arc -> scaled tangent system -> tensor form F -> dual form phi, each
+    stage built on first use and kept.  Builders are called through their
+    module (``tangents.build_tangent_system``), so a tracer that replaces a
+    module's functions sees every build."""
+
+    def __init__(self, arc: Arc):
+        self.arc = arc
+
+    @cached_property
+    def ts(self) -> tangents.TangentSystem:
+        return tangents.build_tangent_system(self.arc)
+
+    @cached_property
+    def F(self) -> tensorform.MultiForm:
+        return tensorform.build_tensor_form(self.arc, self.ts)
+
+    @cached_property
+    def sb(self) -> sbbt_mod.SBBTForm:
+        return sbbt_mod.build_sbbt(self.arc, self.ts)
+
+    @cached_property
+    def phi_dim(self) -> int:
+        """Dimension of the degree-t forms vanishing on the arc."""
+        arc = self.arc
+        return forms.vanishing_subspace(arc.gf, arc.k, arc.points, arc.t).dim
+
+
+def _tally_is_arc(report: Report, name: str, arc: Arc) -> None:
+    ok, witness = geometry.is_arc(arc.gf, arc.k, arc.points)
+    report.check(name).tally(ok, {"subset": list(witness)} if witness else None)
+
+
+def _on_hypersurface(pipeline: Pipeline, report: Report, unasserted: str) -> bool:
+    """Whether the arc lies on a degree-t hypersurface; if so, note what is ``unasserted``."""
+    dim, t = pipeline.phi_dim, pipeline.arc.t
+    if dim:
+        report.notes.append(f"arc lies on a degree-{t} hypersurface (dim {dim}); {unasserted}")
+    return dim > 0
 
 
 # -- subcommand handlers ---------------------------------------------------
 
 
-def cmd_arc_new(args) -> Report:
-    p, h = _factor_prime_power(args.q)
-    gf = make_field(p, h)
-    if args.type == "nrc":
-        arc = geometry.normal_rational_curve(gf, args.k)
-    elif args.type == "conic":
-        arc = geometry.conic(gf)
-    elif args.type == "hyperoval":
-        arc = geometry.hyperoval(gf)
-    else:
-        if not args.points:
-            raise ValueError("--type custom requires --points FILE")
-        with open(args.points, encoding="utf-8") as fh:
-            data = json.load(fh)
-        pts = data["points"] if isinstance(data, dict) else data
-        arc = Arc.from_json({"field": gf.to_json(), "k": args.k, "points": pts})
-        geometry.check_arc(arc)
-    report = Report("arc new", _arc_inputs(arc), [])
-    chk = report.check("is-arc")
-    ok, witness = geometry.is_arc(arc.gf, arc.k, arc.points)
-    chk.tally(ok, {"subset": list(witness)} if witness else None)
-    _write_json(args.output, arc.to_json())
-    report.notes.append(f"wrote {args.output}")
-    return report
+def cmd_arc_new(pipeline, args, report):
+    _tally_is_arc(report, "is-arc", pipeline.arc)
+    return pipeline.arc.to_json()
 
 
-def cmd_arc_verify(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("arc verify", _arc_inputs(arc), [])
-    chk = report.check("is-arc")
-    ok, witness = geometry.is_arc(arc.gf, arc.k, arc.points)
-    chk.tally(ok, {"subset": list(witness)} if witness else None)
-    size = report.check("spans")
-    size.tally(arc.n >= arc.k, {"n": arc.n, "k": arc.k})
-    return report
+def cmd_arc_verify(pipeline, args, report):
+    arc = pipeline.arc
+    _tally_is_arc(report, "is-arc", arc)
+    report.check("spans").tally(arc.n >= arc.k, {"n": arc.n, "k": arc.k})
 
 
-def cmd_arc_project(args) -> Report:
-    arc = _load_arc(args.arc)
-    image = geometry.project(arc, args.index)
-    report = Report("arc project", _arc_inputs(arc), [])
-    chk = report.check("image-is-arc")
-    ok, witness = geometry.is_arc(image.gf, image.k, image.points)
-    chk.tally(ok, {"subset": list(witness)} if witness else None)
-    tchk = report.check("t-preserved")
-    tchk.tally(image.t == arc.t, {"t_in": arc.t, "t_out": image.t})
-    _write_json(args.output, image.to_json())
-    report.notes.append(f"wrote {args.output}")
-    return report
+def cmd_arc_project(pipeline, args, report):
+    image = geometry.project(pipeline.arc, args.index)
+    _tally_is_arc(report, "image-is-arc", image)
+    t = pipeline.arc.t
+    report.check("t-preserved").tally(image.t == t, {"t_in": t, "t_out": image.t})
+    return image.to_json()
 
 
-def cmd_arc_mds(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("arc mds", _arc_inputs(arc), [])
+def cmd_arc_mds(pipeline, args, report):
+    arc = pipeline.arc
     ok, gen, witness = geometry.mds_check(arc)
     chk = report.check("all-maximal-minors-nonzero")
     chk.tally(ok, {"columns": list(witness)} if witness else None)
-    report.result = {
-        "generator": [[arc.gf.element_to_json(c) for c in row] for row in gen]
-    }
-    return report
+    report.result = {"generator": [[arc.gf.element_to_json(c) for c in row] for row in gen]}
 
 
-def cmd_phi(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("phi", {**_arc_inputs(arc), "deg": args.t}, [])
+def cmd_phi(pipeline, args, report):
+    arc = pipeline.arc
+    report.inputs["deg"] = args.t
     sub = forms.vanishing_subspace(arc.gf, arc.k, arc.points, args.t)
     chk = report.check("basis-vanishes-on-arc")
     for f in sub.forms():
@@ -125,48 +149,30 @@ def cmd_phi(args) -> Report:
         "dim": sub.dim,
         "basis": [forms.form_to_json(arc.gf, f) for f in sub.forms()],
     }
-    return report
 
 
-def cmd_tangents_build(args) -> Report:
-    arc = _load_arc(args.arc)
-    ts = tangents.build_tangent_system(arc)
-    report = Report("tangents build", _arc_inputs(arc), [])
-    tangents.verify_scaling_chain(ts, report)
-    _write_json(args.output, ts.to_json())
-    report.notes.append(f"wrote {args.output}")
-    return report
+def cmd_tangents_build(pipeline, args, report):
+    tangents.verify_scaling_chain(pipeline.ts, report)
+    return pipeline.ts.to_json()
 
 
-def cmd_tangents_lemma(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("tangents lemma-check", _arc_inputs(arc), [])
-    tangents.verify_tangent_counts(arc, report)
+def cmd_tangents_lemma(pipeline, args, report):
+    tangents.verify_tangent_counts(pipeline.arc, report)
     if not report.passed:
         report.notes.append("tangent counts are off; skipping the system build")
-        return report
-    ts = tangents.build_tangent_system(arc)
-    tangents.verify_scaling_chain(ts, report)
-    tangents.verify_lemma_of_tangents(ts, seed=args.seed, report=report)
-    return report
+        return
+    tangents.verify_scaling_chain(pipeline.ts, report)
+    tangents.verify_lemma_of_tangents(pipeline.ts, seed=args.seed, report=report)
 
 
-def cmd_tensor_build(args) -> Report:
-    arc = _load_arc(args.arc)
-    ts = tangents.build_tangent_system(arc)
-    F = tensorform.build_tensor_form(arc, ts)
-    report = Report("tensor build", _arc_inputs(arc), [])
-    tensorform.check_signed_evaluations(arc, ts, F, report)
-    _write_json(args.output, F.to_json(arc.gf))
-    report.notes.append(f"wrote {args.output}")
-    return report
+def cmd_tensor_build(pipeline, args, report):
+    arc = pipeline.arc
+    tensorform.check_signed_evaluations(arc, pipeline.ts, pipeline.F, report)
+    return pipeline.F.to_json(arc.gf)
 
 
-def cmd_tensor_verify(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("tensor verify", _arc_inputs(arc), [])
-    ts = tangents.build_tangent_system(arc)
-    F = tensorform.build_tensor_form(arc, ts)
+def cmd_tensor_verify(pipeline, args, report):
+    arc, ts, F = pipeline.arc, pipeline.ts, pipeline.F
     tensorform.verify_tensor_form(arc, ts, F, report)
     if args.search_exact:
         found, _ = tensorform.search_exact_tangent_match(arc, ts, F)
@@ -174,139 +180,87 @@ def cmd_tensor_verify(args) -> Report:
             "a correction by block-vanishing terms making the partial "
             f"evaluations exactly equal the tangent forms {'exists' if found else 'was not found'}"
         )
-    return report
 
 
-def cmd_tensor_extract(args) -> Report:
-    arc = _load_arc(args.arc)
+def cmd_tensor_extract(pipeline, args, report):
+    arc = pipeline.arc
     exponents = json.loads(args.exponents)
-    ts = tangents.build_tangent_system(arc)
-    F = tensorform.build_tensor_form(arc, ts)
-    extracted = tensorform.shift_extract(arc.gf, F, exponents)
-    report = Report(
-        "tensor extract", {**_arc_inputs(arc), "exponents": exponents}, []
-    )
-    dim = forms.vanishing_subspace(arc.gf, arc.k, arc.points, arc.t).dim
-    if dim == 0:
+    extracted = tensorform.shift_extract(arc.gf, pipeline.F, exponents)
+    report.inputs["exponents"] = exponents
+    if not _on_hypersurface(pipeline, report, "vanishing of extracted forms is not asserted"):
         chk = report.check("extracted-form-vanishes-on-arc")
         chk.tally(forms.vanishes_on(arc.gf, extracted, arc.points), None)
-    else:
-        report.notes.append(
-            f"arc lies on a degree-{arc.t} hypersurface (dim {dim}); "
-            "vanishing of extracted forms is not asserted"
-        )
     report.result = {"form": forms.form_to_json(arc.gf, extracted)}
-    return report
 
 
-def cmd_tensor_quadric(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("tensor quadric-check", _arc_inputs(arc), [])
+def cmd_tensor_quadric(pipeline, args, report):
+    arc = pipeline.arc
     quad = tensorform.quadric_check(arc)
-    chk = report.check("quadric-found")
-    chk.tally(quad is not None, {"dim_phi2": 0} if quad is None else None)
+    report.check("quadric-found").tally(quad is not None, {"dim_phi2": 0} if quad is None else None)
     if quad is not None:
-        v = report.check("quadric-vanishes-on-arc")
-        v.tally(forms.vanishes_on(arc.gf, quad, arc.points), None)
+        ok = forms.vanishes_on(arc.gf, quad, arc.points)
+        report.check("quadric-vanishes-on-arc").tally(ok, None)
         report.result = {"quadric": forms.form_to_json(arc.gf, quad)}
-    return report
 
 
-def cmd_sbbt_build(args) -> Report:
-    arc = _load_arc(args.arc)
-    ts = tangents.build_tangent_system(arc)
-    sb = sbbt_mod.build_sbbt(arc, ts)
-    report = Report("sbbt build", {**_arc_inputs(arc), "m": sb.m}, [])
-    chk = report.check("degree")
-    chk.tally(sb.phi.t == sb.m * arc.t, {"deg": sb.phi.t})
-    _write_json(args.output, sb.to_json(arc.gf))
-    report.notes.append(f"wrote {args.output}")
-    return report
+def cmd_sbbt_build(pipeline, args, report):
+    arc, sb = pipeline.arc, pipeline.sb
+    report.inputs["m"] = sb.m
+    report.check("degree").tally(sb.phi.t == sb.m * arc.t, {"deg": sb.phi.t})
+    return sb.to_json(arc.gf)
 
 
-def cmd_sbbt_verify(args) -> Report:
-    arc = _load_arc(args.arc)
-    ts = tangents.build_tangent_system(arc)
-    sb = sbbt_mod.build_sbbt(arc, ts)
-    report = Report("sbbt verify", {**_arc_inputs(arc), "m": sb.m}, [])
-    sbbt_mod.verify_sbbt(arc, ts, sb, seed=args.seed, report=report)
+def cmd_sbbt_verify(pipeline, args, report):
+    arc, sb = pipeline.arc, pipeline.sb
+    report.inputs["m"] = sb.m
+    sbbt_mod.verify_sbbt(arc, pipeline.ts, sb, seed=args.seed, report=report)
     if args.dump_duals:
-        report.result = {
-            "duals": [
-                {
-                    "dual": [arc.gf.element_to_json(c) for c in ell],
-                    "arc_points_on": on,
-                    "phi_value": arc.gf.element_to_json(v),
-                }
-                for ell, on, v in sbbt_mod.classify_hyperplanes(arc, sb)
-            ]
-        }
-    return report
+        gf = arc.gf
+        report.result = {"duals": [
+            {"dual": [gf.element_to_json(c) for c in ell], "arc_points_on": on,
+             "phi_value": gf.element_to_json(v)}
+            for ell, on, v in sbbt_mod.classify_hyperplanes(arc, sb)
+        ]}
 
 
-def cmd_suite(args) -> Report:
-    arc = _load_arc(args.arc)
-    report = Report("suite", _arc_inputs(arc), [])
-
+def cmd_suite(pipeline, args, report):
+    arc = pipeline.arc
     ok, _, witness = geometry.mds_check(arc)
     report.check("is-arc").tally(ok, {"subset": list(witness)} if witness else None)
-    report.check("mds-generator").tally(
-        ok, {"columns": list(witness)} if witness else None
-    )
+    report.check("mds-generator").tally(ok, {"columns": list(witness)} if witness else None)
     if not ok:
         report.notes.append("not an arc; downstream stages skipped")
-        return report
-
+        return
     if arc.t < 1:
         report.notes.append("t = 0: tangent, tensor and dual-form stages skipped")
-        return report
+        return
 
-    tangents.verify_tangent_counts(arc, report)
-    ts = tangents.build_tangent_system(arc)
-    tangents.verify_scaling_chain(ts, report)
-    tangents.verify_lemma_of_tangents(ts, seed=args.seed, report=report)
+    # On an arc the tangent counts hold, so this runs the whole lemma check.
+    cmd_tangents_lemma(pipeline, args, report)
+    tensorform.verify_tensor_form(arc, pipeline.ts, pipeline.F, report)
 
-    F = tensorform.build_tensor_form(arc, ts)
-    tensorform.verify_tensor_form(arc, ts, F, report)
-
-    dim = forms.vanishing_subspace(arc.gf, arc.k, arc.points, arc.t).dim
-    if dim == 0:
+    if not _on_hypersurface(pipeline, report, "shift-extract vanishing not asserted"):
         chk = report.check("shift-extract-forms-vanish-on-arc")
-        span = [
-            m
-            for d in range(arc.t + 1)
-            for m in forms.monomial_basis(arc.k, d)
-        ]
+        span = [m for d in range(arc.t + 1) for m in forms.monomial_basis(arc.k, d)]
         for combo in product(span, repeat=arc.k - 2):
-            f = tensorform.shift_extract(arc.gf, F, list(combo))
+            f = tensorform.shift_extract(arc.gf, pipeline.F, list(combo))
             chk.tally(
                 forms.vanishes_on(arc.gf, f, arc.points),
                 {"exponents": [list(e) for e in combo]},
             )
-    else:
-        report.notes.append(
-            f"arc lies on a degree-{arc.t} hypersurface (dim {dim}); "
-            "shift-extract vanishing not asserted"
-        )
 
     if arc.k == 4 and arc.n == arc.gf.q + 1 and arc.gf.p != 2:
         quad = tensorform.quadric_check(arc)
-        qc = report.check("quadric-through-arc")
-        qc.tally(
-            quad is not None
-            and forms.vanishes_on(arc.gf, quad, arc.points),
-            None,
-        )
+        ok = quad is not None and forms.vanishes_on(arc.gf, quad, arc.points)
+        report.check("quadric-through-arc").tally(ok, None)
 
     m = 1 if arc.gf.p == 2 else 2
     if arc.n >= m * arc.t + arc.k - 1:
-        sb = sbbt_mod.build_sbbt(arc, ts)
-        sbbt_mod.verify_sbbt(arc, ts, sb, seed=args.seed, report=report)
+        sbbt_mod.verify_sbbt(arc, pipeline.ts, pipeline.sb, seed=args.seed, report=report)
     else:
         report.notes.append(
             f"arc too small for the dual form (needs {m * arc.t + arc.k - 1} points)"
         )
-    return report
 
 
 # -- parser ----------------------------------------------------------------
@@ -412,15 +366,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        report = args.handler(args)
-    except (
-        ValueError,
-        IndexError,
-        OSError,
-        KeyError,
-        json.JSONDecodeError,
-        tangents.TangentCountError,
-    ) as exc:
+        arc = _load_arc(args.arc) if hasattr(args, "arc") else _new_arc(args)
+        name = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        report = Report(name, {"q": arc.gf.q, "k": arc.k, "n": arc.n, "t": arc.t}, [])
+        artifact = args.handler(Pipeline(arc), args, report)
+        if artifact is not None:
+            _write_json(args.output, artifact)
+            report.notes.append(f"wrote {args.output}")
+    except (ValueError, IndexError, OSError, KeyError, tangents.TangentCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -228,14 +228,6 @@ class GF:
             e >>= 1
         return r
 
-    def arith(self, op: str, a: int, b=None) -> int:
-        """Dispatch form of the arithmetic API: op in add|sub|mul|inv|neg|pow."""
-        if op in ("inv", "neg"):
-            return getattr(self, op)(a)
-        if b is None:
-            raise ValueError(f"{op} needs a second operand")
-        return getattr(self, op)(a, b)
-
     # -- dunder plumbing ---------------------------------------------------
 
     def __eq__(self, other):

@@ -279,12 +279,14 @@ def shift_extract(gf: GF, F: MultiForm, exponents) -> forms.Form:
     of degree blocks*t - sum(i); this computes that coefficient directly
     from the tensor entries.
     """
-    exponents = [tuple(e) for e in exponents]
-    if len(exponents) != F.blocks - 1:
+    if not isinstance(exponents, list) or len(exponents) != F.blocks - 1:
         raise ValueError(f"need {F.blocks - 1} exponent tuples")
     for e in exponents:
+        if not isinstance(e, (list, tuple)) or any(type(x) is not int for x in e):
+            raise ValueError(f"exponent tuple {e} is not a list of ints")
         if len(e) != F.k or any(x < 0 for x in e) or sum(e) > F.t:
-            raise ValueError(f"bad exponent tuple {e} (total must be <= t)")
+            raise ValueError(f"bad exponent tuple {tuple(e)} (total must be <= t)")
+    exponents = [tuple(e) for e in exponents]
     N = F.mode_dim
     basis = forms.monomial_basis(F.k, F.t)
     degree = F.blocks * F.t - sum(sum(e) for e in exponents)

@@ -74,6 +74,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         argv = ["arc", "new", "--type", "custom", "--q", "7", "--k", "3",
                 "--points", str(path), "-o", str(tmp_path / "custom.json")]
         assert main(argv) == 2, blob
+    # flags that contradict the arc type
+    pts_path = tmp_path / "points0.json"
+    for flags in (
+        ["--type", "conic", "--q", "5", "--k", "4"],
+        ["--type", "hyperoval", "--q", "4", "--k", "5"],
+        ["--type", "nrc", "--q", "5", "--points", str(pts_path)],
+    ):
+        assert main(["arc", "new", *flags, "-o", str(tmp_path / "contra.json")]) == 2, flags
+    # malformed exponents for the k=4, q=7 NRC (2 tuples of 4 ints, total <= t)
+    nrc_path = str(tmp_path / "nrc7.json")
+    assert main(["arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", nrc_path]) == 0
+    for exps in ("5", "null", "[5,6]", "[[1.5,0,0,0],[0,0,0,0]]", "[[true,0,0,0],[0,0,0,0]]"):
+        assert main(["tensor", "extract", nrc_path, "--exponents", exps]) == 2, exps
     with pytest.raises(SystemExit) as exc:
         main(["arc", "new", "--badflag"])
     assert exc.value.code == 2
@@ -251,3 +264,135 @@ def test_custom_arc_from_points(tmp_path, capsys):
         "--points", pts_path, "-o", arc_path,
     )
     assert code == 0 and rep["passed"]
+
+
+# Every subcommand's report shape, pinned: command, inputs, the check names
+# with their totals, and notes ("{out}" is the artifact path).  Arcs: the
+# q=7, k=4 normal rational curve, and the q=5 conic for the dual form.
+NRC7_INPUTS = {"q": 7, "k": 4, "n": 8, "t": 2}
+CONIC5_INPUTS = {"q": 5, "k": 3, "n": 6, "t": 1}
+TENSOR_CHECKS = [
+    ("matches-signed-tangent-evaluations", 512),
+    ("partial-eval-is-tangent-form-mod-vanishing", 28),
+    ("repeated-points-vanish", 184),
+    ("block-permutation-antisymmetry", 5),
+    ("unique-modulo-block-vanishing", 1),
+]
+LEMMA_CHECKS = [
+    ("tangent-count", 28),
+    ("scaling-chain", 27),
+    ("base-normalization", 1),
+    ("adjacent-transpositions", 672),
+    ("random-permutations", 100),
+]
+REPORT_SHAPES = [
+    (
+        ["arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", "{out}"],
+        "arc new", NRC7_INPUTS, [("is-arc", 1)], ["wrote {out}"],
+    ),
+    (
+        ["arc", "verify", "{nrc}"],
+        "arc verify", NRC7_INPUTS, [("is-arc", 1), ("spans", 1)], [],
+    ),
+    (
+        ["arc", "project", "{nrc}", "--index", "7", "-o", "{out}"],
+        "arc project", NRC7_INPUTS, [("image-is-arc", 1), ("t-preserved", 1)],
+        ["wrote {out}"],
+    ),
+    (
+        ["arc", "mds", "{nrc}"],
+        "arc mds", NRC7_INPUTS, [("all-maximal-minors-nonzero", 1)], [],
+    ),
+    (
+        ["phi", "{nrc}", "--t", "2"],
+        "phi", {**NRC7_INPUTS, "deg": 2}, [("basis-vanishes-on-arc", 3)], [],
+    ),
+    (
+        ["tangents", "build", "{nrc}", "-o", "{out}"],
+        "tangents build", NRC7_INPUTS,
+        [("scaling-chain", 27), ("base-normalization", 1)], ["wrote {out}"],
+    ),
+    (
+        ["tangents", "lemma-check", "{nrc}"],
+        "tangents lemma-check", NRC7_INPUTS, LEMMA_CHECKS, [],
+    ),
+    (
+        ["tensor", "build", "{nrc}", "-o", "{out}"],
+        "tensor build", NRC7_INPUTS, [("matches-signed-tangent-evaluations", 512)],
+        ["wrote {out}"],
+    ),
+    (
+        ["tensor", "verify", "{nrc}", "--search-exact"],
+        "tensor verify", NRC7_INPUTS, TENSOR_CHECKS,
+        ["a correction by block-vanishing terms making the partial "
+         "evaluations exactly equal the tangent forms exists"],
+    ),
+    (
+        ["tensor", "extract", "{nrc}", "--exponents", "[[0,0,0,0],[1,0,0,0]]"],
+        "tensor extract",
+        {**NRC7_INPUTS, "exponents": [[0, 0, 0, 0], [1, 0, 0, 0]]}, [],
+        ["arc lies on a degree-2 hypersurface (dim 3); "
+         "vanishing of extracted forms is not asserted"],
+    ),
+    (
+        ["tensor", "quadric-check", "{nrc}"],
+        "tensor quadric-check", NRC7_INPUTS,
+        [("quadric-found", 1), ("quadric-vanishes-on-arc", 1)], [],
+    ),
+    (
+        ["sbbt", "build", "{conic}", "-o", "{out}"],
+        "sbbt build", {**CONIC5_INPUTS, "m": 2}, [("degree", 1)], ["wrote {out}"],
+    ),
+    (
+        ["sbbt", "verify", "{conic}"],
+        "sbbt verify", {**CONIC5_INPUTS, "m": 2},
+        [
+            ("residual-equals-tangent-form-power", 6),
+            ("vanishes-on-tangent-hyperplane-duals", 6),
+            ("nonzero-on-secant-hyperplane-duals", 15),
+            ("agrees-with-signed-evaluations-powered", 36),
+            ("symmetric-under-row-permutations", 100),
+        ],
+        ["10 hyperplanes meet the arc in fewer than k-2 points; "
+         "phi vanishes on 0 of them (recorded, not asserted)"],
+    ),
+    (
+        ["suite", "{nrc}"],
+        "suite", NRC7_INPUTS,
+        [("is-arc", 1), ("mds-generator", 1)] + LEMMA_CHECKS + TENSOR_CHECKS + [
+            ("quadric-through-arc", 1),
+            ("residual-equals-tangent-form-power", 28),
+            ("vanishes-on-tangent-hyperplane-duals", 56),
+            ("nonzero-on-secant-hyperplane-duals", 56),
+            ("agrees-with-signed-evaluations-powered", 512),
+            ("symmetric-under-row-permutations", 100),
+        ],
+        ["arc lies on a degree-2 hypersurface (dim 3); "
+         "shift-extract vanishing not asserted",
+         "288 hyperplanes meet the arc in fewer than k-2 points; "
+         "phi vanishes on 8 of them (recorded, not asserted)"],
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def shape_arcs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("shapes")
+    paths = {"nrc": str(d / "nrc7.json"), "conic": str(d / "conic5.json")}
+    assert main(["arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", paths["nrc"]]) == 0
+    assert main(["arc", "new", "--type", "conic", "--q", "5", "-o", paths["conic"]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv,command,inputs,checks,notes", REPORT_SHAPES, ids=[s[1] for s in REPORT_SHAPES]
+)
+def test_report_shape(shape_arcs, tmp_path, capsys, argv, command, inputs, checks, notes):
+    capsys.readouterr()
+    paths = {**shape_arcs, "out": str(tmp_path / "out.json")}
+    code, rep = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 0
+    assert rep["command"] == command
+    assert rep["inputs"] == inputs
+    assert [(c["name"], c["total"]) for c in rep["checks"]] == checks
+    assert rep["notes"] == [n.format(**paths) for n in notes]

@@ -76,17 +76,6 @@ def test_arith_examples():
     assert f4.mul(x, x1) == 1
 
 
-def test_arith_dispatch():
-    f7 = make_field(7)
-    assert f7.arith("add", 3, 6) == 2
-    assert f7.arith("sub", 3, 6) == 4
-    assert f7.arith("neg", 3) == 4
-    assert f7.arith("inv", 3) == 5
-    assert f7.arith("pow", 3, 6) == 1
-    with pytest.raises(ValueError):
-        f7.arith("add", 3)
-
-
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         make_field(7).inv(0)
