@@ -19,7 +19,7 @@ import time
 from functools import cached_property
 from itertools import product
 
-from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
+from . import forms, geometry, linalg, sbbt as sbbt_mod, tangents, tensorform
 from .field import make_field
 from .geometry import Arc
 from .report import Report
@@ -90,9 +90,11 @@ class Pipeline:
 
     @cached_property
     def phi_dim(self) -> int:
-        """Dimension of the degree-t forms vanishing on the arc."""
+        """Dimension of the degree-t forms vanishing on the arc: N minus
+        the rank of the arc's n×N Veronese matrix."""
         arc = self.arc
-        return forms.vanishing_subspace(arc.gf, arc.k, arc.points, arc.t).dim
+        rows = [forms.veronese(arc.gf, x, arc.t) for x in arc.points]
+        return forms.num_monomials(arc.k, arc.t) - linalg.rank(arc.gf, rows)
 
 
 def _tally_is_arc(report: Report, name: str, arc: Arc) -> None:

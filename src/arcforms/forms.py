@@ -113,21 +113,28 @@ def form_scale(gf: GF, c: int, f: Form) -> Form:
     return Form(f.k, f.t, tuple(gf.mul(c, a) for a in f.coeffs))
 
 
+@lru_cache(maxsize=None)
+def _product_positions(k: int, s: int, t: int):
+    """Row i, column j: the index in monomial_basis(k, s + t) of monomial i
+    of degree s times monomial j of degree t."""
+    idx = monomial_index(k, s + t)
+    return tuple(
+        tuple(idx[tuple(x + y for x, y in zip(a, b))] for b in monomial_basis(k, t))
+        for a in monomial_basis(k, s)
+    )
+
+
 def form_mul(gf: GF, f: Form, g: Form) -> Form:
     if f.k != g.k:
         raise ValueError("form variable-count mismatch")
     k, t = f.k, f.t + g.t
-    idx = monomial_index(k, t)
     out = [0] * num_monomials(k, t)
-    fb, gb = monomial_basis(k, f.t), monomial_basis(k, g.t)
-    for i, a in enumerate(f.coeffs):
+    g_nonzero = [(j, b) for j, b in enumerate(g.coeffs) if b]
+    for a, row in zip(f.coeffs, _product_positions(k, f.t, g.t)):
         if not a:
             continue
-        ea = fb[i]
-        for j, b in enumerate(g.coeffs):
-            if not b:
-                continue
-            pos = idx[tuple(x + y for x, y in zip(ea, gb[j]))]
+        for j, b in g_nonzero:
+            pos = row[j]
             out[pos] = gf.add(out[pos], gf.mul(a, b))
     return Form(k, t, tuple(out))
 

@@ -7,19 +7,26 @@ subsets of the first mt+k-1 arc points.  Substituting actual point rows
 for the minors turns phi into a symmetric function G on (k-1)-tuples that
 evaluates to the m-th power of the tangent forms, and phi vanishes on the
 dual of every hyperplane meeting the arc in exactly k-2 points.
+
+The verifier compares G with the m-th power of the signed tangent
+evaluation on every ordered (k-1)-tuple of arc indices, but evaluates G
+only once per sorted (k-1)-subset: permuting the rows by σ multiplies
+every maximal minor by sgn σ, so G(rows∘σ) = sgn(σ)^deg(phi) · G(rows),
+and G = 0 on rows with a repeat, whose minors all vanish.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import forms, linalg
 from .field import GF
-from .geometry import Arc, projective_points
+from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, g_value
+from .tangents import TangentSystem, g_value, perm_parity
 
 
 def det_minor(gf: GF, rows, j: int) -> int:
@@ -115,6 +122,19 @@ def evaluate_G(gf: GF, sbbt: SBBTForm, rows) -> int:
     return forms.evaluate(gf, sbbt.phi, minor_vector(gf, rows))
 
 
+def _linear_product(gf: GF, linear, exp, products) -> forms.Form:
+    """The product of linear[j]^exp[j] over j, kept in ``products``: each
+    is its parent's (one factor fewer, off the last variable) times one
+    linear form."""
+    if exp not in products:
+        j = max(i for i, e in enumerate(exp) if e)
+        parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
+        products[exp] = forms.form_mul(
+            gf, _linear_product(gf, linear, parent, products), linear[j]
+        )
+    return products[exp]
+
+
 def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     """G(prefix, X) as a polynomial in X: substitute, into phi, the linear
     forms that each minor becomes once all rows but the last are fixed."""
@@ -134,28 +154,66 @@ def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
                 cof = gf.neg(cof)
             coeffs[c] = cof
         linear.append(forms.linear_form(k, coeffs))
-    out = forms.zero_form(k, sbbt.phi.t)
-    basis = forms.monomial_basis(k, sbbt.phi.t)
-    for i, c in enumerate(sbbt.phi.coeffs):
-        if not c:
-            continue
-        factors = []
-        for j, e in enumerate(basis[i]):
-            factors.extend([linear[j]] * e)
-        term = forms.form_scale(gf, c, forms.product_linear_forms(gf, k, factors))
-        out = forms.form_add(gf, out, term)
-    return out
+    products = {(0,) * k: forms.Form(k, 0, (1,))}
+    out = [0] * len(sbbt.phi.coeffs)
+    for c, exp in zip(sbbt.phi.coeffs, forms.monomial_basis(k, sbbt.phi.t)):
+        if c:
+            for pos, v in enumerate(_linear_product(gf, linear, exp, products).coeffs):
+                if v:
+                    out[pos] = gf.add(out[pos], gf.mul(c, v))
+    return forms.Form(k, sbbt.phi.t, tuple(out))
 
 
 def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
     """Every hyperplane of the ambient space with its arc incidence count
-    and the value of phi at its dual point."""
-    gf = arc.gf
+    and the value of phi at its dual point, in projective_points order.
+
+    The canonical covectors are extended one coordinate at a time, every
+    prefix in lexicographic order: each step substitutes the signed dual
+    coordinate into what is left of phi, read from one power table of the
+    field, and adds the coordinate's term to every arc point's partial dot
+    product.  At the last coordinate x, a point's dot product s + x·p_last
+    vanishes for the one x = -s/p_last when p_last != 0, and for every x
+    or for none when p_last = 0.
+    """
+    gf, k, d = arc.gf, arc.k, sbbt.phi.t
+    powers = [[gf.pow(x, e) for e in range(d + 1)] for x in gf.elements()]
+    sign = covector_to_dual_point(gf, (1,) * k)
+
+    def substitute(phi, j, x):
+        # phi maps the exponents of coordinates j, j+1, ... to a coefficient
+        power = powers[gf.mul(sign[j], x)]
+        rest = {}
+        for exp, c in phi.items():
+            v = gf.mul(c, power[exp[0]])
+            if v:
+                rest[exp[1:]] = gf.add(rest.get(exp[1:], 0), v)
+        return rest
+
+    def values(prefix):
+        # canonical representatives: the first nonzero coordinate is 1
+        return gf.elements() if any(prefix) else (1,) if len(prefix) == k - 1 else (0, 1)
+
+    basis = forms.monomial_basis(k, d)
+    level = [((), {e: c for e, c in zip(basis, sbbt.phi.coeffs) if c}, [0] * arc.n)]
+    for j in range(k - 1):
+        level = [
+            (
+                prefix + (x,),
+                substitute(phi, j, x),
+                [gf.add(s, gf.mul(x, p[j])) for s, p in zip(partial, arc.points)],
+            )
+            for prefix, phi, partial in level
+            for x in values(prefix)
+        ]
     out = []
-    for ell in projective_points(gf, arc.k):
-        on = sum(1 for p in arc.points if linalg.dot(gf, ell, p) == 0)
-        z = covector_to_dual_point(gf, ell)
-        out.append((ell, on, forms.evaluate(gf, sbbt.phi, z)))
+    for prefix, phi, partial in level:
+        pairs = list(zip(partial, (p[-1] for p in arc.points)))
+        always = sum(1 for s, c in pairs if not (s or c))
+        roots = Counter(gf.div(gf.neg(s), c) for s, c in pairs if c)
+        for x in values(prefix):
+            value = substitute(phi, k - 1, x).get((), 0)
+            out.append((prefix + (x,), always + roots[x], value))
     return out
 
 
@@ -196,12 +254,17 @@ def verify_sbbt(
     )
 
     agree = report.check("agrees-with-signed-evaluations-powered")
+    # G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on repeated rows
+    G = {
+        T: evaluate_G(gf, sbbt, [arc.points[i] for i in T])
+        for T in combinations(range(arc.n), k - 1)
+    }
+    flip = gf.pow(gf.neg(1), sbbt.phi.t)  # 1 when deg phi is even or q is even
     for tup in product(range(arc.n), repeat=k - 1):
-        rows = [arc.points[i] for i in tup]
-        agree.tally(
-            evaluate_G(gf, sbbt, rows) == gf.pow(g_value(ts, tup), m),
-            {"tuple": list(tup)},
-        )
+        value = G.get(tuple(sorted(tup)), 0)
+        if flip != 1 and value and perm_parity(tup):
+            value = gf.mul(flip, value)
+        agree.tally(value == gf.pow(g_value(ts, tup), m), {"tuple": list(tup)})
 
     rng = random.Random(seed)
     sym = report.check("symmetric-under-row-permutations")

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from arcforms.field import make_field
-from arcforms.geometry import normal_rational_curve
+from arcforms.geometry import Arc, normal_rational_curve
 from arcforms.tangents import build_tangent_system
 from arcforms.tensorform import build_tensor_form
 
@@ -43,6 +43,19 @@ def corpus_system(q, k):
 def corpus_tensor(q, k):
     arc, ts = corpus_system(q, k)
     return arc, ts, build_tensor_form(arc, ts)
+
+
+@lru_cache(maxsize=None)
+def glynn_arc():
+    """Glynn's 10-arc of PG(4, 9): (1, s, s^2 + eta s^6, s^3, s^4) for s in
+    GF(9), plus (0, 0, 0, 0, 1).  It needs eta^4 = -1; eta = 3, the
+    adjoined root, is the smallest such element."""
+    gf, eta = field(9), 3
+    pts = [
+        (1, s, gf.add(gf.pow(s, 2), gf.mul(eta, gf.pow(s, 6))), gf.pow(s, 3), gf.pow(s, 4))
+        for s in gf.elements()
+    ]
+    return Arc(gf, 5, tuple(pts) + ((0, 0, 0, 0, 1),))
 
 
 @pytest.fixture

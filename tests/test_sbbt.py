@@ -1,11 +1,23 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from arcforms import linalg
-from arcforms.forms import Form, form_mul, form_scale, evaluate as eval_form
-from arcforms.geometry import Arc, projective_points
+from arcforms.forms import (
+    Form,
+    evaluate as eval_form,
+    form_add,
+    form_mul,
+    form_scale,
+    linear_form,
+    monomial_basis,
+    product_linear_forms,
+    vanishing_subspace,
+    zero_form,
+)
+from arcforms.geometry import Arc, is_arc, normal_rational_curve, projective_points
 from arcforms.sbbt import (
     SBBTForm,
     appended_det_form,
@@ -18,9 +30,14 @@ from arcforms.sbbt import (
     residual_form,
     verify_sbbt,
 )
-from arcforms.tangents import build_tangent_system, g_value, tangent_hyperplanes
+from arcforms.tangents import (
+    TangentSystem,
+    build_tangent_system,
+    g_value,
+    tangent_hyperplanes,
+)
 
-from conftest import corpus_arc, corpus_system, field
+from conftest import corpus_arc, corpus_system, field, glynn_arc
 
 
 def test_det_minor_examples(gf5):
@@ -188,3 +205,134 @@ def test_sbbt_json_roundtrip():
     sb = build_sbbt(arc, ts)
     blob = sb.to_json(arc.gf)
     assert SBBTForm.from_json(arc.gf, blob) == sb
+
+
+def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
+    """verify_sbbt's checks recomputed from the definitions.
+
+    Residuals substitute into phi, monomial by monomial, the linear forms
+    the minors become (coefficient of X_c read off with X = e_c);
+    hyperplanes come from projective_points, forms.evaluate and
+    linalg.dot; G is evaluated on every ordered tuple.  Returns
+    ([(name, total, failed, witnesses)], notes, hyperplanes).
+    """
+    gf, k, m = arc.gf, arc.k, sb.m
+    out, notes, duals = [], [], []
+
+    def check(name, results):
+        bad = [w for ok, w in results if not ok]
+        out.append((name, len(results), len(bad), bad[:10]))
+
+    basis = monomial_basis(k, sb.phi.t)
+    unit = [tuple(int(c == j) for c in range(k)) for j in range(k)]
+    results = []
+    for S in itertools.combinations(range(arc.n), k - 2):
+        prefix = [arc.points[i] for i in S]
+        linear = [
+            linear_form(k, [det_minor(gf, prefix + [unit[c]], j) for c in range(k)])
+            for j in range(k)
+        ]
+        got = zero_form(k, sb.phi.t)
+        for c, exp in zip(sb.phi.coeffs, basis):
+            factors = [linear[j] for j, e in enumerate(exp) for _ in range(e)]
+            got = form_add(gf, got, form_scale(gf, c, product_linear_forms(gf, k, factors)))
+        fS = ts.form(S)
+        want = fS if m == 1 else form_mul(gf, fS, fS)
+        results.append((got == want, {"S": list(S)}))
+    check("residual-equals-tangent-form-power", results)
+
+    tangent, secant, low = [], [], []
+    for ell in projective_points(gf, k):
+        on = sum(1 for p in arc.points if linalg.dot(gf, ell, p) == 0)
+        value = eval_form(gf, sb.phi, covector_to_dual_point(gf, ell))
+        duals.append((ell, on, value))
+        if on == k - 2:
+            tangent.append((value == 0, {"dual": list(ell), "value": value}))
+        elif on == k - 1:
+            secant.append((value != 0, {"dual": list(ell)}))
+        else:
+            low.append(value)
+    check("vanishes-on-tangent-hyperplane-duals", tangent)
+    check("nonzero-on-secant-hyperplane-duals", secant)
+    notes.append(
+        f"{len(low)} hyperplanes meet the arc in fewer than k-2 points; "
+        f"phi vanishes on {low.count(0)} of them (recorded, not asserted)"
+    )
+
+    check("agrees-with-signed-evaluations-powered", [
+        (
+            evaluate_G(gf, sb, [arc.points[i] for i in tup]) == gf.pow(g_value(ts, tup), m),
+            {"tuple": list(tup)},
+        )
+        for tup in itertools.product(range(arc.n), repeat=k - 1)
+    ])
+
+    rng = random.Random(seed)
+    results = []
+    for _ in range(random_trials):
+        rows = [[rng.randrange(gf.q) for _ in range(k)] for _ in range(k - 1)]
+        perm = list(range(k - 1))
+        rng.shuffle(perm)
+        same = evaluate_G(gf, sb, rows) == evaluate_G(gf, sb, [rows[i] for i in perm])
+        results.append((same, {"rows": rows, "perm": perm}))
+    check("symmetric-under-row-permutations", results)
+    return out, notes, duals
+
+
+def test_corrupted_dual_form_is_caught():
+    # deg phi = 1 on the conic of PG(2, 4) and 4 on the twisted cubic of
+    # PG(3, 7).  "odd" multiplies phi of the conic of PG(2, 7) by Z_1, the
+    # dual coordinate that covector_to_dual_point negates: odd row
+    # permutations flip the sign of G, and a dropped covector sign flips
+    # phi at the duals.  Failed counts as the per-tuple verifier found them.
+    recorded = {
+        (4, 3, "phi"): (4, 4, 2, 12, 0),
+        (4, 3, "fS"): (1, 0, 0, 4, 0),
+        (7, 4, "phi"): (21, 42, 0, 210, 0),
+        (7, 4, "fS"): (1, 0, 0, 12, 0),
+        (7, 3, "odd"): (8, 0, 3, 43, 38),
+    }
+    for (q, k, what), failed in recorded.items():
+        arc, ts = corpus_system(q, k)
+        gf = arc.gf
+        sb = build_sbbt(arc, ts)
+        if what == "odd":
+            phi = form_mul(gf, sb.phi, linear_form(k, (0, 1) + (0,) * (k - 2)))
+            sb = SBBTForm(sb.m, sb.E, phi)
+        elif what == "phi":
+            coeffs = list(sb.phi.coeffs)
+            coeffs[0] = gf.add(coeffs[0], 1)
+            sb = SBBTForm(sb.m, sb.E, Form(k, sb.phi.t, tuple(coeffs)))
+        else:
+            ts = TangentSystem(arc, ts.E, ts.anchor, dict(ts.fS))
+            S = max(ts.fS)
+            ts.fS[S] = form_scale(gf, 2, ts.fS[S])
+        report = verify_sbbt(arc, ts, sb)
+        got = [(c.name, c.total, c.failed, c.witnesses) for c in report.checks]
+        checks, notes, duals = _oracle_checks(arc, ts, sb)
+        assert (got, report.notes) == (checks, notes), (q, k, what)
+        assert classify_hyperplanes(arc, sb) == duals, (q, k, what)
+        assert tuple(c.failed for c in report.checks) == failed, (q, k, what)
+
+
+def test_glynn_arc_of_pg4_9():
+    # a 10-arc of PG(4, 9) that is not a normal rational curve: it lies on
+    # one quadric fewer
+    arc = glynn_arc()
+    gf = arc.gf
+    assert is_arc(gf, 5, arc.points) == (True, None)
+    assert vanishing_subspace(gf, 5, arc.points, 2).dim == 5
+    nrc = normal_rational_curve(gf, 5)
+    assert vanishing_subspace(gf, 5, nrc.points, 2).dim == 6
+    ts = build_tangent_system(arc)
+    sb = build_sbbt(arc, ts)
+    start = time.monotonic()
+    report = verify_sbbt(arc, ts, sb)
+    elapsed = time.monotonic() - start
+    assert report.passed, [c.to_json() for c in report.checks if not c.passed]
+    assert [c.total for c in report.checks] == [120, 360, 210, 10_000, 100]
+    assert report.notes == [
+        "6811 hyperplanes meet the arc in fewer than k-2 points; "
+        "phi vanishes on 1666 of them (recorded, not asserted)"
+    ]
+    assert elapsed < 5.0
