@@ -36,6 +36,8 @@ def monomial_index(k: int, t: int):
 
 
 def num_monomials(k: int, t: int) -> int:
+    if k < 1 or t < 0:
+        raise ValueError(f"bad monomial parameters k={k}, t={t}")
     return comb(k + t - 1, t)
 
 

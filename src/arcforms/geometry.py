@@ -132,26 +132,6 @@ def hyperoval(gf: GF) -> Arc:
     return Arc(gf, 3, base.points + ((0, 1, 0),))
 
 
-def hyperplanes_through(gf: GF, k: int, span_points):
-    """The q+1 hyperplanes containing the span of k-2 independent points.
-
-    From a 2-dimensional kernel basis {u, v} of the point matrix, the duals
-    are u and v + lam*u for lam in F_q, each canonically normalized.
-    """
-    span_points = list(span_points)
-    if len(span_points) != k - 2:
-        raise ValueError(f"need k-2 = {k - 2} points, got {len(span_points)}")
-    rk, basis = linalg.nullspace(gf, [list(p) for p in span_points], ncols=k)
-    if rk != k - 2:
-        raise ValueError("span points are linearly dependent")
-    u, v = basis
-    duals = [normalize(gf, u)]
-    for lam in gf.elements():
-        w = [gf.add(vc, gf.mul(lam, uc)) for vc, uc in zip(v, u)]
-        duals.append(normalize(gf, w))
-    return duals
-
-
 def project(arc: Arc, idx: int) -> Arc:
     """Project the arc from its idx-th point into PG(k-2, q).
 

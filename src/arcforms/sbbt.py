@@ -43,27 +43,18 @@ def minor_vector(gf: GF, rows):
     return tuple(det_minor(gf, rows, j) for j in range(len(rows) + 1))
 
 
-def appended_det_form(gf: GF, k: int, u) -> forms.Form:
-    """The linear form L in Z with L(minor_vector(rows)) = det(rows + [u]).
-
-    Cofactor expansion along the appended last row gives the coefficient
-    (-1)^(k+j) u_j at Z_j (1-based j).
-    """
-    coeffs = []
-    for j0 in range(k):
-        c = u[j0]
-        if (k + j0 + 1) % 2:
-            c = gf.neg(c)
-        coeffs.append(c)
-    return forms.linear_form(k, coeffs)
-
-
 def covector_to_dual_point(gf: GF, ell):
     """Minor coordinates of the hyperplane with covector ell."""
     k = len(ell)
     return tuple(
         gf.neg(c) if (k + j + 1) % 2 else c for j, c in enumerate(ell)
     )
+
+
+def appended_det_form(gf: GF, k: int, u) -> forms.Form:
+    """The linear form L in Z with L(minor_vector(rows)) = det(rows + [u]):
+    cofactor expansion along the appended row gives u's dual point."""
+    return forms.linear_form(k, covector_to_dual_point(gf, u))
 
 
 @dataclass(frozen=True)
@@ -141,18 +132,18 @@ def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     k = sbbt.phi.k
     if len(prefix_rows) != k - 2:
         raise ValueError(f"need k-2 = {k - 2} prefix rows")
-    # minor j of [prefix, X]: expand along the X row
+    # minor j of [prefix, X]: expand along the X row; the cofactor of
+    # column c is the prefix minor with columns j and c deleted
+    minors = {
+        pair: linalg.det(gf, [[x for c, x in enumerate(r) if c not in pair] for r in prefix_rows])
+        for pair in combinations(range(k), 2)
+    }
     linear = []
     for j in range(k):
-        cols = [c for c in range(k) if c != j]
         coeffs = [0] * k
-        for pos, c in enumerate(cols):
-            keep = [cc for cc in cols if cc != c]
-            sub = [[row[cc] for cc in keep] for row in prefix_rows]
-            cof = linalg.det(gf, sub)
-            if (k - 2 + pos) % 2:
-                cof = gf.neg(cof)
-            coeffs[c] = cof
+        for pos, c in enumerate(i for i in range(k) if i != j):
+            cof = minors[min(j, c), max(j, c)]
+            coeffs[c] = gf.neg(cof) if (k + pos) % 2 else cof
         linear.append(forms.linear_form(k, coeffs))
     products = {(0,) * k: forms.Form(k, 0, (1,))}
     out = [0] * len(sbbt.phi.coeffs)

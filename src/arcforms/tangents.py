@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 
 from . import forms, linalg
 from .field import GF
-from .geometry import Arc, hyperplanes_through, normalize
+from .geometry import Arc, normalize
 from .report import Report
 
 
@@ -40,20 +40,32 @@ def _sign_power(gf: GF, parity_bits: int) -> int:
 
 
 def tangent_hyperplanes(arc: Arc, subset):
-    """The t hyperplanes through the points of the index subset that avoid
-    the rest of the arc.  Raises TangentCountError if the count is off,
+    """The t hyperplanes through the points of the index subset S that avoid
+    the rest of the arc.  With {u, v} a kernel basis of S's points, they are
+    the members of the pencil u, v + λu that no other arc point x lies on: x
+    lies on u if u·x = 0, else on the one with λ = -(v·x)/(u·x), and on all
+    of them if u·x = v·x = 0.  Raises TangentCountError if the count is off,
     which signals corrupted arc data."""
     if arc.t < 1:
         raise ValueError("arc has t = 0; tangent machinery undefined")
     subset = tuple(sorted(subset))
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")
-    span = [arc.points[i] for i in subset]
-    rest = [i for i in range(arc.n) if i not in subset]
-    tangents = []
-    for dual in hyperplanes_through(arc.gf, arc.k, span):
-        if all(linalg.dot(arc.gf, dual, arc.points[i]) != 0 for i in rest):
-            tangents.append(dual)
+    gf = arc.gf
+    rk, basis = linalg.nullspace(gf, [arc.points[i] for i in subset], ncols=arc.k)
+    if rk != arc.k - 2:
+        raise ValueError("span points are linearly dependent")
+    u, v = basis
+    free = dict.fromkeys([None, *gf.elements()])  # u is keyed None, v + λu by λ
+    for x in (x for i, x in enumerate(arc.points) if i not in subset):
+        a, b = linalg.dot(gf, u, x), linalg.dot(gf, v, x)
+        if not (a or b):
+            free.clear()
+        free.pop(gf.div(gf.neg(b), a) if a else None, None)
+    tangents = [
+        normalize(gf, u if lam is None else [gf.add(vc, gf.mul(lam, uc)) for vc, uc in zip(v, u)])
+        for lam in free
+    ]
     if len(tangents) != arc.t:
         raise TangentCountError(
             f"subset {subset}: {len(tangents)} tangent hyperplanes, expected {arc.t}"
@@ -114,13 +126,6 @@ class TangentSystem:
         return cls(arc, tuple(obj["E"]), int(obj["anchor"]), fS)
 
 
-def _unscaled_product(arc: Arc, subset) -> forms.Form:
-    # Each tangent dual arrives canonically normalized, so the product is
-    # deterministic before the chain scaling is applied.
-    duals = tangent_hyperplanes(arc, subset)
-    return forms.product_linear_forms(arc.gf, arc.k, [normalize(arc.gf, d) for d in duals])
-
-
 def scaling_rule(ts: TangentSystem, subset):
     """The chain constraint for a subset S != E.
 
@@ -156,23 +161,16 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
     E = tuple(range(arc.k - 2))
     anchor = arc.k - 2
     ts = TangentSystem(arc, E, anchor, {})
-
-    by_level = {}
-    for S in combinations(range(arc.n), arc.k - 2):
-        by_level.setdefault(len(set(S) - set(E)), []).append(S)
-
-    base = _unscaled_product(arc, E)
-    v = linalg.dot(gf, base.coeffs, ts.point_vectors[anchor])
-    ts.fS[E] = forms.form_scale(gf, gf.inv(v), base)
-
-    for r in range(1, max(by_level) + 1):
-        for S in by_level.get(r, []):
-            p_S = _unscaled_product(arc, S)
+    for S in sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E))):
+        p_S = forms.product_linear_forms(gf, arc.k, tangent_hyperplanes(arc, S))
+        if S == E:
+            e, target = anchor, 1
+        else:
             e, a, parent, sign = scaling_rule(ts, S)
             target = gf.mul(sign, ts.eval_fS(parent, a))
-            denom = linalg.dot(gf, p_S.coeffs, ts.point_vectors[e])
-            # e is an arc point off S, hence on no tangent S-hyperplane
-            ts.fS[S] = forms.form_scale(gf, gf.div(target, denom), p_S)
+        # e is an arc point off S, hence on no tangent S-hyperplane
+        denom = linalg.dot(gf, p_S.coeffs, ts.point_vectors[e])
+        ts.fS[S] = forms.form_scale(gf, gf.div(target, denom), p_S)
     return ts
 
 

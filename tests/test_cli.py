@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ def test_arc_new_and_verify(tmp_path, capsys):
     arc_path = str(tmp_path / "tc7.json")
     code, rep = run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
     assert code == 0 and rep["passed"]
-    blob = json.loads(open(arc_path).read())
+    blob = json.loads(Path(arc_path).read_text())
     assert blob["k"] == 4 and len(blob["points"]) == 8
 
     code, rep = run(capsys, "arc", "verify", arc_path)
@@ -87,6 +89,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", nrc_path]) == 0
     for exps in ("5", "null", "[5,6]", "[[1.5,0,0,0],[0,0,0,0]]", "[[true,0,0,0],[0,0,0,0]]"):
         assert main(["tensor", "extract", nrc_path, "--exponents", exps]) == 2, exps
+    # phi refuses a basis of (N - n)·N = 12,341 · 12,333 entries before building it
+    start = time.monotonic()
+    assert main(["phi", nrc_path, "--t", "40"]) == 2
+    assert time.monotonic() - start < 1
     with pytest.raises(SystemExit) as exc:
         main(["arc", "new", "--badflag"])
     assert exc.value.code == 2
@@ -98,7 +104,7 @@ def test_arc_project_and_mds(tmp_path, capsys):
     run(capsys, "arc", "new", "--type", "nrc", "--q", "5", "--k", "4", "-o", arc_path)
     code, rep = run(capsys, "arc", "project", arc_path, "--index", "5", "-o", out_path)
     assert code == 0 and rep["passed"]
-    img = json.loads(open(out_path).read())
+    img = json.loads(Path(out_path).read_text())
     assert img["k"] == 3 and len(img["points"]) == 5
 
     code, rep = run(capsys, "arc", "mds", arc_path)
@@ -127,7 +133,7 @@ def test_tangents_and_tensor_roundtrip(tmp_path, capsys):
 
     code, _ = run(capsys, "tensor", "build", arc_path, "-o", mf_path)
     assert code == 0
-    mf = json.loads(open(mf_path).read())
+    mf = json.loads(Path(mf_path).read_text())
     assert mf["blocks"] == 2 and mf["t"] == 1
     code, rep = run(capsys, "tensor", "verify", arc_path)
     assert code == 0 and rep["passed"]
@@ -155,7 +161,7 @@ def test_sbbt_commands(tmp_path, capsys):
     run(capsys, "arc", "new", "--type", "conic", "--q", "5", "-o", arc_path)
     code, _ = run(capsys, "sbbt", "build", arc_path, "-o", sb_path)
     assert code == 0
-    sb = json.loads(open(sb_path).read())
+    sb = json.loads(Path(sb_path).read_text())
     assert sb["m"] == 2 and sb["phi"]["t"] == 2
     code, rep = run(capsys, "sbbt", "verify", arc_path, "--dump-duals")
     assert code == 0
@@ -193,10 +199,10 @@ def test_suite_reference_arcs(tmp_path, capsys):
 def test_artifact_roundtrip_byte_stable(tmp_path, capsys):
     arc_path = str(tmp_path / "a.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "9", "--k", "3", "-o", arc_path)
-    first = open(arc_path).read()
+    first = Path(arc_path).read_text()
     # rebuilding the same arc reproduces the same bytes
     run(capsys, "arc", "new", "--type", "nrc", "--q", "9", "--k", "3", "-o", arc_path)
-    assert open(arc_path).read() == first
+    assert Path(arc_path).read_text() == first
 
 
 def test_derived_artifacts_reload_byte_stable(tmp_path, capsys):
@@ -207,23 +213,23 @@ def test_derived_artifacts_reload_byte_stable(tmp_path, capsys):
 
     arc_path = str(tmp_path / "conic5.json")
     run(capsys, "arc", "new", "--type", "conic", "--q", "5", "-o", arc_path)
-    arc = Arc.from_json(json.loads(open(arc_path).read()))
+    arc = Arc.from_json(json.loads(Path(arc_path).read_text()))
 
     ts_path = str(tmp_path / "ts.json")
     run(capsys, "tangents", "build", arc_path, "-o", ts_path)
-    blob = open(ts_path).read()
+    blob = Path(ts_path).read_text()
     ts = TangentSystem.from_json(arc, json.loads(blob))
     assert json.dumps(ts.to_json(), indent=2) + "\n" == blob
 
     mf_path = str(tmp_path / "mf.json")
     run(capsys, "tensor", "build", arc_path, "-o", mf_path)
-    blob = open(mf_path).read()
+    blob = Path(mf_path).read_text()
     mf = MultiForm.from_json(arc.gf, json.loads(blob))
     assert json.dumps(mf.to_json(arc.gf), indent=2) + "\n" == blob
 
     sb_path = str(tmp_path / "sb.json")
     run(capsys, "sbbt", "build", arc_path, "-o", sb_path)
-    blob = open(sb_path).read()
+    blob = Path(sb_path).read_text()
     sb = SBBTForm.from_json(arc.gf, json.loads(blob))
     assert json.dumps(sb.to_json(arc.gf), indent=2) + "\n" == blob
 
@@ -232,7 +238,7 @@ def test_golden_conic5_artifacts(tmp_path, capsys):
     # frozen serializations: any representational drift shows up here
     arc_path = str(tmp_path / "conic5.json")
     run(capsys, "arc", "new", "--type", "conic", "--q", "5", "-o", arc_path)
-    assert json.loads(open(arc_path).read()) == {
+    assert json.loads(Path(arc_path).read_text()) == {
         "field": {"p": 5, "h": 1, "irreducible": [0, 1]},
         "k": 3,
         "points": [
@@ -241,7 +247,7 @@ def test_golden_conic5_artifacts(tmp_path, capsys):
     }
     sb_path = str(tmp_path / "sb.json")
     run(capsys, "sbbt", "build", arc_path, "-o", sb_path)
-    sb = json.loads(open(sb_path).read())
+    sb = json.loads(Path(sb_path).read_text())
     assert sb["phi"]["coeffs"] == [0, 0, 1, 1, 0, 0]  # Z2^2 - 4 Z1 Z3 mod 5
 
 

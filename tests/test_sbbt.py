@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -148,6 +149,21 @@ def test_residual_equals_tangent_form_power():
             want = fS if sb.m == 1 else form_mul(gf, fS, fS)
             got = residual_form(gf, sb, [arc.points[i] for i in S])
             assert got == want, S
+
+
+def test_residual_form_takes_each_minor_once(monkeypatch):
+    # one (k-2)-minor of the prefix rows per pair of deleted columns
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda *a: calls.append(1) or det(*a))
+    rng = random.Random(2)
+    gf = field(9)
+    for k in (3, 4, 5):
+        phi = Form(k, 2, tuple(rng.randrange(9) for _ in monomial_basis(k, 2)))
+        rows = [[rng.randrange(9) for _ in range(k)] for _ in range(k - 2)]
+        calls.clear()
+        residual_form(gf, SBBTForm(1, (), phi), rows)
+        assert len(calls) == math.comb(k, 2)
 
 
 def test_evaluate_G_examples():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from arcforms.tangents import (
     verify_tangent_counts,
 )
 
-from conftest import CORPUS, corpus_arc, corpus_system, field
+from conftest import CORPUS, corpus_arc, corpus_system, field, glynn_arc
 
 
 def conic_tangent_oracle(gf, s):
@@ -27,17 +28,33 @@ def conic_tangent_oracle(gf, s):
     return normalize(gf, (gf.mul(s, s), gf.neg(gf.add(s, s)), 1))
 
 
-def brute_force_tangents(arc, subset):
-    """Independent oracle: sweep every hyperplane of the space and keep the
-    ones meeting the arc exactly in the subset."""
+def hyperplane_incidences(arc):
+    """Independent oracle: every hyperplane of the space with the set of
+    arc indices on it."""
     gf = arc.gf
-    want = set(subset)
-    out = []
-    for ell in projective_points(gf, arc.k):
-        on = {i for i, p in enumerate(arc.points) if linalg.dot(gf, ell, p) == 0}
-        if on == want:
-            out.append(ell)
-    return out
+    return {
+        ell: {i for i, p in enumerate(arc.points) if linalg.dot(gf, ell, p) == 0}
+        for ell in projective_points(gf, arc.k)
+    }
+
+
+def sweep_arcs():
+    """Every corpus arc, Glynn's arc, a point-deleted NRC and seeded random
+    point sets (mostly not arcs, some with a repeated point)."""
+    arcs = [corpus_arc(q, k) for q, _, _, k in CORPUS] + [glynn_arc()]
+    nrc = corpus_arc(8, 4)
+    arcs.append(Arc(nrc.gf, 4, nrc.points[:3] + nrc.points[4:]))
+    rng = random.Random(11)
+    for q, k in [(5, 3), (7, 3), (4, 3), (5, 4), (7, 4), (8, 4)] * 2:
+        gf, n, pts = field(q), rng.randrange(k, q + k - 1), []  # t >= 1
+        while len(pts) < n:
+            p = tuple(rng.randrange(q) for _ in range(k))
+            if any(p):
+                pts.append(p)
+        if rng.random() < 0.5:  # a scaled copy of a point: a dependent span
+            pts[-1] = tuple(gf.mul(q - 1, c) for c in pts[0])
+        arcs.append(Arc(gf, k, tuple(pts)))
+    return arcs
 
 
 def test_conic_tangent_matches_gradient():
@@ -63,12 +80,37 @@ def test_conic_tangents_all_points_vs_gradient(q):
 
 
 def test_tangents_match_brute_force_sweep():
-    for q, k in [(5, 3), (7, 4)]:
-        arc = corpus_arc(q, k)
-        for subset in itertools.combinations(range(arc.n), k - 2):
-            fast = {normalize(arc.gf, d) for d in tangent_hyperplanes(arc, subset)}
-            slow = {normalize(arc.gf, d) for d in brute_force_tangents(arc, subset)}
-            assert fast == slow and len(fast) == arc.t
+    for arc in sweep_arcs():
+        on = hyperplane_incidences(arc)
+        for subset in itertools.combinations(range(arc.n), arc.k - 2):
+            if linalg.rank(arc.gf, [arc.points[i] for i in subset]) < arc.k - 2:
+                with pytest.raises(ValueError, match="linearly dependent"):
+                    tangent_hyperplanes(arc, subset)
+                continue
+            slow = {ell for ell, pts in on.items() if pts == set(subset)}
+            if len(slow) == arc.t:
+                assert set(tangent_hyperplanes(arc, subset)) == slow
+            else:
+                with pytest.raises(TangentCountError, match=f": {len(slow)} tangent hyperplanes"):
+                    tangent_hyperplanes(arc, subset)
+
+
+def test_tangent_hyperplanes_dot_count(monkeypatch):
+    # one nullspace, then the two dots u·x and v·x per arc point off the subset
+    calls = []
+    dot = linalg.dot
+    monkeypatch.setattr(linalg, "dot", lambda *a: calls.append(1) or dot(*a))
+    for arc in (corpus_arc(9, 3), corpus_arc(8, 4), glynn_arc()):
+        for subset in itertools.combinations(range(arc.n), arc.k - 2):
+            calls.clear()
+            tangent_hyperplanes(arc, subset)
+            assert len(calls) <= 2 * (arc.n - arc.k + 2)
+
+
+def test_tangent_hyperplanes_rejects_dependent_span(gf5):
+    arc = Arc(gf5, 4, ((1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="span points are linearly dependent"):
+        tangent_hyperplanes(arc, (0, 1))
 
 
 def test_twisted_cubic_tangent_count():
