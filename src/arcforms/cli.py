@@ -16,10 +16,10 @@ import argparse
 import json
 import sys
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
-from . import forms, geometry, linalg, sbbt as sbbt_mod, tangents, tensorform
+from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
 from .field import make_field
 from .geometry import Arc
 from .report import Report
@@ -97,10 +97,10 @@ class Pipeline:
     @cached_property
     def phi_dim(self) -> int:
         """Dimension of the degree-t forms vanishing on the arc: N minus
-        the rank of the arc's n×N Veronese matrix."""
-        arc = self.arc
-        rows = [forms.veronese(arc.gf, x, arc.t) for x in arc.points]
-        return forms.num_monomials(arc.k, arc.t) - linalg.rank(arc.gf, rows)
+        the socle size w, the rank of the arc's Veronese matrix, read off
+        the tangent system's one elimination of it."""
+        soc, _ = self.ts.socle
+        return forms.num_monomials(self.arc.k, self.arc.t) - len(soc)
 
 
 def _tally_is_arc(report: Report, name: str, arc: Arc) -> None:
@@ -279,6 +279,7 @@ def cmd_suite(pipeline, args, report):
 # -- parser ----------------------------------------------------------------
 
 
+@cache  # parsing leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcforms",

@@ -143,7 +143,9 @@ def project(arc: Arc, idx: int) -> Arc:
         raise IndexError(f"arc index {idx} out of range")
     gf = arc.gf
     x = arc.points[idx]
-    j = next(i for i, c in enumerate(x) if c)
+    j = next((i for i, c in enumerate(x) if c), None)
+    if j is None:
+        raise ValueError("cannot project from the zero vector")
     imgs = []
     for pos, a in enumerate(arc.points):
         if pos == idx:

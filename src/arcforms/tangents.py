@@ -99,6 +99,15 @@ class TangentSystem:
         """The degree-t Veronese vector of every arc point, in arc order."""
         return [forms.monomial_vector(self.gf, x, self.arc.t) for x in self.arc.points]
 
+    @cached_property
+    def socle(self) -> tuple:
+        """(soc, C) from one elimination of the N x n matrix of point_vectors:
+        its pivot columns soc, the points raising the rank in arc order, are
+        a basis of the arc's Veronese span, column j of the w x n reduced
+        rows C is nu(x_j) in that basis, and N - w is dim phi_t."""
+        red, pivots = linalg.rref(self.gf, list(zip(*self.point_vectors)))
+        return tuple(pivots), red
+
     def eval_fS(self, subset, point_index: int) -> int:
         return linalg.dot(self.gf, self.form(subset).coeffs, self.point_vectors[point_index])
 

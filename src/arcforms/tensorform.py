@@ -1,17 +1,16 @@
 """The multihomogeneous tensor form attached to an arc.
 
-The construction: take the arc points whose degree-t Veronese images are
-pivots of the arc's Veronese matrix (the socle, a basis of the arc's
-image), tabulate the signed tangent evaluations on all socle tuples, and
-contract every mode of that table with one left inverse M of the socle's
-Veronese matrix (coordinate_map) to get a dense coefficient tensor.  M is
-zero off the w pivot coordinates P of that matrix, so the tensor is
-supported on P^(k-1): w^(k-1) of its N^(k-1) entries at most, and every
-contraction below costs what its nonzero entries cost.  The resulting
-form agrees with the signed tangent evaluation at every tuple of arc
-points, is degree t in each of its k-1 blocks of k variables, and its
-partial evaluations at (k-2)-tuples of arc points reproduce the scaled
-tangent forms up to forms vanishing on the arc.
+One elimination of the arc's Veronese matrix (TangentSystem.socle) gives
+the socle, the points whose degree-t Veronese images are a basis of the
+arc's image, and reduced rows C holding every point in that basis.  The
+core is g on all socle tuples; its modes contracted by one left inverse M
+of the socle's Veronese matrix (coordinate_map) give the dense tensor F,
+and contracted by C they give F's values on all arc tuples.  M is zero off
+the w pivot coordinates P of that matrix, so F is supported on P^(k-1),
+and every contraction costs what its nonzero entries cost.  F agrees with
+g at every tuple of arc points, is degree t in each of its k-1 blocks of
+k variables, and its partial evaluations at (k-2)-tuples of arc points
+reproduce the scaled tangent forms up to forms vanishing on the arc.
 """
 
 from __future__ import annotations
@@ -67,38 +66,21 @@ class MultiForm:
         )
 
 
-def socle(arc: Arc, t: int) -> tuple:
-    """Arc indices whose Veronese images span the arc's Veronese span.
-
-    These are the pivot columns of the reduced echelon form of the N x n
-    matrix whose columns are the Veronese images in arc order: a column is
-    a pivot exactly when it is independent of the columns before it, so
-    this is the greedy pass keeping each point that raises the rank.
-    """
-    gf = arc.gf
-    cols = [forms.veronese(gf, p, t) for p in arc.points]
-    return tuple(linalg.rref(gf, list(zip(*cols)))[1])
-
-
-def coordinate_map(gf: GF, columns, dim: int, reverse: bool = False):
+def coordinate_map(gf: GF, columns, dim: int):
     """Left inverse M (w x dim) of the independent columns V (dim x w):
     the first w rows of B^-1, where B = [V | unit vectors] completes V
     greedily to a basis of F^dim.
 
-    Candidates e_j are tried in ascending order of j (descending when
-    reverse is set, the alternate tie-breaking used by the uniqueness
-    check).  Ascending, e_j is added exactly when no vector of span(V) has
-    its last nonzero coordinate at j; descending, exactly when none has
-    its first nonzero coordinate there.  Those coordinates P are the
-    pivots of one echelon form of V^T (columns reversed when ascending).
-    As M V = I and M e_j = 0 off P, M is zero off the columns P and equals
-    V[P, :]^-1 on them.
+    Candidates e_j are tried in ascending order of j, and e_j is added
+    exactly when no vector of span(V) has its last nonzero coordinate at
+    j.  Those coordinates P are the pivots of an echelon form of V^T with
+    its columns reversed.  As M V = I and M e_j = 0 off P, M is zero off
+    the columns P and equals V[P, :]^-1 on them.
     """
-    order = range(dim) if reverse else range(dim - 1, -1, -1)
-    _, pivots = linalg.rref(gf, [[c[j] for j in order] for c in columns])
+    _, pivots = linalg.rref(gf, [c[::-1] for c in columns])
     if len(pivots) != len(columns):
         raise ValueError("columns are dependent")
-    P = [order[j] for j in pivots]
+    P = [dim - 1 - j for j in pivots]
     square_inv = linalg.inverse(gf, [[c[r] for c in columns] for r in P])
     M = [[0] * dim for _ in columns]
     for row, inv_row in zip(M, square_inv):
@@ -129,25 +111,29 @@ def _contract_mode(gf: GF, shape, data, mode: int, matrix):
     return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
 
 
-def build_tensor_form(arc: Arc, ts: TangentSystem, reverse_complement: bool = False) -> MultiForm:
-    """Assemble the coefficient tensor of the arc's multihomogeneous form."""
-    gf, t = arc.gf, arc.t
+def _contract_modes(gf: GF, data, matrix, blocks: int):
+    """Contract every mode of a len(matrix)^blocks tensor with matrix."""
+    shape = [len(matrix)] * blocks
+    for mode in range(blocks):
+        shape, data = _contract_mode(gf, shape, data, mode, matrix)
+    return data
+
+
+def _socle_core(ts: TangentSystem) -> list:
+    """Flat table of g on every tuple of socle points, row-major."""
+    soc, _ = ts.socle
+    return [g_value(ts, tup) for tup in product(soc, repeat=ts.arc.k - 1)]
+
+
+def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:
+    """Assemble the coefficient tensor of the arc's multihomogeneous form:
+    the socle core with every mode contracted by coordinate_map's M."""
+    gf, t, blocks = arc.gf, arc.t, arc.k - 1
     if t < 1:
         raise ValueError("arc has t = 0; no tensor form")
-    blocks = arc.k - 1
-    N = forms.num_monomials(arc.k, t)
-    soc = socle(arc, t)
-    w = len(soc)
-    vcols = [forms.veronese(gf, arc.points[i], t) for i in soc]
-    M = coordinate_map(gf, vcols, N, reverse=reverse_complement)
-
-    shape = [w] * blocks
-    data = [0] * (w**blocks)
-    for pos, tup in enumerate(product(range(w), repeat=blocks)):
-        data[pos] = g_value(ts, tuple(soc[i] for i in tup))
-    for mode in range(blocks):
-        shape, data = _contract_mode(gf, shape, data, mode, M)
-    return MultiForm(arc.k, blocks, t, tuple(data))
+    soc, _ = ts.socle
+    M = coordinate_map(gf, [ts.point_vectors[i] for i in soc], forms.num_monomials(arc.k, t))
+    return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, _socle_core(ts), M, blocks)))
 
 
 def _contract_leading(gf: GF, mf: MultiForm, points):
@@ -177,11 +163,8 @@ def partial_evaluate(gf: GF, mf: MultiForm, prefix) -> forms.Form:
 def evaluation_table(gf: GF, mf: MultiForm, vectors):
     """Flat table of evaluations at every tuple from `vectors`, row-major."""
     ver = [forms.monomial_vector(gf, x, mf.t) for x in vectors]
-    mat = [[ver[a][J] for a in range(len(vectors))] for J in range(mf.mode_dim)]
-    shape, data = [mf.mode_dim] * mf.blocks, mf.coeffs
-    for mode in range(mf.blocks):
-        shape, data = _contract_mode(gf, shape, data, mode, mat)
-    return data
+    mat = [[v[J] for v in ver] for J in range(mf.mode_dim)]
+    return _contract_modes(gf, mf.coeffs, mat, mf.blocks)
 
 
 def is_block_congruent(D: MultiForm, arc: Arc) -> bool:
@@ -225,8 +208,11 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     - a repeated prefix has a zero table row;
     - F with its blocks permuted by sigma has table a -> T[a o sigma], so
       antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a];
-    - F minus the alternative build is block congruent to zero exactly
-      when both forms have the same table.
+    - F is unique modulo block-vanishing terms: any form built from the
+      socle core with another left inverse M' of the socle's Veronese
+      matrix has the same table, since M' nu(x_j) is column j of the
+      socle's reduced rows C for every M'; so T must equal the core
+      contracted by C in every mode.
     """
     report = report or Report("tensor-verify", {}, [])
     gf = arc.gf
@@ -265,8 +251,8 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
         prop3.tally(ok, {"sigma": list(sigma)})
 
     prop4 = report.check("unique-modulo-block-vanishing")
-    alt = build_tensor_form(arc, ts, reverse_complement=True)
-    prop4.tally(evaluation_table(gf, alt, arc.points) == table, {})
+    _, C = ts.socle
+    prop4.tally(_contract_modes(gf, _socle_core(ts), C, blocks) == table, {})
     return report
 
 
@@ -367,7 +353,7 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
 
     prefix_rows = []
     for S in subsets:
-        vs = [forms.veronese(gf, arc.points[i], t) for i in S]
+        vs = [ts.point_vectors[i] for i in S]
         row = vs[0]
         for v in vs[1:]:
             row = [gf.mul(a, b) for a in row for b in v]

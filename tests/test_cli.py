@@ -1,10 +1,12 @@
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from arcforms.cli import main
+from arcforms import linalg, tensorform
+from arcforms.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -51,6 +53,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
     }))
     assert main(["arc", "mds", str(zero_path)]) == 2
+    assert main(["arc", "project", str(zero_path), "--index", "3", "-o", str(tmp_path / "p.json")]) == 2
     gf7 = {"p": 7, "h": 1, "irreducible": [0, 1]}
     gf9 = {"p": 3, "h": 2, "irreducible": [2, 2, 1]}
     o, z = [1, 0], [0, 0]
@@ -194,6 +197,43 @@ def test_suite_reference_arcs(tmp_path, capsys):
         code, rep = run(capsys, "suite", arc_path)
         assert code == 0, rep
         assert rep["passed"]
+
+
+def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
+    # one F, one coordinate map and one elimination of the N x n Veronese
+    # matrix (N = 10, n = 8) serve every stage of the suite
+    arc_path = str(tmp_path / "tc7.json")
+    run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
+    calls = Counter()
+
+    def counted(name, fn, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls[name] += when(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_tensor_form", "coordinate_map"):
+        monkeypatch.setattr(tensorform, name, counted(name, getattr(tensorform, name)))
+    monkeypatch.setattr(linalg, "rref", counted(
+        "veronese rref", linalg.rref, lambda gf, rows: (len(rows), len(rows[0])) == (10, 8)
+    ))
+    code, rep = run(capsys, "suite", arc_path)
+    assert code == 0 and rep["passed"]
+    assert calls == {"build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1}
+
+
+def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    arc_path = str(tmp_path / "tc7.json")
+    run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
+    argvs = [["suite", arc_path], ["tensor", "verify", arc_path], ["arc", "mds", arc_path]]
+    reports = []
+    for _ in range(2):
+        for argv in argvs:
+            code, rep = run(capsys, *argv)
+            rep.pop("elapsed_ms")
+            reports.append((code, rep))
+    assert reports[:3] == reports[3:]
 
 
 def test_artifact_roundtrip_byte_stable(tmp_path, capsys):

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from arcforms.forms import (
+    Form,
     monomial_basis,
     monomial_vector,
     num_monomials,
@@ -18,6 +19,7 @@ from arcforms.forms import (
 from arcforms.geometry import Arc, normalize
 from arcforms.linalg import identity, inverse, mat_mul, rank
 from arcforms.tangents import (
+    TangentSystem,
     build_tangent_system,
     g_value,
     perm_parity,
@@ -35,11 +37,10 @@ from arcforms.tensorform import (
     quadric_check,
     search_exact_tangent_match,
     shift_extract,
-    socle,
     verify_tensor_form,
 )
 
-from conftest import CORPUS, corpus_arc, corpus_system, corpus_tensor, field
+from conftest import CORPUS, corpus_arc, corpus_system, corpus_tensor, field, glynn_arc
 
 
 def greedy_socle(arc, t):
@@ -66,40 +67,66 @@ def greedy_left_inverse(gf, columns, dim, reverse):
 
 
 def test_socle_sizes():
-    arc5 = corpus_arc(5, 3)
-    assert socle(arc5, 1) == (0, 1, 2)
-    assert len(socle(arc5, 2)) == 5  # dim Phi_2 = 1 of 6
-    arc7 = corpus_arc(7, 4)
-    assert len(socle(arc7, 2)) == 7  # dim Phi_2 = 3 of 10
+    arc5, ts5 = corpus_system(5, 3)
+    assert ts5.socle[0] == (0, 1, 2)  # t = 1
+    ts = build_tangent_system(Arc(arc5.gf, 3, arc5.points[:5]))
+    assert len(ts.socle[0]) == 5  # t = 2: dim Phi_2 = 1 of 6
+    _, ts7 = corpus_system(7, 4)
+    assert len(ts7.socle[0]) == 7  # t = 2: dim Phi_2 = 3 of 10
+
+
+def truncations(arc):
+    """The arc with its last d points dropped, d = 0..3: t grows by d."""
+    return [Arc(arc.gf, arc.k, arc.points[: arc.n - d]) for d in range(min(3, arc.n - arc.k) + 1)]
+
+
+def socle_of(arc):
+    """The socle of a tangent system on the arc, which reads only the
+    arc's points; small arcs have no scaled system to build."""
+    return TangentSystem(arc, (), 0, {}).socle
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
 def test_socle_is_greedy_and_coordinate_map_is_basis_inverse(q, p, h, k):
-    arc = corpus_arc(q, k)
-    gf = arc.gf
-    for t in range(1, 5):
-        soc = socle(arc, t)
+    for arc in truncations(corpus_arc(q, k)):
+        gf, t = arc.gf, arc.t
+        soc = socle_of(arc)[0]
         assert soc == greedy_socle(arc, t), t
         V = [veronese(gf, arc.points[i], t) for i in soc]
         N = num_monomials(k, t)
-        for reverse in (False, True):
-            M = coordinate_map(gf, V, N, reverse=reverse)
-            assert M == greedy_left_inverse(gf, V, N, reverse), (t, reverse)
-            assert mat_mul(gf, M, [list(r) for r in zip(*V)]) == identity(len(V))
+        M = coordinate_map(gf, V, N)
+        assert M == greedy_left_inverse(gf, V, N, reverse=False), t
+        assert mat_mul(gf, M, [list(r) for r in zip(*V)]) == identity(len(V))
+
+
+@pytest.mark.parametrize("arc", [corpus_arc(q, k) for q, p, h, k in CORPUS] + [glynn_arc()],
+                         ids=[f"q{q}-k{k}" for q, p, h, k in CORPUS] + ["glynn"])
+def test_socle_rows_are_point_coordinates(arc):
+    # one elimination gives the greedy socle, each point's coordinates in
+    # its basis and, through N - w, the dimension of phi_t
+    gf, t = arc.gf, arc.t
+    soc, C = build_tangent_system(arc).socle
+    assert soc == greedy_socle(arc, t)
+    basis = [veronese(gf, arc.points[i], t) for i in soc]
+    for j, x in enumerate(arc.points):
+        combo = [0] * len(basis[0])
+        for i, v in enumerate(basis):
+            combo = [gf.add(a, gf.mul(C[i][j], b)) for a, b in zip(combo, v)]
+        assert combo == veronese(gf, x, t), j
+    N = num_monomials(arc.k, t)
+    assert N - len(soc) == vanishing_subspace(gf, arc.k, arc.points, t).dim
 
 
 def test_coordinate_map_tiebreaks_differ():
     gf = field(5)
     cols = [(1, 1, 0, 0), (0, 1, 1, 0)]
     # ascending completion adds e_0, e_3: last nonzero coordinates are 1, 2
-    fwd = coordinate_map(gf, cols, 4)
-    assert fwd == [[0, 1, 4, 0], [0, 0, 1, 0]]
-    # descending completion adds e_3, e_2: first nonzero coordinates are 0, 1
-    rev = coordinate_map(gf, cols, 4, reverse=True)
-    assert rev == [[1, 0, 0, 0], [4, 1, 0, 0]]
-    arc = corpus_arc(5, 3)
-    V = [veronese(gf, arc.points[i], 2) for i in socle(arc, 2)]
-    assert coordinate_map(gf, V, 6) != coordinate_map(gf, V, 6, reverse=True)
+    assert coordinate_map(gf, cols, 4) == [[0, 1, 4, 0], [0, 0, 1, 0]]
+    # a descending completion gives another left inverse, so the check that
+    # F is unique modulo block-vanishing terms compares distinct builds
+    arc = Arc(gf, 3, corpus_arc(5, 3).points[:5])  # t = 2
+    V = [veronese(gf, arc.points[i], 2) for i in socle_of(arc)[0]]
+    assert coordinate_map(gf, V, 6) != greedy_left_inverse(gf, V, 6, reverse=True)
 
 
 def test_coordinate_map_rejects_dependent_columns():
@@ -110,19 +137,18 @@ def test_coordinate_map_rejects_dependent_columns():
 # SHA-256 of json.dumps(F.to_json(gf)), recorded before the basis
 # completion was derived from pivots; the artifacts must stay byte-stable.
 ARTIFACT_SHA256 = {
-    (7, 4, False): "52d288b817302921ccd5fcf228e14e8ff37fbcac92249ea22b37dacf27e236ac",
-    (7, 4, True): "3fce311fd704ef18fa615a22e2c1e8ce1520b5147f629f27cc3466ed08673e77",
-    (8, 4, False): "903939f8b03ec132a385062ff0daca84ec7e1d525e985844e55b4dfb63be8111",
-    (8, 4, True): "6c909fc625ae264294c4364376e515932977798d807a9df71a81fef6fd077aae",
+    (7, 4): "52d288b817302921ccd5fcf228e14e8ff37fbcac92249ea22b37dacf27e236ac",
+    (8, 4): "903939f8b03ec132a385062ff0daca84ec7e1d525e985844e55b4dfb63be8111",
 }
 
 
-@pytest.mark.parametrize("q,k,reverse", sorted(ARTIFACT_SHA256))
-def test_tensor_form_bytes_are_stable(q, k, reverse):
+# the ids keep the suffix they had while a reversed build was pinned too
+@pytest.mark.parametrize("q,k", sorted(ARTIFACT_SHA256), ids=[f"{q}-{k}-False" for q, k in sorted(ARTIFACT_SHA256)])
+def test_tensor_form_bytes_are_stable(q, k):
     arc, ts = corpus_system(q, k)
-    F = build_tensor_form(arc, ts, reverse_complement=reverse)
+    F = build_tensor_form(arc, ts)
     blob = json.dumps(F.to_json(arc.gf)).encode()
-    assert hashlib.sha256(blob).hexdigest() == ARTIFACT_SHA256[q, k, reverse]
+    assert hashlib.sha256(blob).hexdigest() == ARTIFACT_SHA256[q, k]
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
@@ -197,6 +223,37 @@ def test_block_permutation_sign():
             assert value[permuted] == gf.mul(sign, value[a]), (sigma, a)
             unsigned_fails |= value[permuted] != value[a]
     assert unsigned_fails
+
+
+def reversed_build(arc, ts):
+    """F from the socle core and the left inverse that completes the socle's
+    Veronese matrix by unit vectors tried in descending order."""
+    gf, t, blocks = arc.gf, arc.t, arc.k - 1
+    soc = greedy_socle(arc, t)
+    V = [veronese(gf, arc.points[i], t) for i in soc]
+    M = greedy_left_inverse(gf, V, num_monomials(arc.k, t), reverse=True)
+    shape, data = [len(soc)] * blocks, [g_value(ts, a) for a in itertools.product(soc, repeat=blocks)]
+    for mode in range(blocks):
+        shape, data = _contract_mode(gf, shape, data, mode, M)
+    return MultiForm(arc.k, blocks, t, tuple(data))
+
+
+@pytest.mark.parametrize("q,p,h,k", CORPUS)
+def test_uniqueness_check_matches_reversed_build(q, p, h, k):
+    # the check compares F's table with the core contracted by the socle's
+    # reduced rows; that is the table of the build from any other left
+    # inverse, also when a scaled tangent form is off by a factor
+    arc, ts = corpus_system(q, k)
+    gf = arc.gf
+    S = max(ts.fS)
+    rescaled = dict(ts.fS)
+    rescaled[S] = Form(k, arc.t, tuple(gf.mul(2, c) for c in ts.fS[S].coeffs))
+    for system in (ts, TangentSystem(arc, ts.E, ts.anchor, rescaled)):
+        F = build_tensor_form(arc, system)
+        table = evaluation_table(gf, F, arc.points)
+        assert evaluation_table(gf, reversed_build(arc, system), arc.points) == table
+        failed = {c.name: c.failed for c in verify_tensor_form(arc, system, F).checks}
+        assert failed["unique-modulo-block-vanishing"] == 0
 
 
 @pytest.mark.parametrize(
