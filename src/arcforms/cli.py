@@ -30,6 +30,9 @@ from .report import Report
 # (2.0·10^5 entries) and 22 s and 60 MiB at t = 14 (4.6·10^5).
 PHI_MAX_BASIS = 250_000
 
+# _write_json joins the texts of this many list items per write.
+WRITE_SLICE = 8192
+
 
 def _factor_prime_power(q: int):
     p = next((p for p in range(2, q + 1) if q % p == 0), None)
@@ -67,9 +70,43 @@ def _load_arc(path: str) -> Arc:
         return Arc.from_json(json.load(fh))
 
 
+def _json_texts(obj, level: int):
+    """Yield json.dumps(obj, indent=2) in pieces, obj nested `level` deep.
+
+    Dicts and lists are laid out here with json's separators; scalars and
+    empty containers are json.dumps's own text.  A list goes out one slice
+    of WRITE_SLICE items per piece, and each distinct item of a slice is
+    rendered once: keyed by value when the slice holds only ints (field
+    elements over GF(p)), else by identity (such as the shared element
+    lists of MultiForm.to_json over GF(p^h)).
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        opener = "{"
+        for key, value in obj.items():
+            # json's text for the key, with its coercion of non-str keys
+            yield opener + pad + json.dumps({key: 0})[1:-4] + ": "
+            yield from _json_texts(value, level + 1)
+            opener = ","
+        yield "\n" + "  " * level + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for start in range(0, len(obj), WRITE_SLICE):
+            part = obj[start : start + WRITE_SLICE]
+            keys = part if set(map(type, part)) == {int} else list(map(id, part))
+            texts = {
+                key: pad + "".join(_json_texts(item, level + 1))
+                for key, item in dict(zip(keys, part)).items()
+            }
+            yield ("," if start else "[") + ",".join(map(texts.__getitem__, keys))
+        yield "\n" + "  " * level + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def _write_json(path: str, obj) -> None:
+    """Write json.dumps(obj, indent=2) and a newline, streamed in pieces."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.writelines(_json_texts(obj, 0))
         fh.write("\n")
 
 

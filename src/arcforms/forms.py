@@ -69,21 +69,30 @@ def linear_form(k: int, coeffs) -> Form:
     return Form(k, 1, tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
+def _monomial_parents(k: int, t: int):
+    """(parent, j) for every monomial of degree 1..t, listed degree by
+    degree, each degree in canonical order.  With the constant 1 put in
+    front at position 0, the monomial at position i + 1 is x_j times the
+    one at position parent."""
+    out, prev = [], {(0,) * k: 0}
+    for d in range(1, t + 1):
+        index = {}
+        for m in monomial_basis(k, d):
+            j = max(v for v, e in enumerate(m) if e)
+            out.append((prev[m[:j] + (m[j] - 1,) + m[j + 1 :]], j))
+            index[m] = len(out)
+        prev = index
+    return tuple(out)
+
+
 def monomial_vector(gf: GF, x, t: int):
-    """Values of all degree-t monomials at x (zero vector allowed)."""
-    k = len(x)
-    powers = [[1] * (t + 1) for _ in range(k)]
-    for j in range(k):
-        for e in range(1, t + 1):
-            powers[j][e] = gf.mul(powers[j][e - 1], x[j])
-    out = []
-    for exp in monomial_basis(k, t):
-        v = 1
-        for j, e in enumerate(exp):
-            if e:
-                v = gf.mul(v, powers[j][e])
-        out.append(v)
-    return out
+    """Values of all degree-t monomials at x (zero vector allowed), each
+    one multiplication from a monomial of one degree less."""
+    vals, mul = [1], gf.mul
+    for parent, j in _monomial_parents(len(x), t):
+        vals.append(mul(vals[parent], x[j]))
+    return vals[len(vals) - num_monomials(len(x), t) :]
 
 
 def veronese(gf: GF, x, t: int):

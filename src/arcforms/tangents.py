@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from . import forms, linalg
 from .field import GF
@@ -107,6 +107,13 @@ class TangentSystem:
         rows C is nu(x_j) in that basis, and N - w is dim phi_t."""
         red, pivots = linalg.rref(self.gf, list(zip(*self.point_vectors)))
         return tuple(pivots), red
+
+    @cached_property
+    def socle_core(self) -> list:
+        """g on every tuple of socle points, row-major: the core whose modes
+        the tensor form contracts."""
+        soc, _ = self.socle
+        return [g_value(self, tup) for tup in product(soc, repeat=self.arc.k - 1)]
 
     def eval_fS(self, subset, point_index: int) -> int:
         return linalg.dot(self.gf, self.form(subset).coeffs, self.point_vectors[point_index])

@@ -3,14 +3,15 @@
 One elimination of the arc's Veronese matrix (TangentSystem.socle) gives
 the socle, the points whose degree-t Veronese images are a basis of the
 arc's image, and reduced rows C holding every point in that basis.  The
-core is g on all socle tuples; its modes contracted by one left inverse M
-of the socle's Veronese matrix (coordinate_map) give the dense tensor F,
-and contracted by C they give F's values on all arc tuples.  M is zero off
-the w pivot coordinates P of that matrix, so F is supported on P^(k-1),
-and every contraction costs what its nonzero entries cost.  F agrees with
-g at every tuple of arc points, is degree t in each of its k-1 blocks of
-k variables, and its partial evaluations at (k-2)-tuples of arc points
-reproduce the scaled tangent forms up to forms vanishing on the arc.
+core (TangentSystem.socle_core) is g on all socle tuples; its modes
+contracted by one left inverse M of the socle's Veronese matrix
+(coordinate_map) give the dense tensor F, and contracted by C they give
+F's values on all arc tuples.  M is zero off the w pivot coordinates P of
+that matrix, so F is supported on P^(k-1), and every contraction costs
+what its nonzero entries cost.  F agrees with g at every tuple of arc
+points, is degree t in each of its k-1 blocks of k variables, and its
+partial evaluations at (k-2)-tuples of arc points reproduce the scaled
+tangent forms up to forms vanishing on the arc.
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ class MultiForm:
             raise ValueError(f"coefficient tensor needs {want} entries")
 
     def to_json(self, gf: GF) -> dict:
-        return {
-            "k": self.k,
-            "blocks": self.blocks,
-            "t": self.t,
-            "coeffs": [gf.element_to_json(c) for c in self.coeffs],
-        }
+        """The coefficients as element_to_json gives them: over GF(p) the
+        tuple itself, else one shared element list per field element."""
+        coeffs = self.coeffs
+        if gf.h > 1:
+            table = [gf.element_to_json(a) for a in gf.elements()]
+            coeffs = list(map(table.__getitem__, coeffs))
+        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, gf: GF, obj) -> "MultiForm":
@@ -119,12 +121,6 @@ def _contract_modes(gf: GF, data, matrix, blocks: int):
     return data
 
 
-def _socle_core(ts: TangentSystem) -> list:
-    """Flat table of g on every tuple of socle points, row-major."""
-    soc, _ = ts.socle
-    return [g_value(ts, tup) for tup in product(soc, repeat=ts.arc.k - 1)]
-
-
 def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:
     """Assemble the coefficient tensor of the arc's multihomogeneous form:
     the socle core with every mode contracted by coordinate_map's M."""
@@ -133,7 +129,7 @@ def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:
         raise ValueError("arc has t = 0; no tensor form")
     soc, _ = ts.socle
     M = coordinate_map(gf, [ts.point_vectors[i] for i in soc], forms.num_monomials(arc.k, t))
-    return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, _socle_core(ts), M, blocks)))
+    return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, ts.socle_core, M, blocks)))
 
 
 def _contract_leading(gf: GF, mf: MultiForm, points):
@@ -252,7 +248,7 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
 
     prop4 = report.check("unique-modulo-block-vanishing")
     _, C = ts.socle
-    prop4.tally(_contract_modes(gf, _socle_core(ts), C, blocks) == table, {})
+    prop4.tally(_contract_modes(gf, ts.socle_core, C, blocks) == table, {})
     return report
 
 

@@ -1,12 +1,14 @@
 import json
 import time
 from collections import Counter
+from math import perm
 from pathlib import Path
 
 import pytest
 
-from arcforms import linalg, tensorform
+from arcforms import linalg, sbbt, tangents, tensorform
 from arcforms.cli import build_parser, main
+from arcforms.tangents import g_value
 
 
 def run(capsys, *argv):
@@ -201,7 +203,11 @@ def test_suite_reference_arcs(tmp_path, capsys):
 
 def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
     # one F, one coordinate map and one elimination of the N x n Veronese
-    # matrix (N = 10, n = 8) serve every stage of the suite
+    # matrix (N = 10, n = 8) serve every stage of the suite; g is read on
+    # every tuple of arc points by the contract check and the dual-form
+    # agreement sweep, on every tuple of distinct points by the lemma sweep,
+    # and once on every tuple of the w socle points, for the core that the
+    # build and the uniqueness check both contract
     arc_path = str(tmp_path / "tc7.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
     calls = Counter()
@@ -214,12 +220,18 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
     for name in ("build_tensor_form", "coordinate_map"):
         monkeypatch.setattr(tensorform, name, counted(name, getattr(tensorform, name)))
+    for module in (tangents, tensorform, sbbt):
+        monkeypatch.setattr(module, "g_value", counted("g_value", g_value))
     monkeypatch.setattr(linalg, "rref", counted(
         "veronese rref", linalg.rref, lambda gf, rows: (len(rows), len(rows[0])) == (10, 8)
     ))
     code, rep = run(capsys, "suite", arc_path)
     assert code == 0 and rep["passed"]
-    assert calls == {"build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1}
+    n, w = 8, 7  # w: the 10 quadric monomials less the 3 quadrics through the cubic
+    assert calls == {
+        "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1,
+        "g_value": 2 * n**3 + perm(n, 3) + w**3,
+    }
 
 
 def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):

@@ -15,6 +15,7 @@ from arcforms.forms import (
     form_to_json,
     linear_form,
     monomial_basis,
+    monomial_vector,
     num_monomials,
     product_linear_forms,
     evaluate,
@@ -62,6 +63,32 @@ def test_veronese_examples(gf7):
     assert veronese(gf7, (1, s), 3) == [1, s, s * s % 7, s**3 % 7]
     with pytest.raises(ValueError):
         veronese(gf7, (0, 0, 0), 2)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_monomial_vector_is_exponent_products(q):
+    # oracle from the definition: monomial e at x is prod_j x_j^e_j, with
+    # x_j^0 = 1 also for x_j = 0
+    gf, rng = field(q), random.Random(q)
+
+    def power(a, e):
+        v = 1
+        for _ in range(e):
+            v = gf.mul(v, a)
+        return v
+
+    for k in range(1, 6):
+        vectors = [(0,) * k, (0,) * (k - 1) + (rng.randrange(1, q),)] + [
+            tuple(rng.choice([0, rng.randrange(1, q)]) for _ in range(k)) for _ in range(6)
+        ]
+        for x, t in itertools.product(vectors, range(7)):
+            want = []
+            for exp in monomial_basis(k, t):
+                v = 1
+                for c, e in zip(x, exp):
+                    v = gf.mul(v, power(c, e))
+                want.append(v)
+            assert monomial_vector(gf, x, t) == want, (x, t)
 
 
 def test_veronese_scaling_covariance(gf7):

@@ -1,0 +1,139 @@
+"""The -o writer: every artifact is json.dumps(obj, indent=2) plus a newline,
+written one list slice at a time."""
+
+import hashlib
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from arcforms import cli
+from arcforms.cli import WRITE_SLICE, _write_json, main
+from arcforms.field import GF, make_field
+from arcforms.geometry import normal_rational_curve, project
+from arcforms.sbbt import build_sbbt
+from arcforms.tangents import build_tangent_system
+from arcforms.tensorform import MultiForm, build_tensor_form
+
+EDGE_CASES = {
+    "empty": [[], {}, (), [[], {}, ()], {"a": [], "b": {}, "c": ()}],
+    "nested": [[1, [2, [3, []]], [[[]]]], {"a": {"b": {"c": [{"d": []}]}}}],
+    "tuples": (1, (2, (3,)), ((),), {"t": (4, 5)}),
+    "non-ascii": ["héllo", "✓ π", {"ключ": "значение", "☃": ["\n\t\"\\"]}],
+    "scalars": [None, True, False, 0, -1, 1.5],
+    "ints-above-256": [257, 1000, -300, 2**70, 257, 1000],
+    "top-level-scalar": None,
+    "equal-values-of-other-types": [1, True, 1.0, 0, False, 0.0, -0.0, None],
+    "bools-among-ints": [1, True, 0, False, 2, True],
+    "non-str-keys": {1: "a", None: [2], 2.5: {3: 4}, False: 0},
+    "ints-across-slices": list(range(WRITE_SLICE * 2 + 5)),
+    "shared-lists-across-slices": [[0, 1], [1, 0]] * (WRITE_SLICE + 3),
+    "fresh-lists-across-slices": [[i % 3, 1] for i in range(WRITE_SLICE + 7)],
+    "types-changing-between-slices": [True] * WRITE_SLICE + [1] * WRITE_SLICE + [1.0, 1],
+    "dicts-in-a-list": [{"S": [0, 1], "form": {"coeffs": [1, 2, 300]}}] * 3,
+}
+
+
+@pytest.mark.parametrize("obj", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_writer_matches_json_dumps(tmp_path, obj):
+    path = tmp_path / "obj.json"
+    _write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+
+
+def test_writer_rejects_what_json_rejects(tmp_path):
+    for bad in ({(1, 2): 0}, [object()], {1, 2}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            _write_json(str(tmp_path / "bad.json"), bad)
+
+
+# (q, k): NRCs over a prime field, GF(2^3) and GF(3^2), and the conic of
+# PG(2, 257), whose coordinates go past the ints CPython caches
+ARTIFACT_ARCS = [(7, 4), (8, 4), (9, 3), (257, 3)]
+
+
+def _arc_file(tmp_path, capsys, q, k):
+    """The arc file `arc new --type nrc` writes, and its bytes checked.
+
+    For q = 257 the file is written here instead: `arc new` sweeps all
+    C(258, 3) triples for its is-arc check, which takes most of a minute;
+    `arc project` covers the arc artifact over that field."""
+    p, h = cli._factor_prime_power(q)
+    arc = normal_rational_curve(make_field(p, h), k)
+    path = tmp_path / "arc.json"
+    want = json.dumps(arc.to_json(), indent=2) + "\n"
+    if q > 256:
+        path.write_text(want, encoding="utf-8")
+    else:
+        argv = ["arc", "new", "--type", "nrc", "--q", str(q), "--k", str(k), "-o", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert path.read_text(encoding="utf-8") == want
+    return arc, str(path)
+
+
+@pytest.mark.parametrize("q,k", ARTIFACT_ARCS)
+def test_every_artifact_is_json_dumps_of_its_object(tmp_path, capsys, q, k):
+    arc, arc_path = _arc_file(tmp_path, capsys, q, k)
+    gf, ts = arc.gf, build_tangent_system(arc)
+    expected = {
+        ("arc", "project", "--index", "0"): project(arc, 0).to_json(),
+        ("tangents", "build"): ts.to_json(),
+        ("tensor", "build"): build_tensor_form(arc, ts).to_json(gf),
+        ("sbbt", "build"): build_sbbt(arc, ts).to_json(gf),
+    }
+    for command, obj in expected.items():
+        out = tmp_path / "out.json"
+        assert main([*command[:2], arc_path, *command[2:], "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n", command
+
+
+# SHA-256 of the `tensor build -o` files of the corpus twisted cubics,
+# recorded before the streaming writer replaced json.dump
+TENSOR_FILE_SHA256 = {
+    (7, 4): "d487fe9491c4accd674351f58027041610927700e7cfa03f08cf4b76a022a265",
+    (8, 4): "f1fe0f80332904b6bc3960be95a98a1db8f19684aeffa8dda988831345789ecb",
+}
+
+
+@pytest.mark.parametrize("q,k", sorted(TENSOR_FILE_SHA256))
+def test_tensor_build_file_bytes_are_stable(tmp_path, capsys, q, k):
+    _, arc_path = _arc_file(tmp_path, capsys, q, k)
+    out = tmp_path / "F.json"
+    assert main(["tensor", "build", arc_path, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TENSOR_FILE_SHA256[q, k]
+
+
+def test_long_tensor_artifact_streams(tmp_path):
+    # 84^3 = 592,704 coefficients over GF(11): a list of them alone takes
+    # 4.7 MB, and the writer holds one slice of their texts at a time
+    gf, rng = make_field(11), random.Random(0)
+    F = MultiForm(4, 3, 6, tuple(rng.randrange(11) for _ in range(84**3)))
+    tracemalloc.start()
+    try:
+        _write_json(str(tmp_path / "F.json"), F.to_json(gf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert MultiForm.from_json(gf, json.loads((tmp_path / "F.json").read_text())) == F
+
+
+@pytest.mark.parametrize("q,k", [(4, 3), (7, 4), (8, 4)])
+def test_tensor_artifact_renders_each_element_once(tmp_path, capsys, monkeypatch, q, k):
+    _, arc_path = _arc_file(tmp_path, capsys, q, k)
+    calls = []
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    original = GF.element_to_json
+    monkeypatch.setattr(GF, "element_to_json", counted)
+    assert main(["tensor", "build", arc_path, "-o", str(tmp_path / "F.json")]) == 0
+    F = json.loads((tmp_path / "F.json").read_text())
+    assert len(F["coeffs"]) > q and len(calls) <= q
