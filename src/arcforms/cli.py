@@ -207,12 +207,17 @@ def cmd_tangents_build(pipeline, args, report):
 
 
 def cmd_tangents_lemma(pipeline, args, report):
-    tangents.verify_tangent_counts(pipeline.arc, report)
-    if not report.passed:
+    try:
+        ts = pipeline.ts
+    except (ValueError, tangents.TangentCountError):
+        if tangents.verify_tangent_counts(pipeline.arc, report).passed:
+            raise  # the counts hold, so the error is the build's own
         report.notes.append("tangent counts are off; skipping the system build")
         return
-    tangents.verify_scaling_chain(pipeline.ts, report)
-    tangents.verify_lemma_of_tangents(pipeline.ts, seed=args.seed, report=report)
+    # the build raises on any subset with a wrong count, so all len(fS) hold
+    report.check("tangent-count").tally_many(len(ts.fS), [])
+    tangents.verify_scaling_chain(ts, report)
+    tangents.verify_lemma_of_tangents(ts, seed=args.seed, report=report)
 
 
 def cmd_tensor_build(pipeline, args, report):

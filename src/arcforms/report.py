@@ -22,6 +22,12 @@ class Check:
             if len(self.witnesses) < MAX_WITNESSES:
                 self.witnesses.append(witness)
 
+    def tally_many(self, total: int, failing_witnesses: list):
+        """Tally `total` cases at once, given the witnesses of the failing ones in order."""
+        self.total += total
+        self.failed += len(failing_witnesses)
+        self.witnesses += failing_witnesses[: MAX_WITNESSES - len(self.witnesses)]
+
     @property
     def passed(self) -> bool:
         return self.failed == 0

@@ -20,13 +20,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress
+from operator import ne
 
 from . import forms, linalg
 from .field import GF
 from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, g_value, perm_parity
+from .tangents import TangentSystem, tuple_at
 
 
 def det_minor(gf: GF, rows, j: int) -> int:
@@ -244,18 +245,19 @@ def verify_sbbt(
         "(recorded, not asserted)"
     )
 
-    agree = report.check("agrees-with-signed-evaluations-powered")
-    # G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on repeated rows
-    G = {
-        T: evaluate_G(gf, sbbt, [arc.points[i] for i in T])
+    # G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on repeated rows:
+    # G is evaluated once per sorted subset and read through ts.index
+    G = [
+        evaluate_G(gf, sbbt, [arc.points[i] for i in T])
         for T in combinations(range(arc.n), k - 1)
-    }
+    ] + [0]  # rank -1, rows with a repeat
     flip = gf.pow(gf.neg(1), sbbt.phi.t)  # 1 when deg phi is even or q is even
-    for tup in product(range(arc.n), repeat=k - 1):
-        value = G.get(tuple(sorted(tup)), 0)
-        if flip != 1 and value and perm_parity(tup):
-            value = gf.mul(flip, value)
-        agree.tally(value == gf.pow(g_value(ts, tup), m), {"tuple": list(tup)})
+    signed = (G, [gf.mul(flip, v) for v in G])
+    got = [signed[par][r] for r, par in zip(*ts.index)]
+    want = ts.g_table if m == 1 else [gf.pow(v, m) for v in ts.g_table]
+    report.check("agrees-with-signed-evaluations-powered").tally_many(len(got), [
+        {"tuple": tuple_at(pos, arc.n, k - 1)} for pos in compress(range(len(got)), map(ne, got, want))
+    ])
 
     rng = random.Random(seed)
     sym = report.check("symmetric-under-row-permutations")

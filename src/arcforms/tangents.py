@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations
+from operator import ne
 
 from . import forms, linalg
 from .field import GF
@@ -37,6 +38,40 @@ def perm_parity(seq) -> int:
 
 def _sign_power(gf: GF, parity_bits: int) -> int:
     return gf.neg(1) if parity_bits & 1 else 1
+
+
+def tuple_position(tup, n: int) -> int:
+    """Row-major position of tup in product(range(n), repeat=len(tup))."""
+    return sum(i * n ** (len(tup) - 1 - s) for s, i in enumerate(tup))
+
+
+def tuple_at(pos: int, n: int, m: int) -> list:
+    """The tuple at row-major position pos of product(range(n), repeat=m)."""
+    return [pos // n ** (m - 1 - i) % n for i in range(m)]
+
+
+def tuple_positions(n: int, points, order) -> list:
+    """For every a in product(points, repeat=m), in order, the row-major
+    position in product(range(n), repeat=m) of (a[order[0]], ...,
+    a[order[m-1]]), m = len(order)."""
+    m, out = len(order), [0]
+    for s in range(m):
+        weight = n ** (m - 1 - order.index(s))  # that of a[s]
+        out = [p + a * weight for p in out for a in points]
+    return out
+
+
+def tuple_index(n: int, m: int) -> tuple:
+    """(rank, parity) over product(range(n), repeat=m), row-major: the rank
+    of each tuple's sorted form in combinations(range(n), m), -1 on a
+    repeat, and the parity of the permutation of slots that sorts it."""
+    rank, parity = [-1] * n**m, [0] * n**m
+    subsets = list(enumerate(tuple_position(T, n) for T in combinations(range(n), m)))
+    for sigma in permutations(range(m)):
+        positions, par = tuple_positions(n, range(n), sigma), perm_parity(sigma)
+        for r, pos in subsets:  # one int object per rank, shared by every sigma
+            rank[positions[pos]], parity[positions[pos]] = r, par
+    return rank, parity
 
 
 def tangent_hyperplanes(arc: Arc, subset):
@@ -80,6 +115,11 @@ class TangentSystem:
     E is the base subset (first k-2 indices), anchor the first index
     outside E; the scaling fixes f_E(anchor) = 1 and chains every other
     subset to E, so all values below are fully deterministic.
+
+    g is tabulated once, in g_table from the values f_S(x_j), and every
+    tuple sweep reads that table.  socle_core, values and g_table are
+    caches derived from fS on first use: to try other forms, build a fresh
+    TangentSystem from them.  eval_fS and g_value read fS directly.
     """
 
     arc: Arc
@@ -113,7 +153,33 @@ class TangentSystem:
         """g on every tuple of socle points, row-major: the core whose modes
         the tensor form contracts."""
         soc, _ = self.socle
-        return [g_value(self, tup) for tup in product(soc, repeat=self.arc.k - 1)]
+        positions = tuple_positions(self.arc.n, soc, range(self.arc.k - 1))
+        return list(map(self.g_table.__getitem__, positions))
+
+    @cached_property
+    def values(self) -> list:
+        """f_S(x_j) for every sorted (k-2)-subset S, in combinations order,
+        at every arc index j: one dot per j off S, and 0 on S."""
+        gf, vectors = self.gf, self.point_vectors
+        return [
+            [0 if j in S else linalg.dot(gf, self.fS[S].coeffs, v) for j, v in enumerate(vectors)]
+            for S in combinations(range(self.arc.n), self.arc.k - 2)
+        ]
+
+    @cached_property
+    def index(self) -> tuple:
+        """tuple_index of the ordered (k-1)-tuples of arc indices."""
+        return tuple_index(self.arc.n, self.arc.k - 1)
+
+    @cached_property
+    def g_table(self) -> list:
+        """g on every ordered (k-1)-tuple of arc indices, row-major: the row
+        of a prefix with a repeat is 0, any other is the values row of the
+        sorted prefix, negated when t is even and an odd permutation sorts it."""
+        rank, parity = tuple_index(self.arc.n, self.arc.k - 2)
+        rows = self.values + [[0] * self.arc.n]  # rank -1, a prefix with a repeat
+        signed = (rows, rows if self.arc.t % 2 else [list(map(self.gf.neg, row)) for row in rows])
+        return [v for r, par in zip(rank, parity) for v in signed[par][r]]
 
     def eval_fS(self, subset, point_index: int) -> int:
         return linalg.dot(self.gf, self.form(subset).coeffs, self.point_vectors[point_index])
@@ -234,38 +300,33 @@ def verify_lemma_of_tangents(
 
     Checks g(T with positions i, i+1 swapped) = (-1)^(t+1) g(T) for every
     ordered tuple of distinct arc indices and every adjacent transposition,
-    then spot-checks full permutations with the sign (-1)^(s(t+1)).  A
-    permutation of a tuple of distinct indices is again one, so g is
-    tabulated once over those tuples and both checks look values up.
+    then spot-checks full permutations with the sign (-1)^(s(t+1)).  Both
+    checks read ts.g_table; a swap is one list of table positions.
     """
     report = report or Report("tangents-lemma", {}, [])
-    arc, gf = ts.arc, ts.gf
-    m = arc.k - 1
-    swap_sign = _sign_power(gf, arc.t + 1)
-    g = {tup: g_value(ts, tup) for tup in permutations(range(arc.n), m)}
-
-    chk = report.check("adjacent-transpositions")
-    for tup, base in g.items():
-        for i in range(m - 1):
-            other = g[tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]]
-            chk.tally(
-                other == gf.mul(swap_sign, base),
-                {"tuple": list(tup), "swap": i, "got": other},
-            )
+    arc, gf, g = ts.arc, ts.gf, ts.g_table
+    n, m = arc.n, arc.k - 1
+    distinct = [pos for pos, r in enumerate(ts.index[0]) if r >= 0]  # permutations order
+    want = [g[pos] if arc.t % 2 else gf.neg(g[pos]) for pos in distinct]
+    failing = []
+    for i in range(m - 1):
+        swapped = tuple_positions(n, range(n), (*range(i), i + 1, i, *range(i + 2, m)))
+        got = [g[swapped[pos]] for pos in distinct]
+        failing += [(d, i, got[d]) for d in compress(range(len(got)), map(ne, got, want))]
+    report.check("adjacent-transpositions").tally_many(len(distinct) * (m - 1), [
+        {"tuple": tuple_at(distinct[d], n, m), "swap": i, "got": other} for d, i, other in sorted(failing)
+    ])
 
     rng = random.Random(seed)
     rnd = report.check("random-permutations")
-    tuples = list(combinations(range(arc.n), m))
+    tuples = list(combinations(range(n), m))
     perms = list(permutations(range(m)))
     for _ in range(random_trials):
         T = rng.choice(tuples)
         sigma = rng.choice(perms)
-        permuted = tuple(T[sigma[i]] for i in range(m))
-        expected = gf.mul(_sign_power(gf, perm_parity(sigma) * (arc.t + 1)), g[T])
-        rnd.tally(
-            g[permuted] == expected,
-            {"tuple": list(T), "sigma": list(sigma)},
-        )
+        permuted = [T[s] for s in sigma]
+        expected = gf.mul(_sign_power(gf, perm_parity(sigma) * (arc.t + 1)), g[tuple_position(T, n)])
+        rnd.tally(g[tuple_position(permuted, n)] == expected, {"tuple": list(T), "sigma": list(sigma)})
     return report
 
 

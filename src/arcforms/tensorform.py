@@ -17,14 +17,15 @@ tangent forms up to forms vanishing on the arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, permutations, product
+from itertools import combinations, compress, islice, permutations
 from math import comb, prod
+from operator import ne
 
 from . import forms, linalg
 from .field import GF
 from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, g_value, perm_parity, _sign_power
+from .tangents import TangentSystem, perm_parity, tuple_at, tuple_index, tuple_position, tuple_positions
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,10 @@ def check_signed_evaluations(arc: Arc, ts: TangentSystem, F: MultiForm, report: 
     """Tally the defining contract F(a) = g(a) over every tuple a of arc
     points and return the evaluation table it was read from."""
     table = evaluation_table(arc.gf, F, arc.points)
-    chk = report.check("matches-signed-tangent-evaluations")
-    for pos, tup in enumerate(product(range(arc.n), repeat=F.blocks)):
-        chk.tally(
-            table[pos] == g_value(ts, tup),
-            {"tuple": list(tup), "got": table[pos]},
-        )
+    report.check("matches-signed-tangent-evaluations").tally_many(len(table), [
+        {"tuple": tuple_at(pos, arc.n, F.blocks), "got": table[pos]}
+        for pos in compress(range(len(table)), map(ne, table, ts.g_table))
+    ])
     return table
 
 
@@ -200,10 +199,11 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     - F is multilinear in its blocks, so its partial evaluation at x_S,
       evaluated at x_j, is T[S + (j,)]; the residual against the scaled
       tangent form f_S vanishes on the arc exactly when
-      T[S + (j,)] = f_S(x_j) for every j;
+      T[S + (j,)] = f_S(x_j) for every j, the row of S in ts.values;
     - a repeated prefix has a zero table row;
     - F with its blocks permuted by sigma has table a -> T[a o sigma], so
-      antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a];
+      antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a], one
+      list of table positions per sigma;
     - F is unique modulo block-vanishing terms: any form built from the
       socle core with another left inverse M' of the socle's Veronese
       matrix has the same table, since M' nu(x_j) is column j of the
@@ -214,37 +214,23 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     gf = arc.gf
     n, blocks = arc.n, F.blocks
     table = check_signed_evaluations(arc, ts, F, report)
-    tuples = list(product(range(n), repeat=blocks))
-    strides = [n ** (blocks - 1 - m) for m in range(blocks)]
 
     prop1 = report.check("partial-eval-is-tangent-form-mod-vanishing")
-    for S in combinations(range(n), arc.k - 2):
-        row = sum(i * st for i, st in zip(S, strides))
-        prop1.tally(
-            all(table[row + j] == ts.eval_fS(S, j) for j in range(n)),
-            {"S": list(S)},
-        )
+    for S, row in zip(combinations(range(n), arc.k - 2), ts.values):
+        pos = tuple_position(S, n) * n
+        prop1.tally(table[pos : pos + n] == row, {"S": list(S)})
 
     prop2 = report.check("repeated-points-vanish")
-    for pos, tup in enumerate(product(range(n), repeat=blocks - 1)):
-        if len(set(tup)) == len(tup):
-            continue
-        prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": list(tup)})
-    for pos, tup in enumerate(tuples):
-        if len(set(tup)) < len(tup):
-            prop2.tally(table[pos] == 0, {"tuple": list(tup)})
+    for pos in (pos for pos, r in enumerate(tuple_index(n, blocks - 1)[0]) if r < 0):
+        prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": tuple_at(pos, n, blocks - 1)})
+    repeats = [pos for pos, r in enumerate(ts.index[0]) if r < 0]
+    prop2.tally_many(len(repeats), [{"tuple": tuple_at(pos, n, blocks)} for pos in repeats if table[pos]])
 
     prop3 = report.check("block-permutation-antisymmetry")
-    for sigma in permutations(range(blocks)):
-        if sigma == tuple(range(blocks)):
-            continue
-        sign = _sign_power(gf, perm_parity(sigma) * (arc.t + 1))
-        ok = all(
-            table[sum(tup[s] * st for s, st in zip(sigma, strides))]
-            == gf.mul(sign, table[pos])
-            for pos, tup in enumerate(tuples)
-        )
-        prop3.tally(ok, {"sigma": list(sigma)})
+    signed = (table, table if arc.t % 2 else list(map(gf.neg, table)))
+    for sigma in islice(permutations(range(blocks)), 1, None):  # all but the identity
+        permuted = map(table.__getitem__, tuple_positions(n, range(n), sigma))
+        prop3.tally(list(permuted) == signed[perm_parity(sigma)], {"sigma": list(sigma)})
 
     prop4 = report.check("unique-modulo-block-vanishing")
     _, C = ts.socle

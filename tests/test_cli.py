@@ -1,14 +1,13 @@
 import json
 import time
 from collections import Counter
-from math import perm
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from arcforms import linalg, sbbt, tangents, tensorform
+from arcforms import linalg, tangents, tensorform
 from arcforms.cli import build_parser, main
-from arcforms.tangents import g_value
 
 
 def run(capsys, *argv):
@@ -202,15 +201,14 @@ def test_suite_reference_arcs(tmp_path, capsys):
 
 
 def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
-    # one F, one coordinate map and one elimination of the N x n Veronese
-    # matrix (N = 10, n = 8) serve every stage of the suite; g is read on
-    # every tuple of arc points by the contract check and the dual-form
-    # agreement sweep, on every tuple of distinct points by the lemma sweep,
-    # and once on every tuple of the w socle points, for the core that the
-    # build and the uniqueness check both contract
+    # one tangent system, one F, one coordinate map and one elimination of
+    # the N x n Veronese matrix (N = 10, n = 8) serve every stage of the
+    # suite.  The verifiers never call g_value: the tuple sweeps read one
+    # table of g, and their only dot products are its C(n, 2)·(n - 2)
+    # values f_S(x_j), S a 2-subset and j off S.
     arc_path = str(tmp_path / "tc7.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
-    calls = Counter()
+    calls, stage = Counter(), ["other"]
 
     def counted(name, fn, when=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -218,20 +216,40 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def staged(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            stage.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        monkeypatch.setattr(module, name, wrapper)
+
     for name in ("build_tensor_form", "coordinate_map"):
         monkeypatch.setattr(tensorform, name, counted(name, getattr(tensorform, name)))
-    for module in (tangents, tensorform, sbbt):
-        monkeypatch.setattr(module, "g_value", counted("g_value", g_value))
+    for name in ("g_value", "tangent_hyperplanes", "build_tangent_system"):
+        monkeypatch.setattr(tangents, name, counted(name, getattr(tangents, name)))
     monkeypatch.setattr(linalg, "rref", counted(
         "veronese rref", linalg.rref, lambda gf, rows: (len(rows), len(rows[0])) == (10, 8)
     ))
+    staged(tangents, "verify_lemma_of_tangents")
+    staged(tensorform, "verify_tensor_form")
+    dots, dot = Counter(), linalg.dot
+
+    def staged_dot(*args):
+        dots[stage[-1]] += 1
+        return dot(*args)
+    monkeypatch.setattr(linalg, "dot", staged_dot)
     code, rep = run(capsys, "suite", arc_path)
     assert code == 0 and rep["passed"]
-    n, w = 8, 7  # w: the 10 quadric monomials less the 3 quadrics through the cubic
-    assert calls == {
-        "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1,
-        "g_value": 2 * n**3 + perm(n, 3) + w**3,
-    }
+    n = 8
+    assert calls == Counter({
+        "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1, "g_value": 0,
+        "build_tangent_system": 1, "tangent_hyperplanes": comb(n, 2),
+    })
+    assert dots["verify_lemma_of_tangents"] + dots["verify_tensor_form"] == comb(n, 2) * (n - 2)
 
 
 def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):

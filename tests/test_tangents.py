@@ -7,6 +7,8 @@ from arcforms import linalg
 from arcforms.field import make_field
 from arcforms.forms import evaluate, form_scale, form_to_json, zero_form
 from arcforms.geometry import Arc, hyperoval, normalize, projective_points
+from arcforms.report import Report
+from arcforms.sbbt import build_sbbt, evaluate_G, verify_sbbt
 from arcforms.tangents import (
     TangentCountError,
     TangentSystem,
@@ -15,10 +17,15 @@ from arcforms.tangents import (
     perm_parity,
     scaling_rule,
     tangent_hyperplanes,
+    tuple_at,
+    tuple_index,
+    tuple_position,
+    tuple_positions,
     verify_lemma_of_tangents,
     verify_scaling_chain,
     verify_tangent_counts,
 )
+from arcforms.tensorform import build_tensor_form, evaluation_table, verify_tensor_form
 
 from conftest import CORPUS, corpus_arc, corpus_system, field, glynn_arc
 
@@ -298,3 +305,131 @@ def test_tangent_system_from_json_rejects_malformed_entries(q, k, entry):
     blob["fS"][0] = {"S": entry["S"], "form": form_to_json(arc.gf, entry["form"])}
     with pytest.raises(ValueError):
         TangentSystem.from_json(arc, blob)
+
+
+def test_tuple_index_helpers():
+    for n, m in [(1, 1), (4, 1), (5, 2), (4, 3), (3, 3), (2, 3), (5, 4)]:
+        tuples = list(itertools.product(range(n), repeat=m))
+        subsets = list(itertools.combinations(range(n), m))
+        rank, parity = tuple_index(n, m)
+        for pos, tup in enumerate(tuples):
+            assert tuple_position(tup, n) == pos and tuple_at(pos, n, m) == list(tup)
+            distinct = len(set(tup)) == m
+            assert rank[pos] == (subsets.index(tuple(sorted(tup))) if distinct else -1)
+            assert parity[pos] == (perm_parity(tup) if distinct else 0)
+        for order in itertools.permutations(range(m)):
+            assert tuple_positions(n, range(n), order) == [
+                tuple_position([tup[s] for s in order], n) for tup in tuples
+            ]
+        points = [n - 1, 0] if n > 1 else [0]  # not range(n), and out of order
+        assert tuple_positions(n, points, range(m)) == [
+            tuple_position(tup, n) for tup in itertools.product(points, repeat=m)
+        ]
+
+
+def test_g_table_is_g_value_on_every_tuple():
+    for arc in [corpus_arc(q, k) for q, _, _, k in CORPUS] + [glynn_arc()]:
+        ts = build_tangent_system(arc)
+        tuples = itertools.product(range(arc.n), repeat=arc.k - 1)
+        assert ts.g_table == [g_value(ts, tup) for tup in tuples]
+
+
+def per_tuple_sweeps(arc, ts, F, sb, seed=0, random_trials=100):
+    """The tuple sweeps recomputed one ordered tuple at a time from
+    g_value, eval_fS, perm_parity and evaluate_G, as
+    [(name, total, failed, witnesses)] in report order."""
+    gf, n, m = arc.gf, arc.n, arc.k - 1
+    out = []
+
+    def check(name, results):
+        bad = [w for ok, w in results if not ok]
+        out.append((name, len(results), len(bad), bad[:10]))
+
+    def sign(parity):
+        return gf.neg(1) if parity and arc.t % 2 == 0 else 1
+
+    tuples = list(itertools.product(range(n), repeat=m))
+    position = {tup: pos for pos, tup in enumerate(tuples)}
+    table = evaluation_table(gf, F, arc.points)
+    check("matches-signed-tangent-evaluations", [
+        (table[pos] == g_value(ts, tup), {"tuple": list(tup), "got": table[pos]})
+        for pos, tup in enumerate(tuples)
+    ])
+    check("partial-eval-is-tangent-form-mod-vanishing", [
+        (all(table[position[S + (j,)]] == ts.eval_fS(S, j) for j in range(n)), {"S": list(S)})
+        for S in itertools.combinations(range(n), m - 1)
+    ])
+    check("repeated-points-vanish", [
+        (not any(table[pos * n : (pos + 1) * n]), {"prefix": list(prefix)})
+        for pos, prefix in enumerate(itertools.product(range(n), repeat=m - 1))
+        if len(set(prefix)) < len(prefix)
+    ] + [
+        (table[pos] == 0, {"tuple": list(tup)})
+        for pos, tup in enumerate(tuples) if len(set(tup)) < m
+    ])
+    results = []
+    for sigma in itertools.permutations(range(m)):
+        if sigma != tuple(range(m)):
+            s = sign(perm_parity(sigma))
+            ok = all(
+                table[position[tuple(tup[i] for i in sigma)]] == gf.mul(s, table[pos])
+                for pos, tup in enumerate(tuples)
+            )
+            results.append((ok, {"sigma": list(sigma)}))
+    check("block-permutation-antisymmetry", results)
+
+    g = {tup: g_value(ts, tup) for tup in itertools.permutations(range(n), m)}
+    results = []
+    for tup in g:
+        for i in range(m - 1):
+            other = g[tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]]
+            results.append((other == gf.mul(sign(1), g[tup]), {"tuple": list(tup), "swap": i, "got": other}))
+    check("adjacent-transpositions", results)
+    rng, results = random.Random(seed), []
+    subsets, perms = list(itertools.combinations(range(n), m)), list(itertools.permutations(range(m)))
+    for _ in range(random_trials):
+        T, sigma = rng.choice(subsets), rng.choice(perms)
+        permuted = tuple(T[s] for s in sigma)
+        want = gf.mul(sign(perm_parity(sigma)), g_value(ts, T))
+        results.append((g_value(ts, permuted) == want, {"tuple": list(T), "sigma": list(sigma)}))
+    check("random-permutations", results)
+
+    if sb is not None:
+        # G once per sorted subset: permuting the rows by sigma scales G by
+        # sgn(sigma)^deg(phi), and rows with a repeat give G = 0
+        G = {T: evaluate_G(gf, sb, [arc.points[i] for i in T]) for T in subsets}
+        flip = gf.pow(gf.neg(1), sb.phi.t)
+        results = []
+        for tup in tuples:
+            value = G.get(tuple(sorted(tup)), 0)
+            if perm_parity(tup):
+                value = gf.mul(flip, value)
+            results.append((value == gf.pow(g_value(ts, tup), sb.m), {"tuple": list(tup)}))
+        check("agrees-with-signed-evaluations-powered", results)
+    return out
+
+
+def test_tuple_sweeps_match_per_tuple_oracle():
+    # every corpus arc and Glynn's arc with its own system, and every corpus
+    # arc with that system scaled by 2 at its last subset.  F and phi (where
+    # the arc is large enough for phi) come from the arc's own system, so
+    # the mis-scaled one fails every sweep.
+    for arc in [corpus_arc(q, k) for q, _, _, k in CORPUS] + [glynn_arc()]:
+        own = build_tangent_system(arc)
+        F = build_tensor_form(arc, own)
+        m = 1 if arc.gf.p == 2 else 2
+        sb = build_sbbt(arc, own) if arc.n >= m * arc.t + arc.k - 1 else None
+        systems = [own]
+        if arc.k < 5:
+            S = max(own.fS)
+            systems.append(TangentSystem(arc, own.E, own.anchor, {**own.fS, S: form_scale(arc.gf, 2, own.fS[S])}))
+        for ts in systems:
+            report = Report("sweeps", {}, [])
+            verify_tensor_form(arc, ts, F, report)
+            verify_lemma_of_tangents(ts, report=report)
+            if sb is not None:
+                verify_sbbt(arc, ts, sb, report=report)
+            got = {c.name: (c.name, c.total, c.failed, c.witnesses) for c in report.checks}
+            want = per_tuple_sweeps(arc, ts, F, sb)
+            assert [got[name] for name, *_ in want] == want, (arc.gf.q, arc.k, ts is own)
+            assert (ts is own) == all(failed == 0 for _, _, failed, _ in want)
