@@ -76,16 +76,28 @@ def is_arc(gf: GF, k: int, points):
     """True iff no k of the points lie in a common hyperplane.
 
     Returns (ok, witness); the witness is the first offending k-tuple of
-    indices (a repeated projective point shows up as a singular k-subset).
+    indices in combinations order (a repeated projective point shows up
+    as a singular k-subset).  The sweep visits the k-subsets S + (a, b) in
+    that order, S a (k-2)-subset: S's minor forms are taken once, a signed
+    covector c of S + (a) is read off them once per a, and det(S + (a, b))
+    is c·x_b, the expansion along the last row.
     """
     for p in points:
         if len(p) != k:
             raise ValueError(f"point {p} does not have {k} coordinates")
         if not any(p):
             raise ValueError("the zero vector is not a projective point")
-    for combo in itertools.combinations(range(len(points)), k):
-        if linalg.det(gf, [points[i] for i in combo]) == 0:
-            return False, combo
+    if k < 2:  # a 1x1 minor is the point's one nonzero coordinate
+        return True, None
+    n = len(points)
+    for S in itertools.combinations(range(n), k - 2):
+        forms = linalg.minor_forms(gf, [points[i] for i in S])
+        signed = [[gf.neg(c) for c in L] if (k + j + 1) % 2 else L for j, L in enumerate(forms)]
+        for a in range(S[-1] + 1 if S else 0, n):
+            covector = [linalg.dot(gf, L, points[a]) for L in signed]
+            for b in range(a + 1, n):
+                if linalg.dot(gf, covector, points[b]) == 0:
+                    return False, S + (a, b)
     return True, None
 
 
@@ -169,8 +181,9 @@ def mds_check(arc: Arc):
     """All-maximal-minors-nonzero test of the generator matrix.
 
     The minor on a column subset is the transpose of the matrix of those
-    points, so it has the same determinant, and the is_arc sweep visits
-    the subsets in the same order: its result is this test's result.
+    points, so it has the same determinant, and is_arc's cofactor sweep
+    visits the subsets in combinations order: its result is this test's
+    result.
     Returns (ok, generator, witness) where the witness names the column
     subset of the first vanishing k x k minor, if any.
     """

@@ -6,6 +6,8 @@ field explicitly and never mutates its arguments.
 
 from __future__ import annotations
 
+import itertools
+
 from .field import GF
 
 
@@ -55,6 +57,31 @@ def det(gf: GF, rows) -> int:
                 for c in range(col, n):
                     m[r][c] = gf.sub(m[r][c], gf.mul(f, m[col][c]))
     return gf.neg(result) if sign_flips else result
+
+
+def minor_forms(gf: GF, rows):
+    """The k linear forms L_j of k-2 rows of length k: L_j·x is the
+    determinant of [rows, x] with column j deleted.
+
+    Expanding along x, the coefficient of x_c is a signed (k-2)-minor of
+    the rows with columns j and c deleted; each of the C(k, 2) minors is
+    taken once.
+    """
+    k = len(rows) + 2
+    if any(len(r) != k for r in rows):
+        raise ValueError(f"need {k - 2} rows of length {k}")
+    minors = {
+        pair: det(gf, [[x for c, x in enumerate(r) if c not in pair] for r in rows])
+        for pair in itertools.combinations(range(k), 2)
+    }
+    out = []
+    for j in range(k):
+        coeffs = [0] * k
+        for pos, c in enumerate(i for i in range(k) if i != j):
+            cof = minors[min(j, c), max(j, c)]
+            coeffs[c] = gf.neg(cof) if (k + pos) % 2 else cof
+        out.append(coeffs)
+    return out
 
 
 def rref(gf: GF, rows):

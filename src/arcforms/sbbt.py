@@ -8,11 +8,14 @@ for the minors turns phi into a symmetric function G on (k-1)-tuples that
 evaluates to the m-th power of the tangent forms, and phi vanishes on the
 dual of every hyperplane meeting the arc in exactly k-2 points.
 
-The verifier compares G with the m-th power of the signed tangent
-evaluation on every ordered (k-1)-tuple of arc indices, but evaluates G
-only once per sorted (k-1)-subset: permuting the rows by σ multiplies
-every maximal minor by sgn σ, so G(rows∘σ) = sgn(σ)^deg(phi) · G(rows),
-and G = 0 on rows with a repeat, whose minors all vanish.
+With the first k-2 rows fixed, every minor is a linear form in the last
+row (linalg.minor_forms), so phi becomes the residual form G(S, X) of
+degree deg(phi) in X.  The verifier checks each residual against f_S^m,
+then compares G with the m-th power of the signed tangent evaluation on
+every ordered (k-1)-tuple of arc indices.  It reads G once per sorted
+(k-1)-subset S + (j), as the residual of S at x_j: permuting the rows by
+σ multiplies every maximal minor by sgn σ, so G(rows∘σ) = sgn(σ)^deg(phi)
+· G(rows), and G = 0 on rows with a repeat, whose minors all vanish.
 """
 
 from __future__ import annotations
@@ -30,18 +33,12 @@ from .report import Report
 from .tangents import TangentSystem, tuple_at
 
 
-def det_minor(gf: GF, rows, j: int) -> int:
-    """Determinant of the k-1 point rows with column j deleted."""
-    k = len(rows) + 1
-    if any(len(r) != k for r in rows):
-        raise ValueError(f"need {k - 1} rows of length {k}")
-    sub = [[r[c] for c in range(k) if c != j] for r in rows]
-    return linalg.det(gf, sub)
-
-
 def minor_vector(gf: GF, rows):
-    """All k maximal minors of the rows: the dual coordinates of their span."""
-    return tuple(det_minor(gf, rows, j) for j in range(len(rows) + 1))
+    """All k maximal minors of the k-1 rows: the dual coordinates of their
+    span, the minor forms of all rows but the last applied to the last."""
+    if not rows or len(rows[-1]) != len(rows) + 1:
+        raise ValueError(f"need {len(rows)} rows of length {len(rows) + 1}")
+    return tuple(linalg.dot(gf, L, rows[-1]) for L in linalg.minor_forms(gf, rows[:-1]))
 
 
 def covector_to_dual_point(gf: GF, ell):
@@ -133,19 +130,7 @@ def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     k = sbbt.phi.k
     if len(prefix_rows) != k - 2:
         raise ValueError(f"need k-2 = {k - 2} prefix rows")
-    # minor j of [prefix, X]: expand along the X row; the cofactor of
-    # column c is the prefix minor with columns j and c deleted
-    minors = {
-        pair: linalg.det(gf, [[x for c, x in enumerate(r) if c not in pair] for r in prefix_rows])
-        for pair in combinations(range(k), 2)
-    }
-    linear = []
-    for j in range(k):
-        coeffs = [0] * k
-        for pos, c in enumerate(i for i in range(k) if i != j):
-            cof = minors[min(j, c), max(j, c)]
-            coeffs[c] = gf.neg(cof) if (k + pos) % 2 else cof
-        linear.append(forms.linear_form(k, coeffs))
+    linear = [forms.linear_form(k, L) for L in linalg.minor_forms(gf, prefix_rows)]
     products = {(0,) * k: forms.Form(k, 0, (1,))}
     out = [0] * len(sbbt.phi.coeffs)
     for c, exp in zip(sbbt.phi.coeffs, forms.monomial_basis(k, sbbt.phi.t)):
@@ -154,6 +139,22 @@ def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
                 if v:
                     out[pos] = gf.add(out[pos], gf.mul(c, v))
     return forms.Form(k, sbbt.phi.t, tuple(out))
+
+
+def subset_values(arc: Arc, ts: TangentSystem, sbbt: SBBTForm, residuals) -> list:
+    """G on every sorted (k-1)-subset S + (j), in combinations order, read
+    off the residual forms of the sorted (k-2)-subsets S (an iterable in
+    combinations order, read once): residual_S(X) is phi at the minor
+    vector of [S, X] as a polynomial, so G(S + (j)) is one dot product of
+    its coefficients with the Veronese vector of x_j (ts.point_vectors when
+    deg phi = t)."""
+    gf, d = arc.gf, sbbt.phi.t
+    vectors = ts.point_vectors if d == arc.t else [forms.monomial_vector(gf, x, d) for x in arc.points]
+    return [
+        linalg.dot(gf, res.coeffs, vectors[j])
+        for S, res in zip(combinations(range(arc.n), arc.k - 2), residuals)
+        for j in range(S[-1] + 1 if S else 0, arc.n)
+    ]
 
 
 def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
@@ -221,13 +222,21 @@ def verify_sbbt(
 
     report = report or Report("sbbt-verify", {}, [])
     ident = report.check("residual-equals-tangent-form-power")
-    for S in combinations(range(arc.n), k - 2):
-        got = residual_form(gf, sbbt, [arc.points[i] for i in S])
-        fS = ts.form(S)
-        want = fS
-        for _ in range(m - 1):
-            want = forms.form_mul(gf, want, fS)
-        ident.tally(got == want, {"S": list(S)})
+
+    def checked_residuals():
+        for S in combinations(range(arc.n), k - 2):
+            got = residual_form(gf, sbbt, [arc.points[i] for i in S])
+            fS = ts.form(S)
+            want = fS
+            for _ in range(m - 1):
+                want = forms.form_mul(gf, want, fS)
+            ident.tally(got == want, {"S": list(S)})
+            yield got
+
+    # G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on repeated rows:
+    # G is read off each residual once per sorted subset as it is checked,
+    # then through ts.index
+    G = subset_values(arc, ts, sbbt, checked_residuals()) + [0]  # rank -1, rows with a repeat
 
     sweep0 = report.check("vanishes-on-tangent-hyperplane-duals")
     sweep1 = report.check("nonzero-on-secant-hyperplane-duals")
@@ -245,12 +254,6 @@ def verify_sbbt(
         "(recorded, not asserted)"
     )
 
-    # G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on repeated rows:
-    # G is evaluated once per sorted subset and read through ts.index
-    G = [
-        evaluate_G(gf, sbbt, [arc.points[i] for i in T])
-        for T in combinations(range(arc.n), k - 1)
-    ] + [0]  # rank -1, rows with a repeat
     flip = gf.pow(gf.neg(1), sbbt.phi.t)  # 1 when deg phi is even or q is even
     signed = (G, [gf.mul(flip, v) for v in G])
     got = [signed[par][r] for r, par in zip(*ts.index)]

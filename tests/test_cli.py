@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from arcforms import linalg, tangents, tensorform
+from arcforms import linalg, sbbt, tangents, tensorform
 from arcforms.cli import build_parser, main
 
 
@@ -250,6 +250,39 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
         "build_tangent_system": 1, "tangent_hyperplanes": comb(n, 2),
     })
     assert dots["verify_lemma_of_tangents"] + dots["verify_tensor_form"] == comb(n, 2) * (n - 2)
+
+
+def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
+    # the is_arc and G sweeps read determinants off linalg.minor_forms
+    # (2x2 minors at k = 4): the only k x k eliminations left are
+    # build_sbbt's interpolation denominators, C(7, 3) subsets of the
+    # mt + k - 1 = 7 leading points times the 4 points left over, and phi
+    # is evaluated at minor coordinates only by the random-row symmetry
+    # check, twice per trial
+    arc_path = str(tmp_path / "tc7.json")
+    run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
+    dets, stage = Counter(), ["other"]
+    det, build, evaluate_G = linalg.det, sbbt.build_sbbt, sbbt.evaluate_G
+
+    def counted_det(gf, rows):
+        dets[stage[-1], len(rows)] += 1
+        return det(gf, rows)
+
+    def staged_build(*args):
+        stage.append("build_sbbt")
+        try:
+            return build(*args)
+        finally:
+            stage.pop()
+
+    evaluations = []
+    monkeypatch.setattr(linalg, "det", counted_det)
+    monkeypatch.setattr(sbbt, "build_sbbt", staged_build)
+    monkeypatch.setattr(sbbt, "evaluate_G", lambda *a: evaluations.append(1) or evaluate_G(*a))
+    code, rep = run(capsys, "suite", arc_path)
+    assert code == 0 and rep["passed"]
+    assert {key: c for key, c in dets.items() if key[1] > 2} == {("build_sbbt", 4): comb(7, 3) * 4}
+    assert len(evaluations) == 2 * 100
 
 
 def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arcforms import linalg
 from arcforms.field import make_field
@@ -61,6 +63,55 @@ def test_is_arc_input_validation(gf5):
         is_arc(gf5, 3, [(1, 0)])
     with pytest.raises(ValueError):
         is_arc(gf5, 3, [(0, 0, 0)])
+
+
+def det_sweep(gf, k, points):
+    """Oracle: one k x k elimination per k-subset, in combinations order."""
+    for combo in itertools.combinations(range(len(points)), k):
+        if linalg.det(gf, [points[i] for i in combo]) == 0:
+            return False, combo
+    return True, None
+
+
+@st.composite
+def point_lists(draw):
+    """(q, k, points) over GF(5), GF(7), GF(8) or GF(9), k = 2..5: each point
+    is random, a nonzero multiple of an earlier point, or a combination of
+    up to k-1 earlier points, so dependent (k-2)-prefixes come up too."""
+    q, k = draw(st.sampled_from((5, 7, 8, 9))), draw(st.integers(2, 5))
+    gf, elem = field(q), st.integers(0, q - 1)
+    points = []
+    for _ in range(draw(st.integers(k - 1, k + 4))):
+        kind = draw(st.sampled_from(("random", "repeat", "span"))) if points else "random"
+        if kind == "random":
+            x = draw(st.lists(elem, min_size=k, max_size=k))
+        elif kind == "repeat":
+            c, base = draw(st.integers(1, q - 1)), draw(st.sampled_from(points))
+            x = [gf.mul(c, v) for v in base]
+        else:
+            x = [0] * k
+            for base in draw(st.lists(st.sampled_from(points), min_size=1, max_size=k - 1)):
+                c = draw(elem)
+                x = [gf.add(v, gf.mul(c, b)) for v, b in zip(x, base)]
+        points.append(tuple(x) if any(x) else (1,) + (0,) * (k - 1))
+    return q, k, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_lists())
+@example((7, 4, [(1, 2, 3, 4), (2, 4, 6, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 1)]))
+@example((9, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                 (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 2, 3, 4, 5)]))
+@example((5, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (3, 3, 3)]))
+@example((8, 2, [(1, 0), (0, 1), (1, 1), (2, 2)]))
+@example((5, 1, [(1,), (3,), (4,)]))  # a projected line: every 1x1 minor is nonzero
+def test_is_arc_matches_determinant_sweep(case):
+    # the cofactor sweep gives the verdict and the first witness of one
+    # elimination per k-subset: repeated points, points in the span of
+    # earlier ones and dependent (k-2)-prefixes (the first example's
+    # (0, 1), the second's (0, 1, 2)) included
+    q, k, points = case
+    assert is_arc(field(q), k, points) == det_sweep(field(q), k, points)
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)

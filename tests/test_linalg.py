@@ -53,6 +53,27 @@ def test_det_alternating(m):
     assert linalg.det(F7, [m[0], m[0], m[2]]) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 6), min_size=k, max_size=k), min_size=k - 1, max_size=k - 1
+)))
+def test_minor_forms_are_cofactor_expansions(rows):
+    # L_j·x is the determinant of [rows, x] with column j deleted
+    *prefix, x = rows
+    k = len(x)
+    forms = linalg.minor_forms(F7, prefix)
+    assert len(forms) == k
+    for j, L in enumerate(forms):
+        minor = [[r[c] for c in range(k) if c != j] for r in rows]
+        assert linalg.dot(F7, L, x) == det_cofactor(F7, minor)
+
+
+def test_minor_forms_dimension_check():
+    assert linalg.minor_forms(F5, []) == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError):
+        linalg.minor_forms(F5, [[1, 2]])
+
+
 def test_nullspace_examples():
     rank, basis = linalg.nullspace(F5, linalg.identity(3))
     assert rank == 3 and basis == []

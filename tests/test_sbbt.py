@@ -25,10 +25,10 @@ from arcforms.sbbt import (
     build_sbbt,
     classify_hyperplanes,
     covector_to_dual_point,
-    det_minor,
     evaluate_G,
     minor_vector,
     residual_form,
+    subset_values,
     verify_sbbt,
 )
 from arcforms.tangents import (
@@ -38,7 +38,16 @@ from arcforms.tangents import (
     tangent_hyperplanes,
 )
 
-from conftest import corpus_arc, corpus_system, field, glynn_arc
+from conftest import CORPUS, corpus_arc, corpus_system, field, glynn_arc
+
+
+def det_minor(gf, rows, j):
+    """Oracle: the determinant of the k-1 point rows with column j deleted,
+    one elimination each."""
+    k = len(rows) + 1
+    if any(len(r) != k for r in rows):
+        raise ValueError(f"need {k - 1} rows of length {k}")
+    return linalg.det(gf, [[r[c] for c in range(k) if c != j] for r in rows])
 
 
 def test_det_minor_examples(gf5):
@@ -164,6 +173,41 @@ def test_residual_form_takes_each_minor_once(monkeypatch):
         calls.clear()
         residual_form(gf, SBBTForm(1, (), phi), rows)
         assert len(calls) == math.comb(k, 2)
+
+
+@pytest.mark.parametrize("case", [(q, k) for q, _, _, k in CORPUS] + ["glynn"])
+def test_residuals_give_G_on_every_sorted_subset(case):
+    # residual_S(X) is phi at the minor vector of [S, X] as a polynomial,
+    # for any phi: the residual read of G is evaluate_G on every sorted
+    # (k-1)-subset, for the built phi (m = 1 and m = 2), a corrupted one and
+    # a random one of degree t.  The twisted cubic of PG(3, 5) is too small
+    # to interpolate; a random phi of degree mt stands in for the built one.
+    if case == "glynn":
+        arc = glynn_arc()
+        ts = build_tangent_system(arc)
+    else:
+        arc, ts = corpus_system(*case)
+    gf, k, t = arc.gf, arc.k, arc.t
+    m = 1 if gf.p == 2 else 2
+    rng = random.Random(5)
+
+    def random_phi(d):
+        return SBBTForm(m, (), Form(k, d, tuple(rng.randrange(gf.q) for _ in monomial_basis(k, d))))
+
+    sb = build_sbbt(arc, ts) if arc.n >= m * t + k - 1 else random_phi(m * t)
+    coeffs = list(sb.phi.coeffs)
+    coeffs[0] = gf.add(coeffs[0], 1)
+    bad = SBBTForm(sb.m, sb.E, Form(k, sb.phi.t, tuple(coeffs)))
+    for phi in (sb, bad, random_phi(t)):
+        want = [
+            evaluate_G(gf, phi, [arc.points[i] for i in T])
+            for T in itertools.combinations(range(arc.n), k - 1)
+        ]
+        residuals = [
+            residual_form(gf, phi, [arc.points[i] for i in S])
+            for S in itertools.combinations(range(arc.n), k - 2)
+        ]
+        assert subset_values(arc, ts, phi, residuals) == want
 
 
 def test_evaluate_G_examples():
