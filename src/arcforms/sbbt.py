@@ -12,10 +12,11 @@ With the first k-2 rows fixed, every minor is a linear form in the last
 row (linalg.minor_forms), so phi becomes the residual form G(S, X) of
 degree deg(phi) in X.  The verifier checks each residual against f_S^m,
 then compares G with the m-th power of the signed tangent evaluation on
-every ordered (k-1)-tuple of arc indices.  It reads G once per sorted
-(k-1)-subset S + (j), as the residual of S at x_j: permuting the rows by
-σ multiplies every maximal minor by sgn σ, so G(rows∘σ) = sgn(σ)^deg(phi)
-· G(rows), and G = 0 on rows with a repeat, whose minors all vanish.
+every ordered (k-1)-tuple of arc indices.  It reads G as
+tangents.signed_table reads g, from the residual of each sorted S at every
+x_j: permuting the rows by σ multiplies every maximal minor by sgn σ, so
+G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on rows with a repeat,
+whose minors all vanish.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import forms, linalg
 from .field import GF
 from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, tuple_at
+from .tangents import RANDOM_TRIALS, TangentSystem, signed_table, tuple_at
 
 
 def minor_vector(gf: GF, rows):
@@ -90,17 +91,14 @@ def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
     E = tuple(range(size))
     phi = forms.zero_form(k, m * t)
     for T in combinations(E, k - 1):
-        rest = [u for u in E if u not in T]
-        val = ts.eval_fS(T[:-1], T[-1])  # f_{T minus last}(last), T in arc order
-        c = gf.pow(val, m)
-        lin = []
-        for u in rest:
-            urow = arc.points[u]
-            d = linalg.det(gf, [arc.points[i] for i in T] + [list(urow)])
+        z = minor_vector(gf, [arc.points[i] for i in T])
+        c = gf.pow(ts.eval_fS(T[:-1], T[-1]), m)  # f_{T minus last}(last), T in arc order
+        lin = [appended_det_form(gf, k, arc.points[u]) for u in E if u not in T]
+        for L in lin:
+            d = linalg.dot(gf, L.coeffs, z)  # det(T + [u])
             if d == 0:
                 raise ValueError("degenerate interpolation set: zero denominator")
             c = gf.div(c, d)
-            lin.append(appended_det_form(gf, k, urow))
         term = forms.form_scale(gf, c, forms.product_linear_forms(gf, k, lin))
         phi = forms.form_add(gf, phi, term)
     return SBBTForm(m, E, phi)
@@ -139,22 +137,6 @@ def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
                 if v:
                     out[pos] = gf.add(out[pos], gf.mul(c, v))
     return forms.Form(k, sbbt.phi.t, tuple(out))
-
-
-def subset_values(arc: Arc, ts: TangentSystem, sbbt: SBBTForm, residuals) -> list:
-    """G on every sorted (k-1)-subset S + (j), in combinations order, read
-    off the residual forms of the sorted (k-2)-subsets S (an iterable in
-    combinations order, read once): residual_S(X) is phi at the minor
-    vector of [S, X] as a polynomial, so G(S + (j)) is one dot product of
-    its coefficients with the Veronese vector of x_j (ts.point_vectors when
-    deg phi = t)."""
-    gf, d = arc.gf, sbbt.phi.t
-    vectors = ts.point_vectors if d == arc.t else [forms.monomial_vector(gf, x, d) for x in arc.points]
-    return [
-        linalg.dot(gf, res.coeffs, vectors[j])
-        for S, res in zip(combinations(range(arc.n), arc.k - 2), residuals)
-        for j in range(S[-1] + 1 if S else 0, arc.n)
-    ]
 
 
 def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
@@ -215,28 +197,22 @@ def verify_sbbt(
     ts: TangentSystem,
     sbbt: SBBTForm,
     seed: int = 0,
-    random_trials: int = 100,
     report: Report | None = None,
 ) -> Report:
-    gf, k, m = arc.gf, arc.k, sbbt.m
+    gf, k, m, d = arc.gf, arc.k, sbbt.m, sbbt.phi.t
+    vectors = ts.point_vectors if d == arc.t else [forms.monomial_vector(gf, x, d) for x in arc.points]
 
     report = report or Report("sbbt-verify", {}, [])
     ident = report.check("residual-equals-tangent-form-power")
-
-    def checked_residuals():
-        for S in combinations(range(arc.n), k - 2):
-            got = residual_form(gf, sbbt, [arc.points[i] for i in S])
-            fS = ts.form(S)
-            want = fS
-            for _ in range(m - 1):
-                want = forms.form_mul(gf, want, fS)
-            ident.tally(got == want, {"S": list(S)})
-            yield got
-
-    # G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on repeated rows:
-    # G is read off each residual once per sorted subset as it is checked,
-    # then through ts.index
-    G = subset_values(arc, ts, sbbt, checked_residuals()) + [0]  # rank -1, rows with a repeat
+    residuals = []  # G(S, x_j) = residual_S(x_j), and 0 on S
+    for S in combinations(range(arc.n), k - 2):
+        got = residual_form(gf, sbbt, [arc.points[i] for i in S])
+        fS = ts.form(S)
+        want = fS
+        for _ in range(m - 1):
+            want = forms.form_mul(gf, want, fS)
+        ident.tally(got == want, {"S": list(S)})
+        residuals.append([0 if j in S else linalg.dot(gf, got.coeffs, v) for j, v in enumerate(vectors)])
 
     sweep0 = report.check("vanishes-on-tangent-hyperplane-duals")
     sweep1 = report.check("nonzero-on-secant-hyperplane-duals")
@@ -254,17 +230,15 @@ def verify_sbbt(
         "(recorded, not asserted)"
     )
 
-    flip = gf.pow(gf.neg(1), sbbt.phi.t)  # 1 when deg phi is even or q is even
-    signed = (G, [gf.mul(flip, v) for v in G])
-    got = [signed[par][r] for r, par in zip(*ts.index)]
+    G = signed_table(arc, residuals, d)
     want = ts.g_table if m == 1 else [gf.pow(v, m) for v in ts.g_table]
-    report.check("agrees-with-signed-evaluations-powered").tally_many(len(got), [
-        {"tuple": tuple_at(pos, arc.n, k - 1)} for pos in compress(range(len(got)), map(ne, got, want))
+    report.check("agrees-with-signed-evaluations-powered").tally_many(len(G), [
+        {"tuple": tuple_at(pos, arc.n, k - 1)} for pos in compress(range(len(G)), map(ne, G, want))
     ])
 
     rng = random.Random(seed)
     sym = report.check("symmetric-under-row-permutations")
-    for _ in range(random_trials):
+    for _ in range(RANDOM_TRIALS):
         rows = [
             [rng.randrange(gf.q) for _ in range(k)] for _ in range(k - 1)
         ]

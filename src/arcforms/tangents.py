@@ -14,12 +14,16 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, permutations
+from math import perm
 from operator import ne
 
 from . import forms, linalg
 from .field import GF
 from .geometry import Arc, normalize
 from .report import Report
+
+
+RANDOM_TRIALS = 100  # spot checks per randomized verifier check
 
 
 class TangentCountError(RuntimeError):
@@ -74,6 +78,17 @@ def tuple_index(n: int, m: int) -> tuple:
     return rank, parity
 
 
+def signed_table(arc: Arc, rows, power: int) -> list:
+    """A function on the ordered (k-1)-tuples of arc indices, row-major, from
+    its rows on the sorted (k-2)-subsets S (combinations order, one entry
+    per arc index): a prefix with a repeat has a zero row, any other the
+    row of its sorted form times sgn(sort)^power."""
+    rank, parity = tuple_index(arc.n, arc.k - 2)
+    rows = [*rows, [0] * arc.n]  # rank -1, a prefix with a repeat
+    signed = (rows, [list(map(arc.gf.neg, row)) for row in rows] if power % 2 else rows)
+    return [v for r, par in zip(rank, parity) for v in signed[par][r]]
+
+
 def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
     the rest of the arc.  With {u, v} a kernel basis of S's points, they are
@@ -117,8 +132,8 @@ class TangentSystem:
     subset to E, so all values below are fully deterministic.
 
     g is tabulated once, in g_table from the values f_S(x_j), and every
-    tuple sweep reads that table.  socle_core, values and g_table are
-    caches derived from fS on first use: to try other forms, build a fresh
+    tuple sweep reads that table.  socle_core and g_table are caches
+    derived from fS on first use: to try other forms, build a fresh
     TangentSystem from them.  eval_fS and g_value read fS directly.
     """
 
@@ -157,29 +172,15 @@ class TangentSystem:
         return list(map(self.g_table.__getitem__, positions))
 
     @cached_property
-    def values(self) -> list:
-        """f_S(x_j) for every sorted (k-2)-subset S, in combinations order,
-        at every arc index j: one dot per j off S, and 0 on S."""
+    def g_table(self) -> list:
+        """g on every ordered (k-1)-tuple of arc indices: the signed_table,
+        with power t+1, of the rows f_S(x_j), one dot per j off S and 0 on S."""
         gf, vectors = self.gf, self.point_vectors
-        return [
+        rows = (
             [0 if j in S else linalg.dot(gf, self.fS[S].coeffs, v) for j, v in enumerate(vectors)]
             for S in combinations(range(self.arc.n), self.arc.k - 2)
-        ]
-
-    @cached_property
-    def index(self) -> tuple:
-        """tuple_index of the ordered (k-1)-tuples of arc indices."""
-        return tuple_index(self.arc.n, self.arc.k - 1)
-
-    @cached_property
-    def g_table(self) -> list:
-        """g on every ordered (k-1)-tuple of arc indices, row-major: the row
-        of a prefix with a repeat is 0, any other is the values row of the
-        sorted prefix, negated when t is even and an odd permutation sorts it."""
-        rank, parity = tuple_index(self.arc.n, self.arc.k - 2)
-        rows = self.values + [[0] * self.arc.n]  # rank -1, a prefix with a repeat
-        signed = (rows, rows if self.arc.t % 2 else [list(map(self.gf.neg, row)) for row in rows])
-        return [v for r, par in zip(rank, parity) for v in signed[par][r]]
+        )
+        return signed_table(self.arc, rows, self.arc.t + 1)
 
     def eval_fS(self, subset, point_index: int) -> int:
         return linalg.dot(self.gf, self.form(subset).coeffs, self.point_vectors[point_index])
@@ -290,38 +291,34 @@ def verify_scaling_chain(ts: TangentSystem, report: Report | None = None) -> Rep
     return report
 
 
-def verify_lemma_of_tangents(
-    ts: TangentSystem,
-    seed: int = 0,
-    random_trials: int = 100,
-    report: Report | None = None,
-) -> Report:
+def verify_lemma_of_tangents(ts: TangentSystem, seed: int = 0, report: Report | None = None) -> Report:
     """Exhaustive symmetry sweep of the signed evaluation function.
 
     Checks g(T with positions i, i+1 swapped) = (-1)^(t+1) g(T) for every
     ordered tuple of distinct arc indices and every adjacent transposition,
     then spot-checks full permutations with the sign (-1)^(s(t+1)).  Both
-    checks read ts.g_table; a swap is one list of table positions.
+    checks read ts.g_table; a swap is one list of table positions.  g and
+    its swaps vanish on every tuple with a repeat, so whole tables are
+    compared and only the perm(n, k-1) distinct tuples are counted.
     """
     report = report or Report("tangents-lemma", {}, [])
     arc, gf, g = ts.arc, ts.gf, ts.g_table
     n, m = arc.n, arc.k - 1
-    distinct = [pos for pos, r in enumerate(ts.index[0]) if r >= 0]  # permutations order
-    want = [g[pos] if arc.t % 2 else gf.neg(g[pos]) for pos in distinct]
+    want = g if arc.t % 2 else list(map(gf.neg, g))
     failing = []
     for i in range(m - 1):
         swapped = tuple_positions(n, range(n), (*range(i), i + 1, i, *range(i + 2, m)))
-        got = [g[swapped[pos]] for pos in distinct]
-        failing += [(d, i, got[d]) for d in compress(range(len(got)), map(ne, got, want))]
-    report.check("adjacent-transpositions").tally_many(len(distinct) * (m - 1), [
-        {"tuple": tuple_at(distinct[d], n, m), "swap": i, "got": other} for d, i, other in sorted(failing)
+        got = list(map(g.__getitem__, swapped))
+        failing += [(pos, i, got[pos]) for pos in compress(range(len(got)), map(ne, got, want))]
+    report.check("adjacent-transpositions").tally_many(perm(n, m) * (m - 1), [
+        {"tuple": tuple_at(pos, n, m), "swap": i, "got": other} for pos, i, other in sorted(failing)
     ])
 
     rng = random.Random(seed)
     rnd = report.check("random-permutations")
     tuples = list(combinations(range(n), m))
     perms = list(permutations(range(m)))
-    for _ in range(random_trials):
+    for _ in range(RANDOM_TRIALS):
         T = rng.choice(tuples)
         sigma = rng.choice(perms)
         permuted = [T[s] for s in sigma]

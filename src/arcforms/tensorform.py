@@ -17,7 +17,7 @@ tangent forms up to forms vanishing on the arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, islice, permutations
+from itertools import combinations, compress, islice, permutations, product
 from math import comb, prod
 from operator import ne
 
@@ -199,7 +199,7 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     - F is multilinear in its blocks, so its partial evaluation at x_S,
       evaluated at x_j, is T[S + (j,)]; the residual against the scaled
       tangent form f_S vanishes on the arc exactly when
-      T[S + (j,)] = f_S(x_j) for every j, the row of S in ts.values;
+      T[S + (j,)] = f_S(x_j) for every j, the row of S in ts.g_table;
     - a repeated prefix has a zero table row;
     - F with its blocks permuted by sigma has table a -> T[a o sigma], so
       antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a], one
@@ -215,15 +215,15 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     n, blocks = arc.n, F.blocks
     table = check_signed_evaluations(arc, ts, F, report)
 
-    prop1 = report.check("partial-eval-is-tangent-form-mod-vanishing")
-    for S, row in zip(combinations(range(n), arc.k - 2), ts.values):
+    prop1, g = report.check("partial-eval-is-tangent-form-mod-vanishing"), ts.g_table
+    for S in combinations(range(n), arc.k - 2):
         pos = tuple_position(S, n) * n
-        prop1.tally(table[pos : pos + n] == row, {"S": list(S)})
+        prop1.tally(table[pos : pos + n] == g[pos : pos + n], {"S": list(S)})
 
     prop2 = report.check("repeated-points-vanish")
     for pos in (pos for pos, r in enumerate(tuple_index(n, blocks - 1)[0]) if r < 0):
         prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": tuple_at(pos, n, blocks - 1)})
-    repeats = [pos for pos, r in enumerate(ts.index[0]) if r < 0]
+    repeats = [pos for pos, a in enumerate(product(range(n), repeat=blocks)) if len(set(a)) < blocks]
     prop2.tally_many(len(repeats), [{"tuple": tuple_at(pos, n, blocks)} for pos in repeats if table[pos]])
 
     prop3 = report.check("block-permutation-antisymmetry")
@@ -312,26 +312,22 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
     (found, corrected MultiForm or None).
     """
     gf, t = arc.gf, arc.t
-    N = F.mode_dim
     subsets = list(combinations(range(arc.n), arc.k - 2))
-    residuals = {}
-    for S in subsets:
-        residuals[S] = forms.form_sub(
-            gf, partial_evaluate(gf, F, [arc.points[i] for i in S]), ts.form(S)
-        )
+    residuals = [
+        forms.form_sub(gf, partial_evaluate(gf, F, [arc.points[i] for i in S]), ts.form(S)).coeffs
+        for S in subsets
+    ]
     phi = forms.vanishing_subspace(gf, arc.k, arc.points, t)
     if phi.dim == 0:
-        exact = all(r.is_zero for r in residuals.values())
+        exact = not any(map(any, residuals))
         return exact, (F if exact else None)
 
-    # residual_S = sum_b r[S][b] * phi_b  (basis rows are independent)
-    basis_cols = [list(col) for col in zip(*phi.basis)]
-    rcoords = {}
-    for S, res in residuals.items():
-        sol = linalg.solve(gf, basis_cols, list(res.coeffs))
-        if sol is None:
-            return False, None  # residual not in the vanishing subspace
-        rcoords[S] = sol
+    # the basis is in reduced echelon form: a residual in its span is its
+    # coordinates at the basis pivots times the basis
+    pivots = [next(j for j, v in enumerate(row) if v) for row in phi.basis]
+    rcoords = [[res[p] for p in pivots] for res in residuals]
+    if linalg.mat_mul(gf, rcoords, phi.basis) != list(map(list, residuals)):
+        return False, None  # a residual is not in the vanishing subspace
 
     prefix_rows = []
     for S in subsets:
@@ -342,26 +338,14 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
         prefix_rows.append(row)
 
     corrections = []
-    for b in range(phi.dim):
-        rhs = [rcoords[S][b] for S in subsets]
-        u = linalg.solve(gf, prefix_rows, rhs)
+    for rhs in zip(*rcoords):
+        u = linalg.solve(gf, prefix_rows, list(rhs))
         if u is None:
             return False, None
         corrections.append(u)
 
-    # assemble D = sum_b U_b (x) phi_b and subtract
-    dcoeffs = [0] * (N**F.blocks)
-    for b, u in enumerate(corrections):
-        row = phi.basis[b]
-        for ppos, uval in enumerate(u):
-            if not uval:
-                continue
-            base = ppos * N
-            for j in range(N):
-                if row[j]:
-                    dcoeffs[base + j] = gf.add(
-                        dcoeffs[base + j], gf.mul(uval, row[j])
-                    )
+    # D = sum_b U_b (x) phi_b, row-major: U^T times the basis
+    dcoeffs = [v for row in linalg.mat_mul(gf, list(zip(*corrections)), phi.basis) for v in row]
     corrected = MultiForm(
         F.k, F.blocks, F.t,
         tuple(gf.sub(c, d) for c, d in zip(F.coeffs, dcoeffs)),

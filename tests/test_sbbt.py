@@ -28,13 +28,13 @@ from arcforms.sbbt import (
     evaluate_G,
     minor_vector,
     residual_form,
-    subset_values,
     verify_sbbt,
 )
 from arcforms.tangents import (
     TangentSystem,
     build_tangent_system,
     g_value,
+    signed_table,
     tangent_hyperplanes,
 )
 
@@ -178,10 +178,11 @@ def test_residual_form_takes_each_minor_once(monkeypatch):
 @pytest.mark.parametrize("case", [(q, k) for q, _, _, k in CORPUS] + ["glynn"])
 def test_residuals_give_G_on_every_sorted_subset(case):
     # residual_S(X) is phi at the minor vector of [S, X] as a polynomial,
-    # for any phi: the residual read of G is evaluate_G on every sorted
-    # (k-1)-subset, for the built phi (m = 1 and m = 2), a corrupted one and
-    # a random one of degree t.  The twisted cubic of PG(3, 5) is too small
-    # to interpolate; a random phi of degree mt stands in for the built one.
+    # for any phi: the signed table of the residuals at the arc points, 0
+    # on S, with power deg phi, is evaluate_G on every ordered (k-1)-tuple,
+    # for the built phi (m = 1 and m = 2), a corrupted one and a random one
+    # of degree t.  The twisted cubic of PG(3, 5) is too small to
+    # interpolate; a random phi of degree mt stands in for the built one.
     if case == "glynn":
         arc = glynn_arc()
         ts = build_tangent_system(arc)
@@ -198,16 +199,15 @@ def test_residuals_give_G_on_every_sorted_subset(case):
     coeffs = list(sb.phi.coeffs)
     coeffs[0] = gf.add(coeffs[0], 1)
     bad = SBBTForm(sb.m, sb.E, Form(k, sb.phi.t, tuple(coeffs)))
+    duals = [minor_vector(gf, [arc.points[i] for i in T]) for T in itertools.product(range(arc.n), repeat=k - 1)]
     for phi in (sb, bad, random_phi(t)):
-        want = [
-            evaluate_G(gf, phi, [arc.points[i] for i in T])
-            for T in itertools.combinations(range(arc.n), k - 1)
-        ]
-        residuals = [
-            residual_form(gf, phi, [arc.points[i] for i in S])
-            for S in itertools.combinations(range(arc.n), k - 2)
-        ]
-        assert subset_values(arc, ts, phi, residuals) == want
+        # evaluate_G on every ordered tuple; rows with a repeat have minors 0
+        want = [eval_form(gf, phi.phi, z) if any(z) else 0 for z in duals]
+        rows = []
+        for S in itertools.combinations(range(arc.n), k - 2):
+            res = residual_form(gf, phi, [arc.points[i] for i in S])
+            rows.append([0 if j in S else eval_form(gf, res, x) for j, x in enumerate(arc.points)])
+        assert signed_table(arc, rows, phi.phi.t) == want
 
 
 def test_evaluate_G_examples():

@@ -16,6 +16,7 @@ from arcforms.tangents import (
     g_value,
     perm_parity,
     scaling_rule,
+    signed_table,
     tangent_hyperplanes,
     tuple_at,
     tuple_index,
@@ -332,6 +333,27 @@ def test_g_table_is_g_value_on_every_tuple():
         ts = build_tangent_system(arc)
         tuples = itertools.product(range(arc.n), repeat=arc.k - 1)
         assert ts.g_table == [g_value(ts, tup) for tup in tuples]
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_signed_table_matches_parity_oracle(power):
+    # random rows, nonzero on S too: the row of the sorted prefix at the
+    # last index, times (-1)^(parity(prefix) * power), and 0 on a prefix
+    # with a repeat; every arc is over an odd field, so a sign shows
+    rng = random.Random(power)
+    for arc in [corpus_arc(7, 3), corpus_arc(7, 4), glynn_arc()]:
+        gf, n = arc.gf, arc.n
+        subsets = list(itertools.combinations(range(n), arc.k - 2))
+        rows = {S: [rng.randrange(1, gf.q) for _ in range(n)] for S in subsets}
+        want = []
+        for tup in itertools.product(range(n), repeat=arc.k - 1):
+            prefix = tup[:-1]
+            if len(set(prefix)) < len(prefix):
+                want.append(0)
+                continue
+            value = rows[tuple(sorted(prefix))][tup[-1]]
+            want.append(gf.neg(value) if perm_parity(prefix) * power % 2 else value)
+        assert signed_table(arc, [rows[S] for S in subsets], power) == want
 
 
 def per_tuple_sweeps(arc, ts, F, sb, seed=0, random_trials=100):
