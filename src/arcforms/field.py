@@ -47,19 +47,26 @@ CONWAY_POLYNOMIALS = {
 }
 
 
+# Miller-Rabin over the thirteen primes up to 41 is exact below this bound,
+# which is itself a strong pseudoprime to all thirteen bases.
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin: for n < MILLER_RABIN_BOUND, n - 1 = 2^s d
+    with d odd, n is prime iff for every base a, a^d = 1 or, for some
+    r < s, a^(2^r d) = -1 mod n."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is beyond the proven range of the primality test")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(
+        pow(a, d, n) == 1 or n - 1 in (pow(a, d << r, n) for r in range(s)) for a in bases
+    )
 
 
 def _poly_trim(a):

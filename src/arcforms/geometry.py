@@ -68,6 +68,8 @@ class Arc:
             isinstance(p, list) for p in points
         ):
             raise ValueError("k must be an int and points a list of coordinate lists")
+        if k < 2:
+            raise ValueError(f"an arc needs k >= 2 coordinates, got k = {k}")
         pts = tuple(tuple(gf.element_from_json(c) for c in p) for p in points)
         return cls(gf, k, pts)
 

@@ -32,55 +32,54 @@ def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _minors(gf: GF, rows, ncols: int) -> dict:
+    """Every r x r minor of the r rows, keyed by its sorted column subset.
+
+    The minors of the first i+1 rows come from those of the first i by
+    Laplace expansion along row i: on columns c_0 < ... < c_i the minor is
+    the sum of (-1)^(i+j) row_i[c_j] times the i-minor without c_j.
+    All sizes are built, ~r·2^(r-1) products: exponential, for r <= ~10.
+    """
+    minors = {(): 1}
+    for i, row in enumerate(rows):
+        level = {}
+        for cols in itertools.combinations(range(ncols), i + 1):
+            acc = 0
+            for j, c in enumerate(cols):
+                m = minors[cols[:j] + cols[j + 1 :]]
+                if row[c] and m:
+                    term = gf.mul(row[c], m)
+                    acc = gf.sub(acc, term) if (i + j) % 2 else gf.add(acc, term)
+            level[cols] = acc
+        minors = level
+    return minors
+
+
 def det(gf: GF, rows) -> int:
-    """Determinant by Gaussian elimination with row swaps."""
+    """The one maximal minor of a square matrix; exponential, see _minors."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in rows]
-    sign_flips = 0
-    result = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign_flips ^= 1
-        pivot = m[col][col]
-        result = gf.mul(result, pivot)
-        inv_p = gf.inv(pivot)
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if f:
-                f = gf.mul(f, inv_p)
-                for c in range(col, n):
-                    m[r][c] = gf.sub(m[r][c], gf.mul(f, m[col][c]))
-    return gf.neg(result) if sign_flips else result
+    return _minors(gf, rows, n)[tuple(range(n))]
 
 
 def minor_forms(gf: GF, rows):
     """The k linear forms L_j of k-2 rows of length k: L_j·x is the
     determinant of [rows, x] with column j deleted.
 
-    Expanding along x, the coefficient of x_c is a signed (k-2)-minor of
-    the rows with columns j and c deleted; each of the C(k, 2) minors is
-    taken once.
+    Expanding along x, the coefficient of x_c (c != j) is a signed
+    (k-2)-minor of the rows on the columns other than j and c; the C(k, 2)
+    minors come from one _minors table (exponential in k, see _minors).
     """
     k = len(rows) + 2
     if any(len(r) != k for r in rows):
         raise ValueError(f"need {k - 2} rows of length {k}")
-    minors = {
-        pair: det(gf, [[x for c, x in enumerate(r) if c not in pair] for r in rows])
-        for pair in itertools.combinations(range(k), 2)
-    }
-    out = []
-    for j in range(k):
-        coeffs = [0] * k
-        for pos, c in enumerate(i for i in range(k) if i != j):
-            cof = minors[min(j, c), max(j, c)]
-            coeffs[c] = gf.neg(cof) if (k + pos) % 2 else cof
-        out.append(coeffs)
+    out = [[0] * k for _ in range(k)]
+    for cols, m in _minors(gf, rows, k).items():
+        a, b = (i for i in range(k) if i not in cols)
+        # x_b is column b - 1 of [rows, x] without a; x_a is column a without b
+        out[a][b] = gf.neg(m) if (k + b - 1) % 2 else m
+        out[b][a] = gf.neg(m) if (k + a) % 2 else m
     return out
 
 
@@ -115,48 +114,34 @@ def rank(gf: GF, rows) -> int:
 
 
 def nullspace(gf: GF, rows, ncols=None):
-    """Right kernel of the matrix.
+    """Right kernel of the matrix: (rank, basis), the basis in reduced
+    echelon form, so the output is canonical for a given kernel subspace.
 
-    Returns (rank, basis) with the basis rows themselves in reduced echelon
-    form, so the output is canonical for a given kernel subspace.
+    One rref of the matrix with its columns reversed gives a kernel vector
+    per free column f: 1 at f, 0 at the other free columns, and nonzero
+    elsewhere only at pivots left of f.  Reversed back, each leads with
+    its 1 at f, so in descending f they already are the reduced echelon
+    basis.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    red, pivots = rref(gf, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = rref(gf, [r[::-1] for r in rows])
     basis = []
-    for f in free:
+    for f in reversed([c for c in range(ncols) if c not in pivots]):
         v = [0] * ncols
         v[f] = 1
-        for i, pc in enumerate(pivots):
-            if red[i][f]:
-                v[pc] = gf.neg(red[i][f])
-        basis.append(v)
-    canonical, _ = rref(gf, basis)
-    return len(pivots), canonical
+        for row, pc in zip(red, pivots):
+            if row[f]:
+                v[pc] = gf.neg(row[f])
+        basis.append(v[::-1])
+    return len(pivots), basis
 
 
 def inverse(gf: GF, rows):
     n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(gf, aug)
+    red, pivots = rref(gf, [[*r, *unit] for r, unit in zip(rows, identity(n))])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def solve(gf: GF, rows, rhs):
-    """One exact solution of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(gf, aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x

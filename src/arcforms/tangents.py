@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, permutations
+from itertools import combinations, compress, permutations, product
 from math import perm
 from operator import ne
 
@@ -65,28 +65,16 @@ def tuple_positions(n: int, points, order) -> list:
     return out
 
 
-def tuple_index(n: int, m: int) -> tuple:
-    """(rank, parity) over product(range(n), repeat=m), row-major: the rank
-    of each tuple's sorted form in combinations(range(n), m), -1 on a
-    repeat, and the parity of the permutation of slots that sorts it."""
-    rank, parity = [-1] * n**m, [0] * n**m
-    subsets = list(enumerate(tuple_position(T, n) for T in combinations(range(n), m)))
-    for sigma in permutations(range(m)):
-        positions, par = tuple_positions(n, range(n), sigma), perm_parity(sigma)
-        for r, pos in subsets:  # one int object per rank, shared by every sigma
-            rank[positions[pos]], parity[positions[pos]] = r, par
-    return rank, parity
-
-
 def signed_table(arc: Arc, rows, power: int) -> list:
     """A function on the ordered (k-1)-tuples of arc indices, row-major, from
     its rows on the sorted (k-2)-subsets S (combinations order, one entry
     per arc index): a prefix with a repeat has a zero row, any other the
     row of its sorted form times sgn(sort)^power."""
-    rank, parity = tuple_index(arc.n, arc.k - 2)
+    rank = {S: r for r, S in enumerate(combinations(range(arc.n), arc.k - 2))}
     rows = [*rows, [0] * arc.n]  # rank -1, a prefix with a repeat
     signed = (rows, [list(map(arc.gf.neg, row)) for row in rows] if power % 2 else rows)
-    return [v for r, par in zip(rank, parity) for v in signed[par][r]]
+    prefixes = product(range(arc.n), repeat=arc.k - 2)
+    return [v for p in prefixes for v in signed[perm_parity(p)][rank.get(tuple(sorted(p)), -1)]]
 
 
 def tangent_hyperplanes(arc: Arc, subset):

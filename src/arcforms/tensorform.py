@@ -25,7 +25,7 @@ from . import forms, linalg
 from .field import GF
 from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, perm_parity, tuple_at, tuple_index, tuple_position, tuple_positions
+from .tangents import TangentSystem, perm_parity, tuple_at, tuple_position, tuple_positions
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,19 @@ def coordinate_map(gf: GF, columns, dim: int):
     exactly when no vector of span(V) has its last nonzero coordinate at
     j.  Those coordinates P are the pivots of an echelon form of V^T with
     its columns reversed.  As M V = I and M e_j = 0 off P, M is zero off
-    the columns P and equals V[P, :]^-1 on them.
+    the columns P and equals V[P, :]^-1 on them.  One elimination of
+    [V^T reversed | I_w] gives both: reduced row r has its pivot at P_r
+    and ends in column r of V[P, :]^-1.
     """
-    _, pivots = linalg.rref(gf, [c[::-1] for c in columns])
-    if len(pivots) != len(columns):
+    w = len(columns)
+    aug = [[*c[::-1], *unit] for c, unit in zip(columns, linalg.identity(w))]
+    red, pivots = linalg.rref(gf, aug)
+    if any(j >= dim for j in pivots):
         raise ValueError("columns are dependent")
-    P = [dim - 1 - j for j in pivots]
-    square_inv = linalg.inverse(gf, [[c[r] for c in columns] for r in P])
     M = [[0] * dim for _ in columns]
-    for row, inv_row in zip(M, square_inv):
-        for r, v in zip(P, inv_row):
-            row[r] = v
+    for j, row in zip(pivots, red):
+        for M_row, v in zip(M, row[dim:]):
+            M_row[dim - 1 - j] = v
     return M
 
 
@@ -221,8 +223,9 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
         prop1.tally(table[pos : pos + n] == g[pos : pos + n], {"S": list(S)})
 
     prop2 = report.check("repeated-points-vanish")
-    for pos in (pos for pos, r in enumerate(tuple_index(n, blocks - 1)[0]) if r < 0):
-        prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": tuple_at(pos, n, blocks - 1)})
+    for pos, prefix in enumerate(product(range(n), repeat=blocks - 1)):
+        if len(set(prefix)) < blocks - 1:
+            prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": list(prefix)})
     repeats = [pos for pos, a in enumerate(product(range(n), repeat=blocks)) if len(set(a)) < blocks]
     prop2.tally_many(len(repeats), [{"tuple": tuple_at(pos, n, blocks)} for pos in repeats if table[pos]])
 
@@ -329,23 +332,24 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
     if linalg.mat_mul(gf, rcoords, phi.basis) != list(map(list, residuals)):
         return False, None  # a residual is not in the vanishing subspace
 
+    # one elimination of [prefix rows | residual coordinates] solves
+    # prefix_rows · U_b = column b of rcoords for every basis form b
     prefix_rows = []
-    for S in subsets:
-        vs = [ts.point_vectors[i] for i in S]
-        row = vs[0]
-        for v in vs[1:]:
-            row = [gf.mul(a, b) for a in row for b in v]
-        prefix_rows.append(row)
-
-    corrections = []
-    for rhs in zip(*rcoords):
-        u = linalg.solve(gf, prefix_rows, list(rhs))
-        if u is None:
-            return False, None
-        corrections.append(u)
+    for S, coords in zip(subsets, rcoords):
+        row = [1]  # the Kronecker product of S's Veronese vectors
+        for i in S:
+            row = [gf.mul(a, b) for a in row for b in ts.point_vectors[i]]
+        prefix_rows.append(row + coords)
+    ncols = F.mode_dim ** (F.blocks - 1)
+    red, pivot_cols = linalg.rref(gf, prefix_rows)
+    if pivot_cols and pivot_cols[-1] >= ncols:
+        return False, None  # some U_b has no solution
+    UT = [[0] * phi.dim for _ in range(ncols)]  # row c: U_b[c] for every b
+    for row, c in zip(red, pivot_cols):
+        UT[c] = row[ncols:]
 
     # D = sum_b U_b (x) phi_b, row-major: U^T times the basis
-    dcoeffs = [v for row in linalg.mat_mul(gf, list(zip(*corrections)), phi.basis) for v in row]
+    dcoeffs = [v for row in linalg.mat_mul(gf, UT, phi.basis) for v in row]
     corrected = MultiForm(
         F.k, F.blocks, F.t,
         tuple(gf.sub(c, d) for c, d in zip(F.coeffs, dcoeffs)),

@@ -62,6 +62,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         [1, 2, 3],  # not an object
         {"field": [7, 1], "k": 3, "points": [[1, 0, 0]]},  # field not an object
         {"field": gf7, "k": "3", "points": [[1, 0, 0]]},  # k not an int
+        # k < 2
+        {"field": gf7, "k": 0, "points": []},
+        {"field": gf7, "k": 1, "points": [[1], [2]]},
+        {"field": gf7, "k": -2, "points": []},
         {"field": gf7, "k": 3, "points": {"0": [1, 0, 0]}},  # points not a list
         {"field": gf7, "k": 3, "points": [1, 0, 0]},  # a point not a list
         # non-canonical elements: out of range, a bool, an unreduced digit
@@ -100,6 +104,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["arc", "new", "--badflag"])
     assert exc.value.code == 2
+
+
+def test_arc_verify_over_a_large_prime_field(tmp_path, capsys):
+    # primality of p = 10^18 + 3 is decided without trial division
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"p": 10**18 + 3, "h": 1, "irreducible": [0, 1]},
+        "k": 3,
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }))
+    code, rep = run(capsys, "arc", "verify", str(path))
+    assert code == 0 and rep["passed"]
 
 
 def test_arc_project_and_mds(tmp_path, capsys):
@@ -254,32 +270,17 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
 def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
     # the is_arc and G sweeps and build_sbbt's interpolation denominators
-    # read determinants off linalg.minor_forms (2x2 minors at k = 4), so
-    # no k x k elimination is left, and phi is evaluated at minor
+    # read determinants off linalg.minor_forms, which expands minors
+    # itself, so linalg.det is never called, and phi is evaluated at minor
     # coordinates only by the random-row symmetry check, twice per trial
     arc_path = str(tmp_path / "tc7.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
-    dets, stage = Counter(), ["other"]
-    det, build, evaluate_G = linalg.det, sbbt.build_sbbt, sbbt.evaluate_G
-
-    def counted_det(gf, rows):
-        dets[stage[-1], len(rows)] += 1
-        return det(gf, rows)
-
-    def staged_build(*args):
-        stage.append("build_sbbt")
-        try:
-            return build(*args)
-        finally:
-            stage.pop()
-
-    evaluations = []
-    monkeypatch.setattr(linalg, "det", counted_det)
-    monkeypatch.setattr(sbbt, "build_sbbt", staged_build)
+    dets, evaluations, evaluate_G = [], [], sbbt.evaluate_G
+    monkeypatch.setattr(linalg, "det", lambda *a: dets.append(1))
     monkeypatch.setattr(sbbt, "evaluate_G", lambda *a: evaluations.append(1) or evaluate_G(*a))
     code, rep = run(capsys, "suite", arc_path)
     assert code == 0 and rep["passed"]
-    assert {key: c for key, c in dets.items() if key[1] > 2} == {}
+    assert dets == []
     assert len(evaluations) == 2 * 100
 
 

@@ -2,11 +2,13 @@ import pytest
 
 from arcforms.field import (
     CONWAY_POLYNOMIALS,
+    MILLER_RABIN_BOUND,
     NotPrimeError,
     ReduciblePolynomialError,
     UnsupportedFieldError,
     _is_irreducible,
     field_from_json,
+    is_prime,
     make_field,
 )
 
@@ -33,6 +35,25 @@ def test_make_field_rejects_reducible():
 def test_make_field_rejects_composite_characteristic():
     with pytest.raises(NotPrimeError):
         make_field(4, 1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial(n)]
+    assert not is_prime(561)  # a Carmichael number
+    assert not is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+    # composite and a strong pseudoprime to the twelve primes up to 37
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1) and not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_make_field_refuses_p_beyond_the_primality_bound():
+    # the bound is composite yet a strong pseudoprime to every base used
+    with pytest.raises(ValueError):
+        make_field(MILLER_RABIN_BOUND)
+    assert make_field(10**18 + 3).q == 10**18 + 3
 
 
 def test_make_field_unsupported_without_polynomial():

@@ -19,7 +19,6 @@ from arcforms.tangents import (
     signed_table,
     tangent_hyperplanes,
     tuple_at,
-    tuple_index,
     tuple_position,
     tuple_positions,
     verify_lemma_of_tangents,
@@ -311,13 +310,8 @@ def test_tangent_system_from_json_rejects_malformed_entries(q, k, entry):
 def test_tuple_index_helpers():
     for n, m in [(1, 1), (4, 1), (5, 2), (4, 3), (3, 3), (2, 3), (5, 4)]:
         tuples = list(itertools.product(range(n), repeat=m))
-        subsets = list(itertools.combinations(range(n), m))
-        rank, parity = tuple_index(n, m)
         for pos, tup in enumerate(tuples):
             assert tuple_position(tup, n) == pos and tuple_at(pos, n, m) == list(tup)
-            distinct = len(set(tup)) == m
-            assert rank[pos] == (subsets.index(tuple(sorted(tup))) if distinct else -1)
-            assert parity[pos] == (perm_parity(tup) if distinct else 0)
         for order in itertools.permutations(range(m)):
             assert tuple_positions(n, range(n), order) == [
                 tuple_position([tup[s] for s in order], n) for tup in tuples

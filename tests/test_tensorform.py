@@ -9,6 +9,7 @@ import pytest
 
 from arcforms.forms import (
     Form,
+    form_add,
     monomial_basis,
     monomial_vector,
     num_monomials,
@@ -17,6 +18,7 @@ from arcforms.forms import (
     veronese,
 )
 from arcforms.geometry import Arc, normalize
+from arcforms import linalg, tensorform
 from arcforms.linalg import identity, inverse, mat_mul, rank
 from arcforms.tangents import (
     TangentSystem,
@@ -132,6 +134,27 @@ def test_coordinate_map_tiebreaks_differ():
 def test_coordinate_map_rejects_dependent_columns():
     with pytest.raises(ValueError):
         coordinate_map(field(5), [(1, 2, 0), (2, 4, 0)], 3)
+
+
+@pytest.fixture
+def rref_widths(monkeypatch):
+    """The column count of every matrix linalg.rref reduces, in call order."""
+    widths, rref = [], linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda gf, rows: widths.append(len(rows[0]) if rows else 0) or rref(gf, rows))
+    return widths
+
+
+@pytest.mark.parametrize("q,p,h,k", CORPUS)
+def test_coordinate_map_reduces_once(q, p, h, k, rref_widths, monkeypatch):
+    # P and V[P, :]^-1 come off one elimination of [V^T reversed | I_w]
+    arc, ts = corpus_system(q, k)
+    V = [ts.point_vectors[i] for i in ts.socle[0]]
+    N = num_monomials(k, arc.t)
+    monkeypatch.setattr(linalg, "inverse", None)
+    rref_widths.clear()
+    M = coordinate_map(arc.gf, V, N)
+    assert rref_widths == [N + len(V)]
+    assert M == greedy_left_inverse(arc.gf, V, N, reverse=False)
 
 
 # SHA-256 of json.dumps(F.to_json(gf)), recorded before the basis
@@ -559,6 +582,53 @@ def test_search_exact_twisted_cubic():
     table = evaluation_table(arc.gf, corrected, arc.points)
     for pos, tup in enumerate(itertools.product(range(arc.n), repeat=3)):
         assert table[pos] == g_value(ts, tup)
+
+
+@pytest.mark.parametrize("q,p,h,k", CORPUS)
+def test_search_exact_reduces_prefix_system_once(q, p, h, k, rref_widths):
+    # every basis form's correction comes off one elimination of
+    # [prefix rows | residual coordinates], N^(k-2) + dim phi_t wide; with
+    # no vanishing forms there is nothing to solve
+    arc, ts, F = corpus_tensor(q, k)
+    N = F.mode_dim
+    dim = N - len(ts.socle[0])
+    rref_widths.clear()
+    found, _ = search_exact_tangent_match(arc, ts, F)
+    assert found
+    assert [w for w in rref_widths if w != N] == ([N ** (k - 2) + dim] if dim else [])
+
+
+@pytest.mark.parametrize("q", [5, 7, 8])
+def test_search_exact_stops_at_a_residual_off_the_vanishing_forms(q, rref_widths):
+    # one corrupted entry puts a residual outside the span of the vanishing
+    # forms: the search returns after the one elimination of the Veronese
+    # matrix (vanishing_subspace), before it builds the prefix system
+    arc, ts, F = corpus_tensor(q, 4)
+    coeffs = list(F.coeffs)
+    coeffs[0] = arc.gf.add(coeffs[0], 1)
+    rref_widths.clear()
+    assert search_exact_tangent_match(arc, ts, MultiForm(F.k, F.blocks, F.t, tuple(coeffs))) == (False, None)
+    assert rref_widths == [F.mode_dim]
+
+
+def test_search_exact_stops_when_the_prefix_system_is_inconsistent(rref_widths, monkeypatch):
+    # on PG(3, 8) the 36 prefix rows have rank 34, and the row of the last
+    # pair lies in the span of the others; shifting that pair's tangent form
+    # by a vanishing form keeps every residual in the span of phi but leaves
+    # the prefix system without a solution, so the search returns after its
+    # one elimination and never evaluates a corrected F
+    arc, ts, F = corpus_tensor(8, 4)
+    last = (arc.n - 2, arc.n - 1)
+    fS = dict(ts.fS)
+    fS[last] = form_add(arc.gf, fS[last], vanishing_subspace(arc.gf, 4, arc.points, arc.t).forms()[0])
+    shifted = TangentSystem(arc, ts.E, ts.anchor, fS)
+    evaluations, evaluate = [], tensorform.partial_evaluate
+    monkeypatch.setattr(tensorform, "partial_evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
+    rref_widths.clear()
+    assert search_exact_tangent_match(arc, shifted, F) == (False, None)
+    N = F.mode_dim
+    assert rref_widths == [N, N**2 + N - len(ts.socle[0])]
+    assert len(evaluations) == comb(arc.n, 2)  # the residuals only
 
 
 def test_multiform_json_roundtrip():
