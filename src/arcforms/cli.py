@@ -20,7 +20,7 @@ from functools import cache, cached_property
 from itertools import product
 
 from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
-from .field import make_field
+from .field import is_prime, make_field
 from .geometry import Arc
 from .report import Report
 
@@ -35,11 +35,17 @@ WRITE_SLICE = 8192
 
 
 def _factor_prime_power(q: int):
-    p = next((p for p in range(2, q + 1) if q % p == 0), None)
-    h = next((h for h in range(1, q.bit_length()) if p and p**h == q), None)
-    if h is None:
-        raise ValueError(f"q = {q} is not a prime power")
-    return p, h
+    """(p, h) with q = p^h, p prime: at each h the one candidate p is the
+    integer h-th root of q, found by bisection.  The largest h goes first,
+    so a perfect power is split before is_prime sees q beyond its range."""
+    for h in range(q.bit_length() - 1, 0, -1):
+        lo, hi = 1, 2 ** (q.bit_length() // h + 1)  # lo^h <= q < hi^h
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**h <= q else (lo, mid)
+        if lo**h == q and is_prime(lo):
+            return lo, h
+    raise ValueError(f"q = {q} is not a prime power")
 
 
 def _new_arc(args) -> Arc:

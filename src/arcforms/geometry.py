@@ -70,6 +70,8 @@ class Arc:
             raise ValueError("k must be an int and points a list of coordinate lists")
         if k < 2:
             raise ValueError(f"an arc needs k >= 2 coordinates, got k = {k}")
+        if any(len(p) != k for p in points):
+            raise ValueError(f"every point of an arc with k = {k} needs {k} coordinates")
         pts = tuple(tuple(gf.element_from_json(c) for c in p) for p in points)
         return cls(gf, k, pts)
 

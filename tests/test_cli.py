@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from arcforms import linalg, sbbt, tangents, tensorform
-from arcforms.cli import build_parser, main
+from arcforms.cli import _factor_prime_power, build_parser, main
 
 
 def run(capsys, *argv):
@@ -72,11 +72,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         {"field": gf7, "k": 3, "points": [[8, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
         {"field": gf7, "k": 3, "points": [[True, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
         {"field": gf9, "k": 3, "points": [[[5, 7], z, z], [z, o, z], [z, z, o], [o, o, o]]},
+        # GF(2^40), too large to tabulate, refused before its modulus is read
+        {
+            "field": {"p": 2, "h": 40, "irreducible": [1, 1] + [0] * 38 + [1]},
+            "k": 3,
+            "points": [[[1] + [0] * 39, [0] * 40, [0] * 40]],
+        },
     ]
     for i, blob in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(blob))
         assert main(["arc", "verify", str(path)]) == 2, blob
+    # a point with too few or too many coordinates
+    for i, bad in enumerate([[0, 1], [0, 1, 0, 0]]):
+        path = tmp_path / f"coords{i}.json"
+        path.write_text(json.dumps({"field": gf7, "k": 3, "points": [[1, 0, 0], bad, [0, 0, 1], [1, 1, 1]]}))
+        assert main(["tangents", "build", str(path), "-o", str(tmp_path / "ts.json")]) == 2, bad
+        assert main(["sbbt", "verify", str(path)]) == 2, bad
     # a custom points file goes through the same validated parse
     for i, blob in enumerate([[1, 2, 3], {"points": 5}]):
         path = tmp_path / f"points{i}.json"
@@ -106,6 +118,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_factor_prime_power():
+    assert _factor_prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert _factor_prime_power((10**9 + 7) ** 2) == (10**9 + 7, 2)
+    assert _factor_prime_power(3**40) == (3, 40)
+    assert [_factor_prime_power(q) for q in (2, 4, 9, 256, 257)] == [
+        (2, 1), (2, 2), (3, 2), (2, 8), (257, 1)
+    ]
+    for q in (1, 6, 36, 10**18 + 4):
+        with pytest.raises(ValueError):
+            _factor_prime_power(q)
+
+
 def test_arc_verify_over_a_large_prime_field(tmp_path, capsys):
     # primality of p = 10^18 + 3 is decided without trial division
     path = tmp_path / "big.json"
@@ -115,6 +139,12 @@ def test_arc_verify_over_a_large_prime_field(tmp_path, capsys):
         "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     }))
     code, rep = run(capsys, "arc", "verify", str(path))
+    assert code == 0 and rep["passed"]
+    # and `arc new` factors q = 10^18 + 3 without trial division
+    pts_path = tmp_path / "pts.json"
+    pts_path.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+    code, rep = run(capsys, "arc", "new", "--type", "custom", "--q", str(10**18 + 3), "--k", "3",
+                    "--points", str(pts_path), "-o", str(tmp_path / "custom.json"))
     assert code == 0 and rep["passed"]
 
 

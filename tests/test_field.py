@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
 from arcforms.field import (
     CONWAY_POLYNOMIALS,
+    GF,
+    MAX_TABLE_Q,
     MILLER_RABIN_BOUND,
     NotPrimeError,
     ReduciblePolynomialError,
     UnsupportedFieldError,
-    _is_irreducible,
     field_from_json,
     is_prime,
     make_field,
@@ -61,6 +64,66 @@ def test_make_field_unsupported_without_polynomial():
         make_field(2, 9)  # q = 512 > 256, no table entry
 
 
+def test_make_field_refuses_fields_too_large_to_tabulate(monkeypatch):
+    with pytest.raises(UnsupportedFieldError):
+        make_field(2, 12, [1, 1, 0, 0, 1, 0, 1] + [0] * 5 + [1])  # irreducible
+    with pytest.raises(UnsupportedFieldError):
+        make_field(3, 7, [1, 2] + [0] * 5 + [1])  # 3^7 = 2187
+    # refused by size before p^h or the modulus is looked at
+    with pytest.raises(UnsupportedFieldError):
+        make_field(2, 10**12, [1, 1])
+    # q = MAX_TABLE_Q itself is accepted (its 3 s of tabulation skipped here)
+    monkeypatch.setattr(GF, "_build_tables", lambda self: None)
+    assert make_field(2, 11, [1, 0, 1] + [0] * 8 + [1]).q == MAX_TABLE_Q
+
+
+def _poly_mod(a, b, p):
+    """Remainder of a by the monic b over F_p, little-endian lists."""
+    a = list(a)
+    for s in range(len(a) - len(b), -1, -1):
+        c = a[s + len(b) - 1]
+        for i, bi in enumerate(b):
+            a[s + i] = (a[s + i] - c * bi) % p
+    return [c % p for c in a[: len(b) - 1]]
+
+
+def _irreducible_by_trial_division(poly, p):
+    """Oracle: no monic polynomial of degree 1 .. h/2 divides poly."""
+    return all(
+        any(_poly_mod(poly, list(tail) + [1], p))
+        for d in range(1, (len(poly) - 1) // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_tables_accept_exactly_the_irreducible_moduli(p, h):
+    accepted = 0
+    for tail in itertools.product(range(p), repeat=h):
+        poly = [*tail, 1]
+        if not _irreducible_by_trial_division(poly, p):
+            with pytest.raises(ReduciblePolynomialError):
+                make_field(p, h, poly)
+            continue
+        gf, accepted = make_field(p, h, poly), accepted + 1
+        for a, b in itertools.product(gf.elements(), repeat=2):
+            ca, cb = gf.coeffs(a), gf.coeffs(b)
+            prod = [0] * (2 * h - 1)  # schoolbook product, then reduced
+            for i, j in itertools.product(range(h), repeat=2):
+                prod[i + j] += ca[i] * cb[j]
+            assert gf.coeffs(gf.mul(a, b)) == tuple(_poly_mod(prod, poly, p))
+            assert gf.coeffs(gf.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
+    # the number of monic irreducibles of degree h over F_p
+    assert accepted == {2: (p * p - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p * p) // 4}[h]
+
+
+def test_tables_of_a_non_primitive_modulus():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x = 2 has order 5
+    gf = make_field(2, 4, [1, 1, 1, 1, 1])
+    assert [gf.pow(2, e) for e in range(1, 6)] == [2, 4, 8, 15, 1]
+    assert all(gf.mul(a, gf.inv(a)) == 1 for a in gf.nonzero())
+
+
 def test_conway_table_covers_all_prime_powers_up_to_256():
     expected = set()
     for p in (2, 3, 5, 7, 11, 13):
@@ -75,7 +138,6 @@ def test_conway_table_covers_all_prime_powers_up_to_256():
 def test_conway_polynomials_irreducible_and_primitive(p, h):
     poly = CONWAY_POLYNOMIALS[(p, h)]
     assert len(poly) == h + 1 and poly[-1] == 1
-    assert _is_irreducible(list(poly), p)
     # x generates the multiplicative group
     gf = make_field(p, h)
     x = gf.from_coeffs([0, 1] + [0] * (h - 2))
