@@ -84,7 +84,8 @@ def _json_texts(obj, level: int):
     of WRITE_SLICE items per piece, and each distinct item of a slice is
     rendered once: keyed by value when the slice holds only ints (field
     elements over GF(p)), else by identity (such as the shared element
-    lists of MultiForm.to_json over GF(p^h)).
+    lists of MultiForm.to_json over GF(p^h)).  A slice with one key, such
+    as a run of zeros in a dense tensor, is its one text repeated.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
@@ -99,11 +100,16 @@ def _json_texts(obj, level: int):
         for start in range(0, len(obj), WRITE_SLICE):
             part = obj[start : start + WRITE_SLICE]
             keys = part if set(map(type, part)) == {int} else list(map(id, part))
+            opener = "," if start else "["
+            if keys.count(keys[0]) == len(keys):
+                text = pad + "".join(_json_texts(part[0], level + 1))
+                yield opener + text + ("," + text) * (len(part) - 1)
+                continue
             texts = {
                 key: pad + "".join(_json_texts(item, level + 1))
                 for key, item in dict(zip(keys, part)).items()
             }
-            yield ("," if start else "[") + ",".join(map(texts.__getitem__, keys))
+            yield opener + ",".join(map(texts.__getitem__, keys))
         yield "\n" + "  " * level + "]"
     else:
         yield json.dumps(obj)

@@ -4,19 +4,22 @@ One elimination of the arc's Veronese matrix (TangentSystem.socle) gives
 the socle, the points whose degree-t Veronese images are a basis of the
 arc's image, and reduced rows C holding every point in that basis.  The
 core (TangentSystem.socle_core) is g on all socle tuples; its modes
-contracted by one left inverse M of the socle's Veronese matrix
-(coordinate_map) give the dense tensor F, and contracted by C they give
-F's values on all arc tuples.  M is zero off the w pivot coordinates P of
-that matrix, so F is supported on P^(k-1), and every contraction costs
-what its nonzero entries cost.  F agrees with g at every tuple of arc
-points, is degree t in each of its k-1 blocks of k variables, and its
-partial evaluations at (k-2)-tuples of arc points reproduce the scaled
-tangent forms up to forms vanishing on the arc.
+contracted by one left inverse M of the socle's Veronese matrix give the
+tensor F, and contracted by C they give F's values on all arc tuples.  M
+is zero off the w pivot coordinates P of that matrix (coordinate_map
+returns P and M's w x w block there), so F is stored as its w^(k-1)
+block on P^(k-1), and evaluations read Veronese vectors at P only.  The
+N^(k-1) dense tensor is expanded only on demand (MultiForm.coeffs,
+to_json).  F agrees with g at every tuple of arc points, is degree t in
+each of its k-1 blocks of k variables, and its partial evaluations at
+(k-2)-tuples of arc points reproduce the scaled tangent forms up to forms
+vanishing on the arc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress, islice, permutations, product
 from math import comb, prod
 from operator import ne
@@ -28,36 +31,66 @@ from .report import Report
 from .tangents import TangentSystem, perm_parity, tuple_at, tuple_position, tuple_positions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiForm:
     """Form of multidegree (t, ..., t) in `blocks` blocks of k variables.
 
-    coeffs is the flat coefficient tensor, row-major over the blocks, each
-    mode running over the canonical degree-t monomials in k variables.
+    Each mode runs over the canonical degree-t monomials in k variables.
+    The form is zero off support^blocks, where support is a sorted list of
+    monomial positions (default: all of them); block holds its entries on
+    support^blocks, row-major over the blocks.  coeffs is the dense
+    row-major tensor, and two forms are equal when their dense tensors are.
     """
 
     k: int
     blocks: int
     t: int
-    coeffs: tuple
+    block: tuple
+    support: tuple | None = None
 
     @property
     def mode_dim(self) -> int:
         return forms.num_monomials(self.k, self.t)
 
     def __post_init__(self):
-        want = self.mode_dim**self.blocks
-        if len(self.coeffs) != want:
+        N = self.mode_dim
+        support = tuple(range(N) if self.support is None else self.support)
+        if not support or list(support) != sorted(set(support)) or support[0] < 0 or support[-1] >= N:
+            raise ValueError(f"support must be sorted distinct positions below {N}")
+        object.__setattr__(self, "support", support)
+        want = len(support) ** self.blocks
+        if len(self.block) != want:
             raise ValueError(f"coefficient tensor needs {want} entries")
 
+    def dense(self, table=None) -> list | tuple:
+        """The dense row-major coefficients, each entry mapped through
+        table when one is given; zero (table[0]) off support^blocks."""
+        block = self.block if table is None else list(map(table.__getitem__, self.block))
+        N, support = self.mode_dim, self.support
+        if len(support) == N:
+            return block
+        offsets = [0]
+        for _ in range(self.blocks):
+            offsets = [o * N + j for o in offsets for j in support]
+        out = [0 if table is None else table[0]] * N**self.blocks
+        for off, v in zip(offsets, block):
+            out[off] = v
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(self.dense())
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiForm):
+            return NotImplemented
+        return (self.k, self.blocks, self.t, self.coeffs) == (other.k, other.blocks, other.t, other.coeffs)
+
     def to_json(self, gf: GF) -> dict:
-        """The coefficients as element_to_json gives them: over GF(p) the
-        tuple itself, else one shared element list per field element."""
-        coeffs = self.coeffs
-        if gf.h > 1:
-            table = [gf.element_to_json(a) for a in gf.elements()]
-            coeffs = list(map(table.__getitem__, coeffs))
-        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": coeffs}
+        """The dense coefficients as element_to_json gives them: over GF(p)
+        the ints themselves, else one shared element list per field element."""
+        table = [gf.element_to_json(a) for a in gf.elements()] if gf.h > 1 else None
+        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": self.dense(table)}
 
     @classmethod
     def from_json(cls, gf: GF, obj) -> "MultiForm":
@@ -70,28 +103,28 @@ class MultiForm:
 
 
 def coordinate_map(gf: GF, columns, dim: int):
-    """Left inverse M (w x dim) of the independent columns V (dim x w):
-    the first w rows of B^-1, where B = [V | unit vectors] completes V
-    greedily to a basis of F^dim.
+    """(P, V[P, :]^-1) for independent columns V (dim x w): the coordinates
+    P, ascending, on which the left inverse M of V is nonzero, and M's
+    columns at P.  M is the first w rows of B^-1, where B = [V | unit
+    vectors] completes V greedily to a basis of F^dim.
 
     Candidates e_j are tried in ascending order of j, and e_j is added
     exactly when no vector of span(V) has its last nonzero coordinate at
     j.  Those coordinates P are the pivots of an echelon form of V^T with
     its columns reversed.  As M V = I and M e_j = 0 off P, M is zero off
     the columns P and equals V[P, :]^-1 on them.  One elimination of
-    [V^T reversed | I_w] gives both: reduced row r has its pivot at P_r
-    and ends in column r of V[P, :]^-1.
+    [V^T reversed | I_w] gives both: reduced row r has its pivot at
+    dim - 1 - P_r and ends in column r of V[P, :]^-1.
     """
     w = len(columns)
     aug = [[*c[::-1], *unit] for c, unit in zip(columns, linalg.identity(w))]
     red, pivots = linalg.rref(gf, aug)
     if any(j >= dim for j in pivots):
         raise ValueError("columns are dependent")
-    M = [[0] * dim for _ in columns]
-    for j, row in zip(pivots, red):
-        for M_row, v in zip(M, row[dim:]):
-            M_row[dim - 1 - j] = v
-    return M
+    # pivots ascend, so P = dim - 1 - pivots descends: read the rows backwards
+    P = [dim - 1 - j for j in reversed(pivots)]
+    inv = [list(col) for col in zip(*(row[dim:] for row in reversed(red)))]
+    return P, inv
 
 
 def _contract_mode(gf: GF, shape, data, mode: int, matrix):
@@ -126,20 +159,26 @@ def _contract_modes(gf: GF, data, matrix, blocks: int):
 
 def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:
     """Assemble the coefficient tensor of the arc's multihomogeneous form:
-    the socle core with every mode contracted by coordinate_map's M."""
+    the socle core with every mode contracted by coordinate_map's
+    V[P, :]^-1, supported on P^(k-1)."""
     gf, t, blocks = arc.gf, arc.t, arc.k - 1
     if t < 1:
         raise ValueError("arc has t = 0; no tensor form")
     soc, _ = ts.socle
-    M = coordinate_map(gf, [ts.point_vectors[i] for i in soc], forms.num_monomials(arc.k, t))
-    return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, ts.socle_core, M, blocks)))
+    P, inv = coordinate_map(gf, [ts.point_vectors[i] for i in soc], forms.num_monomials(arc.k, t))
+    return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, ts.socle_core, inv, blocks)), P)
+
+
+def _support_vector(gf: GF, mf: MultiForm, x):
+    """The degree-t monomials at x, read at mf's support."""
+    return list(map(forms.monomial_vector(gf, x, mf.t).__getitem__, mf.support))
 
 
 def _contract_leading(gf: GF, mf: MultiForm, points):
     # contract leading modes with point Veronese vectors, squeezing each
-    shape, data = [mf.mode_dim] * mf.blocks, mf.coeffs
+    shape, data = [len(mf.support)] * mf.blocks, mf.block
     for x in points:
-        col = [[v] for v in forms.monomial_vector(gf, x, mf.t)]
+        col = [[v] for v in _support_vector(gf, mf, x)]
         shape, data = _contract_mode(gf, shape, data, 0, col)
         shape = shape[1:]
     return data
@@ -156,14 +195,17 @@ def partial_evaluate(gf: GF, mf: MultiForm, prefix) -> forms.Form:
     """Evaluate all blocks but the last at points; the leftover is a form."""
     if len(prefix) != mf.blocks - 1:
         raise ValueError(f"prefix must have {mf.blocks - 1} points")
-    return forms.Form(mf.k, mf.t, tuple(_contract_leading(gf, mf, prefix)))
+    out = [0] * mf.mode_dim
+    for j, v in zip(mf.support, _contract_leading(gf, mf, prefix)):
+        out[j] = v
+    return forms.Form(mf.k, mf.t, tuple(out))
 
 
 def evaluation_table(gf: GF, mf: MultiForm, vectors):
     """Flat table of evaluations at every tuple from `vectors`, row-major."""
-    ver = [forms.monomial_vector(gf, x, mf.t) for x in vectors]
-    mat = [[v[J] for v in ver] for J in range(mf.mode_dim)]
-    return _contract_modes(gf, mf.coeffs, mat, mf.blocks)
+    ver = [_support_vector(gf, mf, x) for x in vectors]
+    mat = [[v[J] for v in ver] for J in range(len(mf.support))]
+    return _contract_modes(gf, mf.block, mat, mf.blocks)
 
 
 def is_block_congruent(D: MultiForm, arc: Arc) -> bool:
@@ -258,15 +300,14 @@ def shift_extract(gf: GF, F: MultiForm, exponents) -> forms.Form:
         if len(e) != F.k or any(x < 0 for x in e) or sum(e) > F.t:
             raise ValueError(f"bad exponent tuple {tuple(e)} (total must be <= t)")
     exponents = [tuple(e) for e in exponents]
-    N = F.mode_dim
-    basis = forms.monomial_basis(F.k, F.t)
+    basis = [forms.monomial_basis(F.k, F.t)[j] for j in F.support]
     degree = F.blocks * F.t - sum(sum(e) for e in exponents)
     out = [0] * forms.num_monomials(F.k, degree)
     idx = forms.monomial_index(F.k, degree)
-    for pos in compress(range(len(F.coeffs)), F.coeffs):
-        coef, jm, rest = F.coeffs[pos], [], pos
+    for pos in compress(range(len(F.block)), F.block):
+        coef, jm, rest = F.block[pos], [], pos
         for _ in range(F.blocks):
-            rest, j = divmod(rest, N)
+            rest, j = divmod(rest, len(basis))
             jm.append(basis[j])
         jm.reverse()
         pairs = [(d, i) for m, im in enumerate(exponents) for d, i in zip(jm[m], im)]

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 from arcforms import linalg, sbbt, tangents, tensorform
 from arcforms.cli import _factor_prime_power, build_parser, main
+from arcforms.field import make_field
+from arcforms.geometry import Arc, normal_rational_curve
 
 
 def run(capsys, *argv):
@@ -244,6 +247,25 @@ def test_suite_reference_arcs(tmp_path, capsys):
         code, rep = run(capsys, "suite", arc_path)
         assert code == 0, rep
         assert rep["passed"]
+
+
+def test_suite_on_a_k5_arc_keeps_only_the_support_block(tmp_path, capsys):
+    # NRC of PG(4, 11) minus 2 points: n = 10, t = 5, N = 126.  A dense F
+    # would hold 126^4 = 2.5·10^8 entries (3.86 GiB); the built F keeps the
+    # w^4 = 10^4 entries of its support block
+    gf = make_field(11)
+    nrc = normal_rational_curve(gf, 5)
+    arc_path = tmp_path / "arc.json"
+    arc_path.write_text(json.dumps(Arc(gf, 5, nrc.points[:-2]).to_json()))
+    tracemalloc.start()
+    try:
+        code, rep = run(capsys, "suite", str(arc_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and rep["passed"]
+    assert rep["inputs"] == {"q": 11, "k": 5, "n": 10, "t": 5}
+    assert peak < 64 << 20, peak
 
 
 def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):

@@ -117,6 +117,27 @@ def test_tables_accept_exactly_the_irreducible_moduli(p, h):
     assert accepted == {2: (p * p - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p * p) // 4}[h]
 
 
+@pytest.mark.parametrize("h,poly", [(8, None), (9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])], ids=["q256", "q512"])
+def test_tables_share_one_int_per_element(h, poly):
+    gf = make_field(2, h, poly)
+    q = gf.q
+    entries = [v for table in (gf._add, gf._mul_table) for row in table for v in row]
+    assert len(set(map(id, entries))) <= q
+    # oracle: over F_2 addition is XOR, and both moduli are primitive, so
+    # every product is a power of x, each power one shift and reduction on
+    modulus = sum(c << i for i, c in enumerate(gf.irreducible))
+    exp = [1]
+    for _ in range(q - 2):
+        v = exp[-1] << 1
+        exp.append(v ^ modulus if v >= q else v)
+    log = {v: i for i, v in enumerate(exp)}
+    assert len(log) == q - 1
+    for a in range(q):
+        assert gf._add[a] == [a ^ b for b in range(q)]
+        want = [exp[(log[a] + log[b]) % (q - 1)] if a and b else 0 for b in range(q)]
+        assert gf._mul_table[a] == want
+
+
 def test_tables_of_a_non_primitive_modulus():
     # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x = 2 has order 5
     gf = make_field(2, 4, [1, 1, 1, 1, 1])

@@ -6,6 +6,8 @@ from collections import defaultdict
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforms.forms import (
     Form,
@@ -68,6 +70,16 @@ def greedy_left_inverse(gf, columns, dim, reverse):
     return inverse(gf, [list(row) for row in zip(*cols)])[: len(columns)]
 
 
+def padded(P, inv, dim):
+    """The w x dim left inverse that coordinate_map's (P, V[P, :]^-1)
+    describes: the columns of the inverse at P, zero elsewhere."""
+    M = [[0] * dim for _ in inv]
+    for row, M_row in zip(inv, M):
+        for j, v in zip(P, row):
+            M_row[j] = v
+    return M
+
+
 def test_socle_sizes():
     arc5, ts5 = corpus_system(5, 3)
     assert ts5.socle[0] == (0, 1, 2)  # t = 1
@@ -96,7 +108,9 @@ def test_socle_is_greedy_and_coordinate_map_is_basis_inverse(q, p, h, k):
         assert soc == greedy_socle(arc, t), t
         V = [veronese(gf, arc.points[i], t) for i in soc]
         N = num_monomials(k, t)
-        M = coordinate_map(gf, V, N)
+        P, inv = coordinate_map(gf, V, N)
+        assert P == sorted(P) and len(P) == len(V)
+        M = padded(P, inv, N)
         assert M == greedy_left_inverse(gf, V, N, reverse=False), t
         assert mat_mul(gf, M, [list(r) for r in zip(*V)]) == identity(len(V))
 
@@ -123,12 +137,13 @@ def test_coordinate_map_tiebreaks_differ():
     gf = field(5)
     cols = [(1, 1, 0, 0), (0, 1, 1, 0)]
     # ascending completion adds e_0, e_3: last nonzero coordinates are 1, 2
-    assert coordinate_map(gf, cols, 4) == [[0, 1, 4, 0], [0, 0, 1, 0]]
+    assert coordinate_map(gf, cols, 4) == ([1, 2], [[1, 4], [0, 1]])
+    assert padded(*coordinate_map(gf, cols, 4), 4) == [[0, 1, 4, 0], [0, 0, 1, 0]]
     # a descending completion gives another left inverse, so the check that
     # F is unique modulo block-vanishing terms compares distinct builds
     arc = Arc(gf, 3, corpus_arc(5, 3).points[:5])  # t = 2
     V = [veronese(gf, arc.points[i], 2) for i in socle_of(arc)[0]]
-    assert coordinate_map(gf, V, 6) != greedy_left_inverse(gf, V, 6, reverse=True)
+    assert padded(*coordinate_map(gf, V, 6), 6) != greedy_left_inverse(gf, V, 6, reverse=True)
 
 
 def test_coordinate_map_rejects_dependent_columns():
@@ -152,9 +167,9 @@ def test_coordinate_map_reduces_once(q, p, h, k, rref_widths, monkeypatch):
     N = num_monomials(k, arc.t)
     monkeypatch.setattr(linalg, "inverse", None)
     rref_widths.clear()
-    M = coordinate_map(arc.gf, V, N)
+    P, inv = coordinate_map(arc.gf, V, N)
     assert rref_widths == [N + len(V)]
-    assert M == greedy_left_inverse(arc.gf, V, N, reverse=False)
+    assert padded(P, inv, N) == greedy_left_inverse(arc.gf, V, N, reverse=False)
 
 
 # SHA-256 of json.dumps(F.to_json(gf)), recorded before the basis
@@ -172,6 +187,89 @@ def test_tensor_form_bytes_are_stable(q, k):
     F = build_tensor_form(arc, ts)
     blob = json.dumps(F.to_json(arc.gf)).encode()
     assert hashlib.sha256(blob).hexdigest() == ARTIFACT_SHA256[q, k]
+
+
+# -- the support block -------------------------------------------------------
+
+
+def dense_contraction(gf, core, M, blocks):
+    """The w^blocks core, row-major, with every mode contracted by the
+    w x N matrix M: a dense row-major list of N^blocks entries."""
+    w, N = len(M), len(M[0])
+    data = {J: v for J, v in zip(itertools.product(range(w), repeat=blocks), core) if v}
+    for mode in range(blocks):
+        out = defaultdict(int)
+        for J, v in data.items():
+            for j, m in enumerate(M[J[mode]]):
+                if m:
+                    K = J[:mode] + (j,) + J[mode + 1 :]
+                    out[K] = gf.add(out[K], gf.mul(v, m))
+        data = {J: v for J, v in out.items() if v}
+    return [data.get(J, 0) for J in itertools.product(range(N), repeat=blocks)]
+
+
+@pytest.mark.parametrize("arc", [corpus_arc(q, k) for q, p, h, k in CORPUS] + [glynn_arc()],
+                         ids=[f"q{q}-k{k}" for q, p, h, k in CORPUS] + ["glynn"])
+def test_built_form_is_core_contracted_by_greedy_inverse(arc):
+    # the built F keeps only its w^(k-1) block; its dense coefficients are
+    # those of the reference socle core contracted by the full w x N
+    # reference left inverse
+    gf, t, blocks = arc.gf, arc.t, arc.k - 1
+    ts = build_tangent_system(arc)
+    soc = greedy_socle(arc, t)
+    V = [veronese(gf, arc.points[i], t) for i in soc]
+    M = greedy_left_inverse(gf, V, num_monomials(arc.k, t), reverse=False)
+    core = [g_value(ts, a) for a in itertools.product(soc, repeat=blocks)]
+    F = build_tensor_form(arc, ts)
+    assert len(F.block) == len(soc) ** blocks
+    assert list(F.coeffs) == dense_contraction(gf, core, M, blocks)
+
+
+@st.composite
+def partial_forms(draw):
+    """(q, a form on a random support, its dense coefficients, points, and
+    prefix exponents for shift_extract)."""
+    q = draw(st.sampled_from([4, 5, 7]))
+    k, blocks, t = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    N = num_monomials(k, t)
+    support = sorted(draw(st.sets(st.integers(0, N - 1), min_size=1)))
+    size = len(support) ** blocks
+    block = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    dense = [0] * N**blocks
+    for J, v in zip(itertools.product(support, repeat=blocks), block):
+        dense[sum(j * N ** (blocks - 1 - m) for m, j in enumerate(J))] = v
+    coordinate = st.integers(0, q - 1)
+    points = draw(st.lists(st.tuples(*[coordinate] * k), min_size=1, max_size=3))
+    prefix_monomials = [m for d in range(t + 1) for m in monomial_basis(k, d)]
+    exponents = [draw(st.sampled_from(prefix_monomials)) for _ in range(blocks - 1)]
+    return q, MultiForm(k, blocks, t, tuple(block), tuple(support)), dense, points, exponents
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_forms())
+def test_partial_support_matches_dense_twin(case):
+    q, mf, dense, points, exponents = case
+    gf = field(q)
+    twin = MultiForm(mf.k, mf.blocks, mf.t, tuple(dense))
+    assert mf.coeffs == tuple(dense) and mf == twin
+    table = evaluation_table(gf, mf, points)
+    assert table == evaluation_table(gf, twin, points)
+    for tup, value in zip(itertools.product(points, repeat=mf.blocks), table):
+        assert evaluate(gf, mf, list(tup)) == value == direct_value(gf, twin, tup)[0]
+    for prefix in itertools.product(points, repeat=mf.blocks - 1):
+        assert partial_evaluate(gf, mf, list(prefix)) == partial_evaluate(gf, twin, list(prefix))
+    assert shift_extract(gf, mf, exponents) == shift_extract(gf, twin, exponents)
+    elements = [gf.element_to_json(a) for a in gf.elements()]
+    want = {"k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [elements[c] for c in dense]}
+    assert json.dumps(mf.to_json(gf)) == json.dumps(twin.to_json(gf)) == json.dumps(want)
+
+
+def test_support_must_be_sorted_distinct_and_in_range():
+    for support in [(), (2, 1), (1, 1), (0, 3)]:  # N = 3 for k = 3, t = 1
+        with pytest.raises(ValueError):
+            MultiForm(3, 1, 1, (0,) * len(support), support)
+    with pytest.raises(ValueError):
+        MultiForm(3, 2, 1, (0,) * 3, (0, 2))  # 2^2 entries needed
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)

@@ -42,6 +42,24 @@ def test_writer_matches_json_dumps(tmp_path, obj):
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
 
 
+# a slice whose items all have one text goes out as that text repeated
+UNIFORM_CASES = {
+    "zeros-across-slices": (0,) * (2 * WRITE_SLICE + 3),
+    # 28^3 = 21,952 entries, each the one element list of GF(4)'s zero
+    "shared-gf4-zero-across-slices": MultiForm(3, 3, 6, (0,) * 8, (3, 17)).to_json(make_field(2, 2))["coeffs"],
+    "one-true-1-and-1.0-slice": [1] * 100 + [True] + [1] * 100 + [1.0] + [1] * 100,
+    "uniform-then-mixed": [0] * WRITE_SLICE + [0, False, 0.0, 0, -0.0, 0] * 10,
+    "uniform-bools-then-ints": [True] * WRITE_SLICE + [1] * WRITE_SLICE,
+}
+
+
+@pytest.mark.parametrize("obj", UNIFORM_CASES.values(), ids=UNIFORM_CASES)
+def test_uniform_slices_match_json_dumps(tmp_path, obj):
+    path = tmp_path / "obj.json"
+    _write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+
+
 def test_writer_rejects_what_json_rejects(tmp_path):
     for bad in ({(1, 2): 0}, [object()], {1, 2}):
         with pytest.raises(TypeError):
