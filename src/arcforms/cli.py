@@ -48,6 +48,14 @@ def _factor_prime_power(q: int):
     raise ValueError(f"q = {q} is not a prime power")
 
 
+def _parse_json(text: str):
+    """json.loads, with too deep a nesting a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _new_arc(args) -> Arc:
     p, h = _factor_prime_power(args.q)
     gf = make_field(p, h)
@@ -64,7 +72,7 @@ def _new_arc(args) -> Arc:
     if not args.points:
         raise ValueError("--type custom requires --points FILE")
     with open(args.points, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _parse_json(fh.read())
     pts = data["points"] if isinstance(data, dict) else data
     arc = Arc.from_json({"field": gf.to_json(), "k": args.k, "points": pts})
     geometry.check_arc(arc)
@@ -73,7 +81,14 @@ def _new_arc(args) -> Arc:
 
 def _load_arc(path: str) -> Arc:
     with open(path, encoding="utf-8") as fh:
-        return Arc.from_json(json.load(fh))
+        return Arc.from_json(_parse_json(fh.read()))
+
+
+class Runs:
+    """A JSON list as (item, count) pairs, for _json_texts to write unbuilt."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
 
 
 def _json_texts(obj, level: int):
@@ -84,8 +99,8 @@ def _json_texts(obj, level: int):
     of WRITE_SLICE items per piece, and each distinct item of a slice is
     rendered once: keyed by value when the slice holds only ints (field
     elements over GF(p)), else by identity (such as the shared element
-    lists of MultiForm.to_json over GF(p^h)).  A slice with one key, such
-    as a run of zeros in a dense tensor, is its one text repeated.
+    lists of MultiForm.to_json over GF(p^h)).  Runs go out run by run, at
+    most WRITE_SLICE items a piece, each distinct item rendered once.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
@@ -100,17 +115,26 @@ def _json_texts(obj, level: int):
         for start in range(0, len(obj), WRITE_SLICE):
             part = obj[start : start + WRITE_SLICE]
             keys = part if set(map(type, part)) == {int} else list(map(id, part))
-            opener = "," if start else "["
-            if keys.count(keys[0]) == len(keys):
-                text = pad + "".join(_json_texts(part[0], level + 1))
-                yield opener + text + ("," + text) * (len(part) - 1)
-                continue
             texts = {
                 key: pad + "".join(_json_texts(item, level + 1))
                 for key, item in dict(zip(keys, part)).items()
             }
-            yield opener + ",".join(map(texts.__getitem__, keys))
+            yield ("," if start else "[") + ",".join(map(texts.__getitem__, keys))
         yield "\n" + "  " * level + "]"
+    elif isinstance(obj, Runs):
+        texts, piece, size = {}, ["["], 0
+        for item, count in obj.pairs:
+            key = item if type(item) is int else (id(item),)
+            if key not in texts:  # kept with its text, so the id stays its own
+                texts[key] = item, pad + "".join(_json_texts(item, level + 1)) + ","
+            text = texts[key][1]
+            while size + count > WRITE_SLICE:  # top the piece up and write it
+                yield "".join(piece) + text * (WRITE_SLICE - size)
+                piece, size, count = [], 0, count - (WRITE_SLICE - size)
+            piece.append(text * count)
+            size += count
+        # the last piece holds the last item: drop its comma
+        yield "".join(piece)[:-1] + "\n" + "  " * level + "]" if size else "[]"
     else:
         yield json.dumps(obj)
 
@@ -235,7 +259,7 @@ def cmd_tangents_lemma(pipeline, args, report):
 def cmd_tensor_build(pipeline, args, report):
     arc = pipeline.arc
     tensorform.check_signed_evaluations(arc, pipeline.ts, pipeline.F, report)
-    return pipeline.F.to_json(arc.gf)
+    return pipeline.F.to_json(arc.gf, runs=Runs)
 
 
 def cmd_tensor_verify(pipeline, args, report):
@@ -251,7 +275,7 @@ def cmd_tensor_verify(pipeline, args, report):
 
 def cmd_tensor_extract(pipeline, args, report):
     arc = pipeline.arc
-    exponents = json.loads(args.exponents)
+    exponents = _parse_json(args.exponents)
     extracted = tensorform.shift_extract(arc.gf, pipeline.F, exponents)
     report.inputs["exponents"] = exponents
     if not _on_hypersurface(pipeline, report, "vanishing of extracted forms is not asserted"):

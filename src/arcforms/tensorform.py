@@ -9,18 +9,18 @@ tensor F, and contracted by C they give F's values on all arc tuples.  M
 is zero off the w pivot coordinates P of that matrix (coordinate_map
 returns P and M's w x w block there), so F is stored as its w^(k-1)
 block on P^(k-1), and evaluations read Veronese vectors at P only.  The
-N^(k-1) dense tensor is expanded only on demand (MultiForm.coeffs,
-to_json).  F agrees with g at every tuple of arc points, is degree t in
-each of its k-1 blocks of k variables, and its partial evaluations at
-(k-2)-tuples of arc points reproduce the scaled tangent forms up to forms
-vanishing on the arc.
+N^(k-1) dense tensor is expanded only for MultiForm.coeffs, == and
+to_json; `tensor build -o` writes the block's runs.  F agrees with g at
+every tuple of arc points, is degree t in each of its k-1 blocks of k
+variables, and its partial evaluations at (k-2)-tuples of arc points
+reproduce the scaled tangent forms up to forms vanishing on the arc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, islice, permutations, product
+from itertools import chain, combinations, compress, islice, permutations, product, repeat, starmap
 from math import comb, prod
 from operator import ne
 
@@ -65,17 +65,21 @@ class MultiForm:
     def dense(self, table=None) -> list | tuple:
         """The dense row-major coefficients, each entry mapped through
         table when one is given; zero (table[0]) off support^blocks."""
-        block = self.block if table is None else list(map(table.__getitem__, self.block))
-        N, support = self.mode_dim, self.support
-        if len(support) == N:
-            return block
-        offsets = [0]
-        for _ in range(self.blocks):
-            offsets = [o * N + j for o in offsets for j in support]
-        out = [0 if table is None else table[0]] * N**self.blocks
-        for off, v in zip(offsets, block):
-            out[off] = v
-        return out
+        if len(self.support) == self.mode_dim:
+            return self.block if table is None else list(map(table.__getitem__, self.block))
+        return list(chain.from_iterable(starmap(repeat, self.runs(table))))
+
+    def runs(self, table=None):
+        """dense(table) as (entry, count) runs, row-major, unbuilt: a run of
+        one per block entry, and a run of zeros per gap between them."""
+        zero, end, size = (0 if table is None else table[0]), 0, self.mode_dim**self.blocks
+        for off, v in zip(tuple_positions(self.mode_dim, self.support, range(self.blocks)), self.block):
+            if off > end:
+                yield zero, off - end
+            yield (v if table is None else table[v]), 1
+            end = off + 1
+        if end < size:
+            yield zero, size - end
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -86,11 +90,13 @@ class MultiForm:
             return NotImplemented
         return (self.k, self.blocks, self.t, self.coeffs) == (other.k, other.blocks, other.t, other.coeffs)
 
-    def to_json(self, gf: GF) -> dict:
-        """The dense coefficients as element_to_json gives them: over GF(p)
-        the ints themselves, else one shared element list per field element."""
+    def to_json(self, gf: GF, runs=None) -> dict:
+        """The dense coefficients as element_to_json gives them (over GF(p) the
+        ints, else one shared list per element); given a wrapper `runs` such
+        as cli.Runs, runs(self.runs(table)) instead."""
         table = [gf.element_to_json(a) for a in gf.elements()] if gf.h > 1 else None
-        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": self.dense(table)}
+        coeffs = self.dense(table) if runs is None else runs(self.runs(table))
+        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, gf: GF, obj) -> "MultiForm":

@@ -47,6 +47,24 @@ def test_arc_verify_fails_on_corrupt_data(tmp_path, capsys):
     assert rep["checks"][0]["witnesses"]
 
 
+@pytest.mark.parametrize("site", ["arc-file", "points-file", "exponents"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, site):
+    # json's parser raises RecursionError on such input; it is an input error
+    deep, arc_path = tmp_path / "deep.json", tmp_path / "arc.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert main(["arc", "new", "--type", "nrc", "--q", "5", "--k", "3", "-o", str(arc_path)]) == 0
+    capsys.readouterr()
+    argv = {
+        "arc-file": ["arc", "verify", str(deep)],
+        "points-file": ["arc", "new", "--type", "custom", "--q", "5", "--k", "3",
+                        "--points", str(deep), "-o", str(tmp_path / "custom.json")],
+        "exponents": ["tensor", "extract", str(arc_path), "--exponents", "[" * 100000],
+    }[site]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["arc", "new", "--type", "nrc", "--q", "6", "--k", "3", "-o", str(tmp_path / "x.json")]) == 2
     assert main(["arc", "verify", str(tmp_path / "missing.json")]) == 2

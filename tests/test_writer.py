@@ -2,19 +2,25 @@
 written one list slice at a time."""
 
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcforms import cli
-from arcforms.cli import WRITE_SLICE, _write_json, main
+from arcforms.cli import WRITE_SLICE, Runs, _write_json, main
 from arcforms.field import GF, make_field
-from arcforms.geometry import normal_rational_curve, project
+from arcforms.forms import num_monomials
+from arcforms.geometry import Arc, normal_rational_curve, project
 from arcforms.sbbt import build_sbbt
 from arcforms.tangents import build_tangent_system
 from arcforms.tensorform import MultiForm, build_tensor_form
+from conftest import field
 
 EDGE_CASES = {
     "empty": [[], {}, (), [[], {}, ()], {"a": [], "b": {}, "c": ()}],
@@ -77,7 +83,7 @@ def _arc_file(tmp_path, capsys, q, k):
     """The arc file `arc new --type nrc` writes, and its bytes checked.
 
     For q = 257 the file is written here instead: `arc new` sweeps all
-    C(258, 3) triples for its is-arc check, which takes most of a minute;
+    C(258, 3) triples for its is-arc check, which takes about 5 s;
     `arc project` covers the arc artifact over that field."""
     p, h = cli._factor_prime_power(q)
     arc = normal_rational_curve(make_field(p, h), k)
@@ -155,3 +161,103 @@ def test_tensor_artifact_renders_each_element_once(tmp_path, capsys, monkeypatch
     assert main(["tensor", "build", arc_path, "-o", str(tmp_path / "F.json")]) == 0
     F = json.loads((tmp_path / "F.json").read_text())
     assert len(F["coeffs"]) > q and len(calls) <= q
+
+
+def _expanded(pairs):
+    return [item for item, count in pairs for _ in range(count)]
+
+
+RUNS_CASES = {
+    "empty": [],
+    "one-run-across-slices": [(0, 2 * WRITE_SLICE + 3)],
+    "runs-ending-on-slice-edges": [(7, WRITE_SLICE - 1), (0, 1), (300, WRITE_SLICE), (0, 2)],
+    "empty-runs": [(5, 0), (6, 1), (5, 0)],
+    "equal-values-of-other-types": [(1, 2), (True, 1), (1.0, 2), (1, WRITE_SLICE), (False, 3), (0, 1)],
+    "shared-lists": [([0, 1], 3), ([1, 0], WRITE_SLICE), ([0, 1], 1)],
+    "dicts": [({"a": [1, 2]}, 2), (None, 1)],
+}
+
+
+@pytest.mark.parametrize("pairs", RUNS_CASES.values(), ids=RUNS_CASES)
+def test_runs_match_json_dumps(tmp_path, pairs):
+    path = tmp_path / "obj.json"
+    for obj, want in [
+        (Runs(pairs), _expanded(pairs)),
+        ({"a": Runs(pairs), "b": [Runs(pairs)]}, {"a": _expanded(pairs), "b": [_expanded(pairs)]}),
+    ]:
+        _write_json(str(path), obj)
+        assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2) + "\n"
+
+
+def test_runs_of_fresh_items_are_keyed_while_alive(tmp_path):
+    # each list is made as its run is drawn; a dropped list's id could be
+    # reused by the next one, so the writer keeps what it has keyed
+    def pairs():
+        return (([i % 3, 1], 1 + i % 2) for i in range(30))
+
+    path = tmp_path / "obj.json"
+    _write_json(str(path), Runs(pairs()))
+    assert path.read_text(encoding="utf-8") == json.dumps(_expanded(pairs()), indent=2) + "\n"
+
+
+@st.composite
+def supported_forms(draw):
+    """(field, a form on a random support, its dense coefficients, a slice
+    length): supports of one position, touching both ends, or any sorted
+    set; entries often zero."""
+    gf = field(draw(st.sampled_from([4, 5, 7, 9])))
+    k, blocks, t = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    N = num_monomials(k, t)
+    support = draw(st.one_of(
+        st.sampled_from([[0], [N - 1], [0, N - 1], [N - 2]]),
+        st.sets(st.integers(0, N - 1), min_size=1).map(sorted),
+    ))
+    entry = st.one_of(st.just(0), st.integers(0, gf.q - 1))
+    size = len(support) ** blocks
+    block = draw(st.lists(entry, min_size=size, max_size=size))
+    dense = [0] * N**blocks
+    for J, v in zip(itertools.product(support, repeat=blocks), block):
+        dense[sum(j * N ** (blocks - 1 - m) for m, j in enumerate(J))] = v
+    mf = MultiForm(k, blocks, t, tuple(block), tuple(support))
+    return gf, mf, dense, draw(st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(supported_forms())
+def test_form_runs_match_dense_and_json_dumps(case):
+    gf, mf, dense, piece = case
+    table = [gf.element_to_json(a) for a in gf.elements()]
+    for tab in (None, table):
+        want = dense if tab is None else [tab[c] for c in dense]
+        runs = list(mf.runs(tab))
+        assert all(count > 0 for _, count in runs)
+        assert _expanded(runs) == list(mf.dense(tab)) == want
+    with mock.patch.object(cli, "WRITE_SLICE", piece):
+        text = "".join(cli._json_texts(mf.to_json(gf, runs=Runs), 0))
+    assert text == json.dumps({"k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": want}, indent=2)
+
+
+def test_tensor_build_writes_from_the_support_block(tmp_path, capsys, monkeypatch):
+    # 8 points of PG(3, 11): t = 6 and N = 84, so F has 84^3 = 592,704
+    # coefficients, of which only its 8^3 block entries can be nonzero
+    gf = make_field(11)
+    arc = Arc(gf, 4, normal_rational_curve(gf, 4).points[:8])
+    arc_path, out = tmp_path / "arc.json", tmp_path / "F.json"
+    arc_path.write_text(json.dumps(arc.to_json()), encoding="utf-8")
+    F = build_tensor_form(arc, build_tangent_system(arc))
+    assert arc.t == 6 and len(F.support) == 8
+    want = json.dumps(F.to_json(gf), indent=2) + "\n"
+
+    def never(self, table=None):
+        raise AssertionError("the dense tensor was expanded")
+
+    monkeypatch.setattr(MultiForm, "dense", never)
+    tracemalloc.start()
+    try:
+        assert main(["tensor", "build", str(arc_path), "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1 << 20, peak
+    assert hashlib.sha256(out.read_bytes()).digest() == hashlib.sha256(want.encode()).digest()
