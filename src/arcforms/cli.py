@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from functools import cache, cached_property
-from itertools import product
+from itertools import product, repeat
 
 from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
 from .field import is_prime, make_field
@@ -94,13 +94,12 @@ class Runs:
 def _json_texts(obj, level: int):
     """Yield json.dumps(obj, indent=2) in pieces, obj nested `level` deep.
 
-    Dicts and lists are laid out here with json's separators; scalars and
-    empty containers are json.dumps's own text.  A list goes out one slice
-    of WRITE_SLICE items per piece, and each distinct item of a slice is
-    rendered once: keyed by value when the slice holds only ints (field
-    elements over GF(p)), else by identity (such as the shared element
-    lists of MultiForm.to_json over GF(p^h)).  Runs go out run by run, at
-    most WRITE_SLICE items a piece, each distinct item rendered once.
+    Dicts, lists and Runs are laid out here with json's separators;
+    scalars and empty dicts are json.dumps's own text.  A list is the runs
+    of its items, one each, and runs go out at most WRITE_SLICE items a
+    piece, each distinct item rendered once a piece: keyed by value if an
+    int (a field element over GF(p)), else by identity (such as the shared
+    element lists of MultiForm.to_json over GF(p^h)).
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
@@ -111,26 +110,16 @@ def _json_texts(obj, level: int):
             yield from _json_texts(value, level + 1)
             opener = ","
         yield "\n" + "  " * level + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        for start in range(0, len(obj), WRITE_SLICE):
-            part = obj[start : start + WRITE_SLICE]
-            keys = part if set(map(type, part)) == {int} else list(map(id, part))
-            texts = {
-                key: pad + "".join(_json_texts(item, level + 1))
-                for key, item in dict(zip(keys, part)).items()
-            }
-            yield ("," if start else "[") + ",".join(map(texts.__getitem__, keys))
-        yield "\n" + "  " * level + "]"
-    elif isinstance(obj, Runs):
+    elif isinstance(obj, (list, tuple, Runs)):
         texts, piece, size = {}, ["["], 0
-        for item, count in obj.pairs:
+        for item, count in obj.pairs if isinstance(obj, Runs) else zip(obj, repeat(1)):
             key = item if type(item) is int else (id(item),)
             if key not in texts:  # kept with its text, so the id stays its own
                 texts[key] = item, pad + "".join(_json_texts(item, level + 1)) + ","
             text = texts[key][1]
             while size + count > WRITE_SLICE:  # top the piece up and write it
                 yield "".join(piece) + text * (WRITE_SLICE - size)
-                piece, size, count = [], 0, count - (WRITE_SLICE - size)
+                texts, piece, size, count = {}, [], 0, count - (WRITE_SLICE - size)
             piece.append(text * count)
             size += count
         # the last piece holds the last item: drop its comma

@@ -76,15 +76,33 @@ class Arc:
         return cls(gf, k, pts)
 
 
+IN_SPAN = object()  # the pencil key of a point in the span: it is on every member
+
+
+def pencil(gf: GF, k: int, span, points):
+    """The pencil through k-2 independent span points: (u, v, keys), {u, v}
+    the span's nullspace basis and keys[i] the member points[i] = x lies on,
+    by two dots: None for u, λ = -(v·x)/(u·x) for v + λu, and IN_SPAN if
+    u·x = v·x = 0."""
+    rk, basis = linalg.nullspace(gf, span, ncols=k)
+    if rk != k - 2:
+        raise ValueError("span points are linearly dependent")
+    u, v = basis
+    keys = []
+    for x in points:
+        a, b = linalg.dot(gf, u, x), linalg.dot(gf, v, x)
+        keys.append(gf.div(gf.neg(b), a) if a else None if b else IN_SPAN)
+    return u, v, keys
+
+
 def is_arc(gf: GF, k: int, points):
     """True iff no k of the points lie in a common hyperplane.
 
     Returns (ok, witness); the witness is the first offending k-tuple of
     indices in combinations order (a repeated projective point shows up
-    as a singular k-subset).  The sweep visits the k-subsets S + (a, b) in
-    that order, S a (k-2)-subset: S's minor forms are taken once, a signed
-    covector c of S + (a) is read off them once per a, and det(S + (a, b))
-    is c·x_b, the expansion along the last row.
+    as a singular k-subset).  The k-subsets are S + (a, b), S a (k-2)-subset
+    and a < b after it: S + (a, b) is singular iff S is dependent, or a or
+    b lies in S's span, or both lie on the same member of S's pencil.
     """
     for p in points:
         if len(p) != k:
@@ -94,14 +112,16 @@ def is_arc(gf: GF, k: int, points):
     if k < 2:  # a 1x1 minor is the point's one nonzero coordinate
         return True, None
     n = len(points)
-    for S in itertools.combinations(range(n), k - 2):
-        forms = linalg.minor_forms(gf, [points[i] for i in S])
-        signed = [[gf.neg(c) for c in L] if (k + j + 1) % 2 else L for j, L in enumerate(forms)]
-        for a in range(S[-1] + 1 if S else 0, n):
-            covector = [linalg.dot(gf, L, points[a]) for L in signed]
-            for b in range(a + 1, n):
-                if linalg.dot(gf, covector, points[b]) == 0:
-                    return False, S + (a, b)
+    for S in itertools.combinations(range(n - 2), k - 2):
+        start = S[-1] + 1 if S else 0
+        try:
+            keys = pencil(gf, k, [points[i] for i in S], points[start:])[2]
+        except ValueError:  # S is dependent: every S + (a, b) is singular
+            keys = [IN_SPAN] * (n - start)
+        if len({*keys, IN_SPAN}) <= len(keys):  # two keys equal, or one IN_SPAN
+            pairs = itertools.combinations(range(len(keys)), 2)
+            a, b = next((a, b) for a, b in pairs if len({keys[a], keys[b], IN_SPAN}) < 3)
+            return False, S + (start + a, start + b)
     return True, None
 
 
@@ -182,12 +202,8 @@ def mds_generator(arc: Arc):
 
 
 def mds_check(arc: Arc):
-    """All-maximal-minors-nonzero test of the generator matrix.
-
-    The minor on a column subset is the transpose of the matrix of those
-    points, so it has the same determinant, and is_arc's cofactor sweep
-    visits the subsets in combinations order: its result is this test's
-    result.
+    """All-maximal-minors-nonzero test of the generator matrix: the minor on
+    a column subset is the determinant of those points, so this is is_arc.
     Returns (ok, generator, witness) where the witness names the column
     subset of the first vanishing k x k minor, if any.
     """

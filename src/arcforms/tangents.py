@@ -19,7 +19,7 @@ from operator import ne
 
 from . import forms, linalg
 from .field import GF
-from .geometry import Arc, normalize
+from .geometry import IN_SPAN, Arc, normalize, pencil
 from .report import Report
 
 
@@ -79,30 +79,22 @@ def signed_table(arc: Arc, rows, power: int) -> list:
 
 def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
-    the rest of the arc.  With {u, v} a kernel basis of S's points, they are
-    the members of the pencil u, v + λu that no other arc point x lies on: x
-    lies on u if u·x = 0, else on the one with λ = -(v·x)/(u·x), and on all
-    of them if u·x = v·x = 0.  Raises TangentCountError if the count is off,
-    which signals corrupted arc data."""
+    the rest of the arc: the members of S's pencil (geometry.pencil) that no
+    other arc point lies on, none if one lies in S's span.  Raises
+    TangentCountError if the count is off, which signals corrupted arc data."""
     if arc.t < 1:
         raise ValueError("arc has t = 0; tangent machinery undefined")
     subset = tuple(sorted(subset))
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")
     gf = arc.gf
-    rk, basis = linalg.nullspace(gf, [arc.points[i] for i in subset], ncols=arc.k)
-    if rk != arc.k - 2:
-        raise ValueError("span points are linearly dependent")
-    u, v = basis
-    free = dict.fromkeys([None, *gf.elements()])  # u is keyed None, v + λu by λ
-    for x in (x for i, x in enumerate(arc.points) if i not in subset):
-        a, b = linalg.dot(gf, u, x), linalg.dot(gf, v, x)
-        if not (a or b):
-            free.clear()
-        free.pop(gf.div(gf.neg(b), a) if a else None, None)
+    others = [x for i, x in enumerate(arc.points) if i not in subset]
+    u, v, keys = pencil(gf, arc.k, [arc.points[i] for i in subset], others)
+    hit = set(keys)
     tangents = [
         normalize(gf, u if lam is None else [gf.add(vc, gf.mul(lam, uc)) for vc, uc in zip(v, u)])
-        for lam in free
+        for lam in (None, *gf.elements())  # u is keyed None, v + λu by λ
+        if lam not in hit and IN_SPAN not in hit
     ]
     if len(tangents) != arc.t:
         raise TangentCountError(

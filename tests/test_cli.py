@@ -339,10 +339,11 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
 
 def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
-    # the is_arc and G sweeps and build_sbbt's interpolation denominators
-    # read determinants off linalg.minor_forms, which expands minors
-    # itself, so linalg.det is never called, and phi is evaluated at minor
-    # coordinates only by the random-row symmetry check, twice per trial
+    # is_arc reads pencils off one nullspace per subset, and the G sweep
+    # and build_sbbt's interpolation denominators read determinants off
+    # linalg.minor_forms, which expands minors itself, so linalg.det is
+    # never called, and phi is evaluated at minor coordinates only by the
+    # random-row symmetry check, twice per trial
     arc_path = str(tmp_path / "tc7.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
     dets, evaluations, evaluate_G = [], [], sbbt.evaluate_G

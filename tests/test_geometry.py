@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +113,35 @@ def test_is_arc_matches_determinant_sweep(case):
     # (0, 1), the second's (0, 1, 2)) included
     q, k, points = case
     assert is_arc(field(q), k, points) == det_sweep(field(q), k, points)
+
+
+# With S = (0,), the points after it pick these members of S's pencil:
+# x or y, or IN_SPAN for a point in the span of point 0.
+PENCIL_CASES = {
+    # (0, 1, 4), not (0, 2, 3): the in-span point comes after a same-member pair
+    "in-span-after-a-pair": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (2, 0, 0)],
+    # keys x, y, y, x: (0, 1, 4), not the inner pair (0, 2, 3)
+    "nested-pairs": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)],
+    # keys x, y, x, y: (0, 1, 3)
+    "crossed-pairs": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("points", PENCIL_CASES.values(), ids=PENCIL_CASES)
+def test_is_arc_witness_on_hand_built_pencils(gf5, points):
+    assert is_arc(gf5, 3, points) == det_sweep(gf5, 3, points)
+    assert not is_arc(gf5, 3, points)[0]
+
+
+def test_is_arc_dot_count(monkeypatch):
+    # two dots per (k-2)-subset S and point after it: 2·n·C(n, k-2) at most
+    calls = []
+    dot = linalg.dot
+    monkeypatch.setattr(linalg, "dot", lambda *a: calls.append(1) or dot(*a))
+    for arc in [conic(make_field(31)), *(corpus_arc(q, k) for q, _, _, k in CORPUS)]:
+        calls.clear()
+        assert is_arc(arc.gf, arc.k, arc.points) == (True, None)
+        assert len(calls) <= 2 * arc.n * math.comb(arc.n, arc.k - 2), (arc.gf.q, arc.k)
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)

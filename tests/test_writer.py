@@ -80,22 +80,14 @@ ARTIFACT_ARCS = [(7, 4), (8, 4), (9, 3), (257, 3)]
 
 
 def _arc_file(tmp_path, capsys, q, k):
-    """The arc file `arc new --type nrc` writes, and its bytes checked.
-
-    For q = 257 the file is written here instead: `arc new` sweeps all
-    C(258, 3) triples for its is-arc check, which takes about 5 s;
-    `arc project` covers the arc artifact over that field."""
+    """The arc file `arc new --type nrc` writes, and its bytes checked."""
     p, h = cli._factor_prime_power(q)
     arc = normal_rational_curve(make_field(p, h), k)
     path = tmp_path / "arc.json"
-    want = json.dumps(arc.to_json(), indent=2) + "\n"
-    if q > 256:
-        path.write_text(want, encoding="utf-8")
-    else:
-        argv = ["arc", "new", "--type", "nrc", "--q", str(q), "--k", str(k), "-o", str(path)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert path.read_text(encoding="utf-8") == want
+    argv = ["arc", "new", "--type", "nrc", "--q", str(q), "--k", str(k), "-o", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert path.read_text(encoding="utf-8") == json.dumps(arc.to_json(), indent=2) + "\n"
     return arc, str(path)
 
 
@@ -198,6 +190,21 @@ def test_runs_of_fresh_items_are_keyed_while_alive(tmp_path):
     path = tmp_path / "obj.json"
     _write_json(str(path), Runs(pairs()))
     assert path.read_text(encoding="utf-8") == json.dumps(_expanded(pairs()), indent=2) + "\n"
+
+
+def test_fresh_items_are_dropped_with_their_piece(tmp_path):
+    # a list of fresh lists is keyed by identity, so each text keeps its
+    # item alive; the keys go when their piece is written, not at the end
+    obj = [[i % 3, 1] for i in range(5000)]
+    with mock.patch.object(cli, "WRITE_SLICE", 256):
+        tracemalloc.start()
+        try:
+            _write_json(str(tmp_path / "obj.json"), obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 19, peak
+    assert (tmp_path / "obj.json").read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
 
 
 @st.composite
