@@ -24,12 +24,6 @@ from .field import is_prime, make_field
 from .geometry import Arc
 from .report import Report
 
-# `phi --t` materialises a nullspace basis of at least (N - n)·N entries,
-# N = C(k+t-1, t), and refuses more than this many.  On a 2-vCPU x86 host
-# (Python 3.11) the q=7 twisted cubic took 10 s and 35 MiB at t = 12
-# (2.0·10^5 entries) and 22 s and 60 MiB at t = 14 (4.6·10^5).
-PHI_MAX_BASIS = 250_000
-
 # _write_json joins the texts of this many list items per write.
 WRITE_SLICE = 8192
 
@@ -212,9 +206,9 @@ def cmd_phi(pipeline, args, report):
     arc = pipeline.arc
     report.inputs["deg"] = args.t
     N = forms.num_monomials(arc.k, args.t)
-    if (N - arc.n) * N > PHI_MAX_BASIS:
+    if (N - arc.n) * N > forms.MAX_ENTRIES:
         raise ValueError(
-            f"phi --t {args.t}: (N - n)·N = {(N - arc.n) * N} basis entries > {PHI_MAX_BASIS}"
+            f"phi --t {args.t}: (N - n)·N = {(N - arc.n) * N} basis entries > {forms.MAX_ENTRIES}"
         )
     sub = forms.vanishing_subspace(arc.gf, arc.k, arc.points, args.t)
     chk = report.check("basis-vanishes-on-arc")

@@ -26,11 +26,11 @@ def normalize(gf: GF, vec):
 
 
 def projective_points(gf: GF, k: int):
-    """All (q^k - 1)/(q - 1) canonical representatives, deterministic order."""
-    for vec in itertools.product(gf.elements(), repeat=k):
-        lead = next((c for c in vec if c), None)
-        if lead == 1:
-            yield vec
+    """All (q^k - 1)/(q - 1) canonical representatives in lexicographic
+    order: the leading 1 from the last position to the first, any tail."""
+    for i in reversed(range(k)):
+        for tail in itertools.product(gf.elements(), repeat=k - 1 - i):
+            yield (0,) * i + (1,) + tail
 
 
 @dataclass(frozen=True)

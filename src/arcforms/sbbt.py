@@ -29,7 +29,7 @@ from operator import ne
 
 from . import forms, linalg
 from .field import GF
-from .geometry import Arc
+from .geometry import Arc, projective_points
 from .report import Report
 from .tangents import RANDOM_TRIALS, TangentSystem, signed_table, tuple_at
 
@@ -143,51 +143,43 @@ def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
     """Every hyperplane of the ambient space with its arc incidence count
     and the value of phi at its dual point, in projective_points order.
 
-    The canonical covectors are extended one coordinate at a time, every
-    prefix in lexicographic order: each step substitutes the signed dual
-    coordinate into what is left of phi, read from one power table of the
-    field, and adds the coordinate's term to every arc point's partial dot
-    product.  At the last coordinate x, a point's dot product s + x·p_last
-    vanishes for the one x = -s/p_last when p_last != 0, and for every x
-    or for none when p_last = 0.
+    A covector is a prefix, zero or a point of PG(k-2, q), and a last
+    coordinate x.  Once per head, the first k-2 coordinates that
+    consecutive prefixes share, phi's nonzero terms are multiplied out one
+    coordinate at a time from the signed powers (σ_j·y)^e and summed by
+    tail, and the arc points' dot products from the products y·p_j; the
+    prefix's last coordinate leaves phi a polynomial in x.  A dot product
+    s + x·p_last vanishes for the one x = -s/p_last when p_last != 0, and
+    for every x or for none when p_last = 0.
     """
-    gf, k, d = arc.gf, arc.k, sbbt.phi.t
-    powers = [[gf.pow(x, e) for e in range(d + 1)] for x in gf.elements()]
+    gf, k, d, add, mul = arc.gf, arc.k, sbbt.phi.t, arc.gf.add, arc.gf.mul
     sign = covector_to_dual_point(gf, (1,) * k)
-
-    def substitute(phi, j, x):
-        # phi maps the exponents of coordinates j, j+1, ... to a coefficient
-        power = powers[gf.mul(sign[j], x)]
-        rest = {}
-        for exp, c in phi.items():
-            v = gf.mul(c, power[exp[0]])
-            if v:
-                rest[exp[1:]] = gf.add(rest.get(exp[1:], 0), v)
-        return rest
-
-    def values(prefix):
-        # canonical representatives: the first nonzero coordinate is 1
-        return gf.elements() if any(prefix) else (1,) if len(prefix) == k - 1 else (0, 1)
-
-    basis = forms.monomial_basis(k, d)
-    level = [((), {e: c for e, c in zip(basis, sbbt.phi.coeffs) if c}, [0] * arc.n)]
-    for j in range(k - 1):
-        level = [
-            (
-                prefix + (x,),
-                substitute(phi, j, x),
-                [gf.add(s, gf.mul(x, p[j])) for s, p in zip(partial, arc.points)],
-            )
-            for prefix, phi, partial in level
-            for x in values(prefix)
-        ]
-    out = []
-    for prefix, phi, partial in level:
-        pairs = list(zip(partial, (p[-1] for p in arc.points)))
-        always = sum(1 for s, c in pairs if not (s or c))
-        roots = Counter(gf.div(gf.neg(s), c) for s, c in pairs if c)
-        for x in values(prefix):
-            value = substitute(phi, k - 1, x).get((), 0)
+    powers = [[[gf.pow(mul(s, y), e) for e in range(d + 1)] for y in gf.elements()] for s in sign]
+    times = [[[mul(y, p[j]) for p in arc.points] for y in gf.elements()] for j in range(k - 1)]
+    terms = [(c, e) for c, e in zip(sbbt.phi.coeffs, forms.monomial_basis(k, d)) if c]
+    exps = [[e[j] for _, e in terms] for j in range(k - 2)]
+    tail = [e[-2:] for _, e in terms]  # a term's exponents of the last two coordinates
+    lasts = [p[-1] for p in arc.points]
+    out, head = [], None
+    for prefix in [(0,) * (k - 1), *projective_points(gf, k - 1)]:
+        if prefix[:-1] != head:
+            head, values, shared = prefix[:-1], [c for c, _ in terms], [0] * arc.n
+            for j, y in enumerate(head):
+                values = list(map(mul, values, map(powers[j][y].__getitem__, exps[j])))
+                shared = list(map(add, shared, times[j][y]))
+            tails = dict.fromkeys(tail, 0)  # phi on the head, summed by tail
+            for t, v in zip(tail, values):
+                tails[t] = add(tails[t], v)
+        power, poly = powers[k - 2][prefix[-1]], {}  # poly[e]: the x^e coefficient
+        for (a, e), v in tails.items():
+            poly[e] = add(poly.get(e, 0), mul(v, power[a]))
+        dots = list(map(add, shared, times[k - 2][prefix[-1]]))
+        always = sum(1 for s, c in zip(dots, lasts) if not (s or c))
+        roots = Counter(gf.div(gf.neg(s), c) for s, c in zip(dots, lasts) if c)
+        for x in gf.elements() if any(prefix) else (1,):
+            value, power = 0, powers[k - 1][x]
+            for e, c in poly.items():
+                value = add(value, mul(c, power[e]))
             out.append((prefix + (x,), always + roots[x], value))
     return out
 

@@ -81,9 +81,13 @@ def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
     the rest of the arc: the members of S's pencil (geometry.pencil) that no
     other arc point lies on, none if one lies in S's span.  Raises
-    TangentCountError if the count is off, which signals corrupted arc data."""
+    TangentCountError if the count is off, which signals corrupted arc data,
+    and ValueError if f_S would have more than forms.MAX_ENTRIES entries."""
     if arc.t < 1:
         raise ValueError("arc has t = 0; tangent machinery undefined")
+    N = forms.num_monomials(arc.k, arc.t)
+    if N > forms.MAX_ENTRIES:
+        raise ValueError(f"t = {arc.t}: tangent forms of N = {N} coefficients > {forms.MAX_ENTRIES}")
     subset = tuple(sorted(subset))
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")

@@ -169,6 +169,32 @@ def test_arc_verify_over_a_large_prime_field(tmp_path, capsys):
     assert code == 0 and rep["passed"]
 
 
+def test_tangent_stages_refuse_oversized_forms(tmp_path, capsys):
+    # over GF(10^18 + 3) the 4-point set has t = q - 2: every stage that
+    # builds tangent forms refuses them before enumerating the field
+    path = str(tmp_path / "big.json")
+    Path(path).write_text(json.dumps({
+        "field": {"p": 10**18 + 3, "h": 1, "irreducible": [0, 1]},
+        "k": 3,
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    }))
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["tangents", "build", path, "-o", out],
+        ["tangents", "lemma-check", path],
+        ["tensor", "build", path, "-o", out],
+        ["tensor", "verify", path],
+        ["sbbt", "build", path, "-o", out],
+        ["sbbt", "verify", path],
+        ["suite", path],
+    ):
+        start = time.monotonic()
+        assert main(argv) == 2, argv
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t = ") and "coefficients > 250000" in err and err.count("\n") == 1, err
+
+
 def test_arc_project_and_mds(tmp_path, capsys):
     arc_path = str(tmp_path / "tc5.json")
     out_path = str(tmp_path / "proj.json")

@@ -33,10 +33,18 @@ def test_normalize(gf5):
         normalize(gf5, (0, 0, 0))
 
 
-def test_projective_point_count(gf4):
-    pts = list(projective_points(gf4, 3))
-    assert len(pts) == (4**3 - 1) // 3
-    assert len(set(pts)) == len(pts)
+def test_projective_point_count():
+    # the definition: every vector whose first nonzero coordinate is 1, in
+    # product order
+    for q in (4, 5, 9):
+        gf = field(q)
+        for k in range(1, 5):
+            pts = list(projective_points(gf, k))
+            assert len(pts) == (q**k - 1) // (q - 1)
+            assert pts == [
+                v for v in itertools.product(gf.elements(), repeat=k)
+                if next((c for c in v if c), None) == 1
+            ]
 
 
 def test_is_arc_vandermonde_plus_infinity():

@@ -268,6 +268,40 @@ def test_sbbt_json_roundtrip():
     assert SBBTForm.from_json(arc.gf, blob) == sb
 
 
+def _oracle_duals(arc, phi):
+    """Every hyperplane from projective_points, with its arc incidences by
+    linalg.dot and phi by forms.evaluate at its dual point."""
+    gf = arc.gf
+    return [
+        (
+            ell,
+            sum(1 for p in arc.points if linalg.dot(gf, ell, p) == 0),
+            eval_form(gf, phi, covector_to_dual_point(gf, ell)),
+        )
+        for ell in projective_points(gf, arc.k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q,k,d,kind",
+    [
+        (q, k, 1 + (q + k) % 4, ("sparse", "dense", "zero")[(q + 2 * k) % 3])
+        for q in (4, 5, 7, 8, 9)
+        for k in range(2, 6)
+    ],
+)
+def test_classify_hyperplanes_matches_oracle(q, k, d, kind):
+    # a shuffled subset of the NRC and a phi of degree d with about 30%,
+    # all or none of its coefficients nonzero
+    rng = random.Random(100 * q + 10 * k + d)
+    nrc = normal_rational_curve(field(q), k)
+    arc = Arc(nrc.gf, k, tuple(rng.sample(nrc.points, rng.randint(k, nrc.n))))
+    density = {"sparse": 0.3, "dense": 1, "zero": 0}[kind]
+    coeffs = [rng.randrange(1, q) if rng.random() < density else 0 for _ in monomial_basis(k, d)]
+    sb = SBBTForm(1, (), Form(k, d, tuple(coeffs)))
+    assert classify_hyperplanes(arc, sb) == _oracle_duals(arc, sb.phi)
+
+
 def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
     """verify_sbbt's checks recomputed from the definitions.
 
@@ -278,7 +312,7 @@ def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
     ([(name, total, failed, witnesses)], notes, hyperplanes).
     """
     gf, k, m = arc.gf, arc.k, sb.m
-    out, notes, duals = [], [], []
+    out, notes = [], []
 
     def check(name, results):
         bad = [w for ok, w in results if not ok]
@@ -303,10 +337,8 @@ def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
     check("residual-equals-tangent-form-power", results)
 
     tangent, secant, low = [], [], []
-    for ell in projective_points(gf, k):
-        on = sum(1 for p in arc.points if linalg.dot(gf, ell, p) == 0)
-        value = eval_form(gf, sb.phi, covector_to_dual_point(gf, ell))
-        duals.append((ell, on, value))
+    duals = _oracle_duals(arc, sb.phi)
+    for ell, on, value in duals:
         if on == k - 2:
             tangent.append((value == 0, {"dual": list(ell), "value": value}))
         elif on == k - 1:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -118,6 +119,17 @@ def test_tangent_hyperplanes_rejects_dependent_span(gf5):
     arc = Arc(gf5, 4, ((1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     with pytest.raises(ValueError, match="span points are linearly dependent"):
         tangent_hyperplanes(arc, (0, 1))
+
+
+def test_tangent_hyperplanes_refuses_oversized_forms():
+    # e1, e2, e3, (1, 1, 1) has t = q - 2: over GF(1009) a tangent form
+    # would have C(1009, 2) = 508,536 coefficients
+    gf = make_field(1009)
+    arc = Arc(gf, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="508536 coefficients > 250000"):
+        tangent_hyperplanes(arc, (0,))
+    assert time.monotonic() - start < 1
 
 
 def test_twisted_cubic_tangent_count():
