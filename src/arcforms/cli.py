@@ -148,6 +148,9 @@ class Pipeline:
 
     @cached_property
     def sb(self) -> sbbt_mod.SBBTForm:
+        # the build's own refusals first, then phi's, before anything is built
+        tangents.check_buildable(self.arc)
+        sbbt_mod.check_size(self.arc)
         return sbbt_mod.build_sbbt(self.arc, self.ts)
 
     @cached_property
@@ -328,13 +331,11 @@ def cmd_suite(pipeline, args, report):
         ok = quad is not None and forms.vanishes_on(arc.gf, quad, arc.points)
         report.check("quadric-through-arc").tally(ok, None)
 
-    m = 1 if arc.gf.p == 2 else 2
-    if arc.n >= m * arc.t + arc.k - 1:
+    _, size = sbbt_mod.interpolation_size(arc)
+    if arc.n >= size:
         sbbt_mod.verify_sbbt(arc, pipeline.ts, pipeline.sb, seed=args.seed, report=report)
     else:
-        report.notes.append(
-            f"arc too small for the dual form (needs {m * arc.t + arc.k - 1} points)"
-        )
+        report.notes.append(f"arc too small for the dual form (needs {size} points)")
 
 
 # -- parser ----------------------------------------------------------------

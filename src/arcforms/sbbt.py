@@ -70,6 +70,21 @@ class SBBTForm:
         return cls(obj["m"], tuple(obj["E"]), forms.form_from_json(gf, obj["phi"]))
 
 
+def interpolation_size(arc: Arc) -> tuple:
+    """(m, mt+k-1): phi interpolates the m-th powers of the tangent forms,
+    m = 1 for even q and 2 for odd q, over the first mt+k-1 arc points."""
+    m = 1 if arc.gf.p == 2 else 2
+    return m, m * arc.t + arc.k - 1
+
+
+def check_size(arc: Arc) -> tuple:
+    """interpolation_size(arc), or ValueError if the arc is smaller."""
+    m, size = interpolation_size(arc)
+    if arc.n < size:
+        raise ValueError(f"arc of size {arc.n} too small: interpolation needs mt+k-1 = {size}")
+    return m, size
+
+
 def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
     """Interpolate phi over the (k-1)-subsets of the leading arc points.
 
@@ -82,12 +97,7 @@ def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
     gf, k, t = arc.gf, arc.k, arc.t
     if t < 1:
         raise ValueError("arc has t = 0; no dual hypersurface")
-    m = 1 if gf.p == 2 else 2
-    size = m * t + k - 1
-    if arc.n < size:
-        raise ValueError(
-            f"arc of size {arc.n} too small: interpolation needs mt+k-1 = {size}"
-        )
+    m, size = check_size(arc)
     E = tuple(range(size))
     phi = forms.zero_form(k, m * t)
     for T in combinations(E, k - 1):

@@ -77,17 +77,33 @@ def signed_table(arc: Arc, rows, power: int) -> list:
     return [v for p in prefixes for v in signed[perm_parity(p)][rank.get(tuple(sorted(p)), -1)]]
 
 
+def _check_form_size(arc: Arc) -> None:
+    if arc.t < 1:
+        raise ValueError("arc has t = 0; tangent machinery undefined")
+    N = forms.num_monomials(arc.k, arc.t)
+    if N > forms.MAX_ENTRIES:
+        raise ValueError(f"t = {arc.t}: tangent forms of N = {N} coefficients > {forms.MAX_ENTRIES}")
+
+
+def check_buildable(arc: Arc) -> None:
+    """Raise the ValueError that build_tangent_system raises before its
+    first tangent form: t = 0, an arc too small for the scaling recursion,
+    or tangent forms of more than forms.MAX_ENTRIES coefficients."""
+    if arc.t >= 1 and arc.gf.q + 1 - arc.t < arc.k - 1:
+        raise ValueError(
+            f"arc too small for the scaling recursion: q+1-t = "
+            f"{arc.gf.q + 1 - arc.t} < k-1 = {arc.k - 1}"
+        )
+    _check_form_size(arc)
+
+
 def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
     the rest of the arc: the members of S's pencil (geometry.pencil) that no
     other arc point lies on, none if one lies in S's span.  Raises
     TangentCountError if the count is off, which signals corrupted arc data,
     and ValueError if f_S would have more than forms.MAX_ENTRIES entries."""
-    if arc.t < 1:
-        raise ValueError("arc has t = 0; tangent machinery undefined")
-    N = forms.num_monomials(arc.k, arc.t)
-    if N > forms.MAX_ENTRIES:
-        raise ValueError(f"t = {arc.t}: tangent forms of N = {N} coefficients > {forms.MAX_ENTRIES}")
+    _check_form_size(arc)
     subset = tuple(sorted(subset))
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")
@@ -217,13 +233,7 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
     rule only ever refers to forms already scaled; the base form is
     normalized to take value 1 at the anchor point.
     """
-    if arc.t < 1:
-        raise ValueError("arc has t = 0; tangent machinery undefined")
-    if arc.gf.q + 1 - arc.t < arc.k - 1:
-        raise ValueError(
-            f"arc too small for the scaling recursion: q+1-t = "
-            f"{arc.gf.q + 1 - arc.t} < k-1 = {arc.k - 1}"
-        )
+    check_buildable(arc)
     gf = arc.gf
     E = tuple(range(arc.k - 2))
     anchor = arc.k - 2

@@ -356,53 +356,54 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
     forms vanishing on the arc).
 
     Corrections supported in a leading block die under partial evaluation
-    at arc points, so only the last block matters: for each basis form of
-    the vanishing subspace, the residual coordinates over all (k-2)-subsets
-    must extend to a multihomogeneous form on the prefix blocks.  Returns
-    (found, corrected MultiForm or None).
+    at arc points, so only the last block matters: D = sum_b U_b (x) phi_b
+    over the vanishing forms phi_b, with U_b(x_S) the coordinate at phi_b of
+    S's residual for every (k-2)-subset S.  As nu(x_i) = V C[:, i] for
+    (soc, C) = ts.socle and V^T is onto, each U_b is solved for in socle
+    coordinates, then lifted by coordinate_map's V[P, :]^-1 as F is.
+    Returns (found, [(U_b, phi_b), ...] or None), checked on the factors.
     """
-    gf, t = arc.gf, arc.t
-    subsets = list(combinations(range(arc.n), arc.k - 2))
+    gf, t, blocks = arc.gf, arc.t, arc.k - 2
+    subsets = list(combinations(range(arc.n), blocks))
     residuals = [
-        forms.form_sub(gf, partial_evaluate(gf, F, [arc.points[i] for i in S]), ts.form(S)).coeffs
+        list(forms.form_sub(gf, partial_evaluate(gf, F, [arc.points[i] for i in S]), ts.form(S)).coeffs)
         for S in subsets
     ]
     phi = forms.vanishing_subspace(gf, arc.k, arc.points, t)
     if phi.dim == 0:
         exact = not any(map(any, residuals))
-        return exact, (F if exact else None)
+        return exact, ([] if exact else None)
 
     # the basis is in reduced echelon form: a residual in its span is its
     # coordinates at the basis pivots times the basis
     pivots = [next(j for j, v in enumerate(row) if v) for row in phi.basis]
     rcoords = [[res[p] for p in pivots] for res in residuals]
-    if linalg.mat_mul(gf, rcoords, phi.basis) != list(map(list, residuals)):
+    if linalg.mat_mul(gf, rcoords, phi.basis) != residuals:
         return False, None  # a residual is not in the vanishing subspace
 
-    # one elimination of [prefix rows | residual coordinates] solves
-    # prefix_rows · U_b = column b of rcoords for every basis form b
-    prefix_rows = []
+    # one elimination of [socle rows | residual coordinates] solves
+    # socle_rows · W_b = column b of rcoords for every basis form b
+    soc, C = ts.socle
+    columns, socle_rows = list(zip(*C)), []
     for S, coords in zip(subsets, rcoords):
-        row = [1]  # the Kronecker product of S's Veronese vectors
+        row = [1]  # the Kronecker product of the columns of C at S
         for i in S:
-            row = [gf.mul(a, b) for a in row for b in ts.point_vectors[i]]
-        prefix_rows.append(row + coords)
-    ncols = F.mode_dim ** (F.blocks - 1)
-    red, pivot_cols = linalg.rref(gf, prefix_rows)
-    if pivot_cols and pivot_cols[-1] >= ncols:
-        return False, None  # some U_b has no solution
-    UT = [[0] * phi.dim for _ in range(ncols)]  # row c: U_b[c] for every b
+            row = [gf.mul(a, b) for a in row for b in columns[i]]
+        socle_rows.append(row + coords)
+    width = len(soc) ** blocks
+    red, pivot_cols = linalg.rref(gf, socle_rows)
+    if pivot_cols and pivot_cols[-1] >= width:
+        return False, None  # some W_b has no solution
+    WT = [[0] * phi.dim for _ in range(width)]  # row c: W_b[c] for every b
     for row, c in zip(red, pivot_cols):
-        UT[c] = row[ncols:]
-
-    # D = sum_b U_b (x) phi_b, row-major: U^T times the basis
-    dcoeffs = [v for row in linalg.mat_mul(gf, UT, phi.basis) for v in row]
-    corrected = MultiForm(
-        F.k, F.blocks, F.t,
-        tuple(gf.sub(c, d) for c, d in zip(F.coeffs, dcoeffs)),
-    )
-    for S in subsets:
-        got = partial_evaluate(gf, corrected, [arc.points[i] for i in S])
-        if got != ts.form(S):
-            return False, None
-    return True, corrected
+        WT[c] = row[width:]
+    P, inv = coordinate_map(gf, [ts.point_vectors[i] for i in soc], F.mode_dim)
+    terms = [
+        (MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, W, inv, blocks)), P), f)
+        for W, f in zip(zip(*WT), phi.forms())
+    ]
+    tables = [evaluation_table(gf, U, arc.points) for U, _ in terms]
+    values = [[table[tuple_position(S, arc.n)] for table in tables] for S in subsets]
+    if linalg.mat_mul(gf, values, phi.basis) != residuals:
+        return False, None  # the lift does not give the residuals back
+    return True, terms

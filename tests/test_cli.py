@@ -12,6 +12,8 @@ from arcforms.cli import _factor_prime_power, build_parser, main
 from arcforms.field import make_field
 from arcforms.geometry import Arc, normal_rational_curve
 
+from conftest import glynn_arc
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -193,6 +195,38 @@ def test_tangent_stages_refuse_oversized_forms(tmp_path, capsys):
         assert time.monotonic() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("error: t = ") and "coefficients > 250000" in err and err.count("\n") == 1, err
+
+
+def test_sbbt_refuses_a_too_small_arc_before_the_tangent_system(tmp_path, capsys, monkeypatch):
+    # the frame of PG(2, 101) has t = 99, so phi needs mt+k-1 = 200 points:
+    # both subcommands refuse it without building the tangent system
+    path = str(tmp_path / "frame.json")
+    Path(path).write_text(json.dumps({
+        "field": {"p": 101, "h": 1, "irreducible": [0, 1]},
+        "k": 3,
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    }))
+    builds, build = [], tangents.build_tangent_system
+    monkeypatch.setattr(tangents, "build_tangent_system", lambda arc: builds.append(1) or build(arc))
+    for argv in (["sbbt", "build", path, "-o", str(tmp_path / "sb.json")], ["sbbt", "verify", path]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: arc of size 4 too small: interpolation needs mt+k-1 = 200\n"
+    assert builds == []
+
+
+@pytest.mark.parametrize("name", ["nrc", "glynn"])
+def test_search_exact_at_k5(tmp_path, capsys, name):
+    # beyond the paper: the NRC of PG(4, 9) and Glynn's arc (k = 5, t = 3,
+    # dim phi_3 = 25) both have an exact block-vanishing correction
+    arc = normal_rational_curve(make_field(3, 2), 5) if name == "nrc" else glynn_arc()
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps(arc.to_json()))
+    code, rep = run(capsys, "tensor", "verify", str(path), "--search-exact")
+    assert code == 0 and rep["passed"]
+    assert rep["notes"] == [
+        "a correction by block-vanishing terms making the partial evaluations "
+        "exactly equal the tangent forms exists"
+    ]
 
 
 def test_arc_project_and_mds(tmp_path, capsys):

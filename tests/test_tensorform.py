@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from collections import defaultdict
 from math import comb
 
@@ -19,7 +20,7 @@ from arcforms.forms import (
     vanishing_subspace,
     veronese,
 )
-from arcforms.geometry import Arc, normalize
+from arcforms.geometry import Arc, normal_rational_curve, normalize
 from arcforms import linalg, tensorform
 from arcforms.linalg import identity, inverse, mat_mul, rank
 from arcforms.tangents import (
@@ -663,16 +664,29 @@ def test_quadric_check_preconditions():
 # -- exact-correction search --------------------------------------------------
 
 
+def expand_correction(gf, F, terms):
+    """F - sum_b U_b (x) phi_b as a dense MultiForm: the corrected form that
+    search_exact_tangent_match returns as its factors (U_b, phi_b)."""
+    coeffs, N = list(F.coeffs), F.mode_dim
+    for U, f in terms:
+        for pos, u in enumerate(U.coeffs):
+            for j, c in enumerate(f.coeffs):
+                coeffs[pos * N + j] = gf.sub(coeffs[pos * N + j], gf.mul(u, c))
+    return MultiForm(F.k, F.blocks, F.t, tuple(coeffs))
+
+
 def test_search_exact_trivial_when_no_vanishing_forms():
     arc, ts, F = corpus_tensor(5, 3)
-    found, corrected = search_exact_tangent_match(arc, ts, F)
-    assert found and corrected == F  # t = 1: residuals are already zero
+    found, terms = search_exact_tangent_match(arc, ts, F)
+    assert (found, terms) == (True, [])  # t = 1: residuals are already zero
+    assert expand_correction(arc.gf, F, terms) == F
 
 
 def test_search_exact_twisted_cubic():
     arc, ts, F = corpus_tensor(7, 4)
-    found, corrected = search_exact_tangent_match(arc, ts, F)
+    found, terms = search_exact_tangent_match(arc, ts, F)
     assert found
+    corrected = expand_correction(arc.gf, F, terms)
     for S in itertools.combinations(range(arc.n), 2):
         got = partial_evaluate(arc.gf, corrected, [arc.points[i] for i in S])
         assert got == ts.form(S)
@@ -684,16 +698,59 @@ def test_search_exact_twisted_cubic():
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
 def test_search_exact_reduces_prefix_system_once(q, p, h, k, rref_widths):
-    # every basis form's correction comes off one elimination of
-    # [prefix rows | residual coordinates], N^(k-2) + dim phi_t wide; with
-    # no vanishing forms there is nothing to solve
+    # after the vanishing forms (width N), every basis form's correction
+    # comes off one elimination of [socle rows | residual coordinates],
+    # w^(k-2) + dim phi_t wide, and its lift off coordinate_map's one
+    # elimination, N + w wide; with no vanishing forms there is nothing to
+    # solve
     arc, ts, F = corpus_tensor(q, k)
-    N = F.mode_dim
-    dim = N - len(ts.socle[0])
+    N, w = F.mode_dim, len(ts.socle[0])
+    dim = N - w
     rref_widths.clear()
     found, _ = search_exact_tangent_match(arc, ts, F)
     assert found
-    assert [w for w in rref_widths if w != N] == ([N ** (k - 2) + dim] if dim else [])
+    assert rref_widths == [N] + ([w ** (k - 2) + dim, N + w] if dim else [])
+
+
+def test_search_exact_terms_on_glynn_arc():
+    # each U_b is evaluated here as its support block against the Kronecker
+    # product of the Veronese vectors at S, read at U_b's support: F - D
+    # then gives every tangent form exactly
+    arc = glynn_arc()
+    ts = build_tangent_system(arc)
+    F = build_tensor_form(arc, ts)
+    gf = arc.gf
+    found, terms = search_exact_tangent_match(arc, ts, F)
+    assert found and len(terms) == num_monomials(5, 3) - len(ts.socle[0]) == 25
+    support = terms[0][0].support
+    assert all(U.support == support for U, _ in terms)
+    for S in itertools.combinations(range(arc.n), 3):
+        kron = [1]
+        for i in S:
+            ver = veronese(gf, arc.points[i], 3)
+            kron = [gf.mul(a, ver[j]) for a in kron for j in support]
+        got = partial_evaluate(gf, F, [arc.points[i] for i in S]).coeffs
+        for U, f in terms:
+            u = linalg.dot(gf, U.block, kron)
+            got = [gf.sub(c, gf.mul(u, d)) for c, d in zip(got, f.coeffs)]
+        assert tuple(got) == ts.form(S).coeffs
+
+
+def test_search_exact_memory_at_k5():
+    # NRC of PG(4, 7): n = 8, t = 3, N = 35, w = 8.  The socle system is
+    # 56 x (8^3 + 27) and each U_b a 512-entry block; a system N^3 = 42,875
+    # wide or a dense N^4-entry corrected form would take tens of MiB
+    arc = normal_rational_curve(field(7), 5)
+    ts = build_tangent_system(arc)
+    F = build_tensor_form(arc, ts)
+    tracemalloc.start()
+    try:
+        found, terms = search_exact_tangent_match(arc, ts, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found and len(terms) == 27
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("q", [5, 7, 8])
@@ -714,7 +771,8 @@ def test_search_exact_stops_when_the_prefix_system_is_inconsistent(rref_widths, 
     # pair lies in the span of the others; shifting that pair's tangent form
     # by a vanishing form keeps every residual in the span of phi but leaves
     # the prefix system without a solution, so the search returns after its
-    # one elimination and never evaluates a corrected F
+    # one elimination, in the socle coordinates of the shifted system (which
+    # takes its own socle), and never lifts a solution
     arc, ts, F = corpus_tensor(8, 4)
     last = (arc.n - 2, arc.n - 1)
     fS = dict(ts.fS)
@@ -724,8 +782,8 @@ def test_search_exact_stops_when_the_prefix_system_is_inconsistent(rref_widths, 
     monkeypatch.setattr(tensorform, "partial_evaluate", lambda *a: evaluations.append(1) or evaluate(*a))
     rref_widths.clear()
     assert search_exact_tangent_match(arc, shifted, F) == (False, None)
-    N = F.mode_dim
-    assert rref_widths == [N, N**2 + N - len(ts.socle[0])]
+    N, w = F.mode_dim, len(ts.socle[0])
+    assert rref_widths == [N, arc.n, w**2 + N - w]
     assert len(evaluations) == comb(arc.n, 2)  # the residuals only
 
 
