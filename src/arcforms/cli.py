@@ -205,14 +205,18 @@ def cmd_arc_mds(pipeline, args, report):
     report.result = {"generator": [[arc.gf.element_to_json(c) for c in row] for row in gen]}
 
 
+def _check_vanishing_basis_size(arc: Arc, t: int, what: str) -> None:
+    """Refuse, before building it, a basis of the degree-t forms vanishing
+    on the arc with more than forms.MAX_ENTRIES entries, (N - n)·N."""
+    N = forms.num_monomials(arc.k, t)
+    if (N - arc.n) * N > forms.MAX_ENTRIES:
+        raise ValueError(f"{what}: (N - n)·N = {(N - arc.n) * N} basis entries > {forms.MAX_ENTRIES}")
+
+
 def cmd_phi(pipeline, args, report):
     arc = pipeline.arc
     report.inputs["deg"] = args.t
-    N = forms.num_monomials(arc.k, args.t)
-    if (N - arc.n) * N > forms.MAX_ENTRIES:
-        raise ValueError(
-            f"phi --t {args.t}: (N - n)·N = {(N - arc.n) * N} basis entries > {forms.MAX_ENTRIES}"
-        )
+    _check_vanishing_basis_size(arc, args.t, f"phi --t {args.t}")
     sub = forms.vanishing_subspace(arc.gf, arc.k, arc.points, args.t)
     chk = report.check("basis-vanishes-on-arc")
     for f in sub.forms():
@@ -249,7 +253,10 @@ def cmd_tensor_build(pipeline, args, report):
 
 
 def cmd_tensor_verify(pipeline, args, report):
-    arc, ts, F = pipeline.arc, pipeline.ts, pipeline.F
+    arc = pipeline.arc
+    if args.search_exact:  # refused before the tangent system is built
+        _check_vanishing_basis_size(arc, arc.t, "tensor verify --search-exact")
+    ts, F = pipeline.ts, pipeline.F
     tensorform.verify_tensor_form(arc, ts, F, report)
     if args.search_exact:
         found, _ = tensorform.search_exact_tangent_match(arc, ts, F)
@@ -290,13 +297,14 @@ def cmd_sbbt_build(pipeline, args, report):
 def cmd_sbbt_verify(pipeline, args, report):
     arc, sb = pipeline.arc, pipeline.sb
     report.inputs["m"] = sb.m
-    sbbt_mod.verify_sbbt(arc, pipeline.ts, sb, seed=args.seed, report=report)
+    hyperplanes = sbbt_mod.classify_hyperplanes(arc, sb) if args.dump_duals else None
+    sbbt_mod.verify_sbbt(arc, pipeline.ts, sb, seed=args.seed, report=report, hyperplanes=hyperplanes)
     if args.dump_duals:
         gf = arc.gf
         report.result = {"duals": [
             {"dual": [gf.element_to_json(c) for c in ell], "arc_points_on": on,
              "phi_value": gf.element_to_json(v)}
-            for ell, on, v in sbbt_mod.classify_hyperplanes(arc, sb)
+            for ell, on, v in hyperplanes
         ]}
 
 

@@ -9,6 +9,8 @@ shared freely between threads and passed explicitly to every operation.
 
 from __future__ import annotations
 
+import operator
+
 
 class NotPrimeError(ValueError):
     """Raised when the requested characteristic is composite."""
@@ -80,7 +82,10 @@ class GF:
     modulus's shape; for h > 1 the tables it builds for the arithmetic also
     decide whether the modulus is irreducible.
     Arithmetic methods take and return plain ints; operands are assumed to
-    be already reduced (use :meth:`check` at trust boundaries).
+    be already reduced (use :meth:`check` at trust boundaries).  The
+    vector kernels dot and add_scaled branch on the field kind as add and
+    mul do; no bound method is stored on the instance, so a GF is never a
+    reference cycle and its tables are freed with its last reference.
     """
 
     def __init__(self, p: int, h: int, irreducible):
@@ -170,6 +175,32 @@ class GF:
         if self.h == 1:
             return a * b % self.p
         return self._mul_table[a][b]
+
+    def dot(self, u, v) -> int:
+        """Σ u_i·v_i: over GF(p) one int sum reduced once, over GF(2^h) an
+        XOR of mul-table reads, else the add and mul tables term by term."""
+        if self.h == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        mul, acc = self._mul_table, 0
+        if self.p == 2:
+            for a, b in zip(u, v):
+                acc ^= mul[a][b]
+            return acc
+        add = self._add
+        for a, b in zip(u, v):
+            acc = add[acc][mul[a][b]]
+        return acc
+
+    def add_scaled(self, x, c: int, y) -> list:
+        """The new list x + c·y; x and y are left as they are."""
+        if self.h == 1:
+            p = self.p
+            return [(a + c * b) % p for a, b in zip(x, y)]
+        row = self._mul_table[c]
+        if self.p == 2:
+            return [a ^ row[b] for a, b in zip(x, y)]
+        add = self._add
+        return [add[a][row[b]] for a, b in zip(x, y)]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -12,11 +12,7 @@ from .field import GF
 
 
 def dot(gf: GF, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = gf.add(acc, gf.mul(a, b))
-    return acc
+    return gf.dot(u, v)
 
 
 def mat_vec(gf: GF, rows, v):
@@ -100,8 +96,7 @@ def rref(gf: GF, rows):
         m[top] = [gf.mul(inv_p, x) for x in m[top]]
         for r in range(len(m)):
             if r != top and m[r][col]:
-                f = m[r][col]
-                m[r] = [gf.sub(x, gf.mul(f, y)) for x, y in zip(m[r], m[top])]
+                m[r] = gf.add_scaled(m[r], gf.neg(m[r][col]), m[top])
         pivots.append(col)
         top += 1
         if top == len(m):

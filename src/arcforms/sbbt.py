@@ -143,9 +143,7 @@ def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     out = [0] * len(sbbt.phi.coeffs)
     for c, exp in zip(sbbt.phi.coeffs, forms.monomial_basis(k, sbbt.phi.t)):
         if c:
-            for pos, v in enumerate(_linear_product(gf, linear, exp, products).coeffs):
-                if v:
-                    out[pos] = gf.add(out[pos], gf.mul(c, v))
+            out = gf.add_scaled(out, c, _linear_product(gf, linear, exp, products).coeffs)
     return forms.Form(k, sbbt.phi.t, tuple(out))
 
 
@@ -200,7 +198,11 @@ def verify_sbbt(
     sbbt: SBBTForm,
     seed: int = 0,
     report: Report | None = None,
+    hyperplanes=None,
 ) -> Report:
+    """Check the dual form against the tangent system; hyperplanes, when
+    given, is classify_hyperplanes(arc, sbbt), so a caller that keeps it
+    sweeps once."""
     gf, k, m, d = arc.gf, arc.k, sbbt.m, sbbt.phi.t
     vectors = ts.point_vectors if d == arc.t else [forms.monomial_vector(gf, x, d) for x in arc.points]
 
@@ -219,7 +221,9 @@ def verify_sbbt(
     sweep0 = report.check("vanishes-on-tangent-hyperplane-duals")
     sweep1 = report.check("nonzero-on-secant-hyperplane-duals")
     low = []
-    for ell, on, value in classify_hyperplanes(arc, sbbt):
+    if hyperplanes is None:
+        hyperplanes = classify_hyperplanes(arc, sbbt)
+    for ell, on, value in hyperplanes:
         if on == k - 2:
             sweep0.tally(value == 0, {"dual": list(ell), "value": value})
         elif on == k - 1:

@@ -112,7 +112,7 @@ def tangent_hyperplanes(arc: Arc, subset):
     u, v, keys = pencil(gf, arc.k, [arc.points[i] for i in subset], others)
     hit = set(keys)
     tangents = [
-        normalize(gf, u if lam is None else [gf.add(vc, gf.mul(lam, uc)) for vc, uc in zip(v, u)])
+        normalize(gf, u if lam is None else gf.add_scaled(v, lam, u))
         for lam in (None, *gf.elements())  # u is keyed None, v + λu by λ
         if lam not in hit and IN_SPAN not in hit
     ]

@@ -137,21 +137,18 @@ def _contract_mode(gf: GF, shape, data, mode: int, matrix):
     """Contract one tensor mode with an old_dim x new_dim matrix.
 
     The work scales with the nonzero entries: one C-speed scan of data
-    finds its nonzero positions, and each of them costs one mul and one
-    add per nonzero entry of its matrix row.
+    finds its nonzero positions, and each of them adds its value times
+    its matrix row into the output's slice along the mode, one
+    gf.add_scaled call per entry.
     """
     new_dim = len(matrix[0])
     inner = prod(shape[mode + 1 :])
-    rows = [[(j * inner, m) for j, m in enumerate(row) if m] for row in matrix]
     new_data = [0] * (prod(shape[:mode]) * new_dim * inner)
-    add, mul = gf.add, gf.mul
     for pos in compress(range(len(data)), data):
         oi, r = divmod(pos, inner)
         o, i = divmod(oi, shape[mode])
-        base = o * new_dim * inner + r
-        v = data[pos]
-        for off, m in rows[i]:
-            new_data[base + off] = add(new_data[base + off], mul(v, m))
+        out = slice(o * new_dim * inner + r, (o + 1) * new_dim * inner, inner)
+        new_data[out] = gf.add_scaled(new_data[out], data[pos], matrix[i])
     return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
 
 
@@ -181,12 +178,17 @@ def _support_vector(gf: GF, mf: MultiForm, x):
 
 
 def _contract_leading(gf: GF, mf: MultiForm, points):
-    # contract leading modes with point Veronese vectors, squeezing each
-    shape, data = [len(mf.support)] * mf.blocks, mf.block
+    """Contract the leading modes with the points' Veronese vectors in
+    turn: each contraction is sum_i v_i · row_i over the contiguous rows
+    of the leading mode, one gf.add_scaled per nonzero v_i."""
+    data, dim = mf.block, len(mf.support)
     for x in points:
-        col = [[v] for v in _support_vector(gf, mf, x)]
-        shape, data = _contract_mode(gf, shape, data, 0, col)
-        shape = shape[1:]
+        inner = len(data) // dim
+        out = [0] * inner
+        for i, v in enumerate(_support_vector(gf, mf, x)):
+            if v:
+                out = gf.add_scaled(out, v, data[i * inner : (i + 1) * inner])
+        data = out
     return data
 
 

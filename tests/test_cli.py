@@ -214,6 +214,39 @@ def test_sbbt_refuses_a_too_small_arc_before_the_tangent_system(tmp_path, capsys
     assert builds == []
 
 
+def test_search_exact_refuses_an_oversized_vanishing_basis(tmp_path, capsys, monkeypatch):
+    # the frame of PG(2, 101) has t = 99 and N = 5,050: the search's basis
+    # of (N - n)·N entries is refused before the tangent system is built
+    path = str(tmp_path / "frame.json")
+    Path(path).write_text(json.dumps({
+        "field": {"p": 101, "h": 1, "irreducible": [0, 1]},
+        "k": 3,
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    }))
+    builds, build = [], tangents.build_tangent_system
+    monkeypatch.setattr(tangents, "build_tangent_system", lambda arc: builds.append(1) or build(arc))
+    start = time.monotonic()
+    assert main(["tensor", "verify", path, "--search-exact"]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: tensor verify --search-exact: (N - n)·N = 25482300 basis entries > 250000\n"
+    ), err
+    assert builds == []
+
+
+def test_dump_duals_sweeps_the_hyperplanes_once(tmp_path, capsys, monkeypatch):
+    arc_path = str(tmp_path / "conic7.json")
+    run(capsys, "arc", "new", "--type", "conic", "--q", "7", "-o", arc_path)
+    code, plain = run(capsys, "sbbt", "verify", arc_path)
+    sweeps, classify = [], sbbt.classify_hyperplanes
+    monkeypatch.setattr(sbbt, "classify_hyperplanes", lambda *a: sweeps.append(1) or classify(*a))
+    code, rep = run(capsys, "sbbt", "verify", arc_path, "--dump-duals")
+    assert code == 0 and sweeps == [1]
+    assert rep["checks"] == plain["checks"] and rep["notes"] == plain["notes"]
+    assert len(rep["result"]["duals"]) == 7**2 + 7 + 1
+
+
 @pytest.mark.parametrize("name", ["nrc", "glynn"])
 def test_search_exact_at_k5(tmp_path, capsys, name):
     # beyond the paper: the NRC of PG(4, 9) and Glynn's arc (k = 5, t = 3,

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import random
+import weakref
 
 import pytest
 
@@ -252,3 +255,63 @@ def test_h1_placeholder_modulus():
     assert gf.q == 7
     with pytest.raises(ValueError):
         make_field(7, 1, [1, 1])
+
+
+# -- vector kernels ------------------------------------------------------------
+
+KERNEL_FIELDS = [(2, 1), (7, 1), (10**18 + 3, 1), (2, 4), (2, 8), (3, 2), (3, 3)]
+
+
+def scalar_dot(gf, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = gf.add(acc, gf.mul(a, b))
+    return acc
+
+
+def kernel_vectors(gf, rng):
+    """Pairs of equal-length vectors: empty, all zero, sparse, dense and
+    holding the field's largest element."""
+    def draw(n, density):
+        return [rng.randrange(1, gf.q) if rng.random() < density else 0 for _ in range(n)]
+
+    pairs = [([], []), ([0] * 5, draw(5, 1)), ([gf.q - 1] * 4, [gf.q - 1] * 4)]
+    for n in (1, 3, 17, 60):
+        pairs += [(draw(n, 0.3), draw(n, 0.7)), (draw(n, 1), draw(n, 1))]
+    return pairs
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_dot_matches_scalar_loop(p, h):
+    gf = make_field(p, h)
+    rng = random.Random(p + h)
+    for u, v in kernel_vectors(gf, rng):
+        assert gf.dot(u, v) == scalar_dot(gf, u, v)
+        assert 0 <= gf.dot(u, v) < gf.q
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_add_scaled_matches_scalar_loop_and_mutates_nothing(p, h):
+    gf = make_field(p, h)
+    rng = random.Random(p * h)
+    for x, y in kernel_vectors(gf, rng):
+        for c in {0, 1, gf.q - 1, rng.randrange(gf.q)}:
+            x0, y0 = list(x), list(y)
+            got = gf.add_scaled(x, c, y)
+            assert got == [gf.add(a, gf.mul(c, b)) for a, b in zip(x, y)]
+            assert got is not x and got is not y
+            assert (x, y) == (x0, y0)
+
+
+def test_tabulated_field_is_freed_without_the_cycle_collector():
+    # GF holds no reference to itself (no bound methods stored on the
+    # instance), so dropping the last reference frees its tables at once
+    gc.disable()
+    try:
+        gf = make_field(2, 4)
+        assert gf.dot([3], [5]) == gf.mul(3, 5)
+        ref = weakref.ref(gf)
+        del gf
+        assert ref() is None
+    finally:
+        gc.enable()

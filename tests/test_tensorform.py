@@ -20,6 +20,7 @@ from arcforms.forms import (
     vanishing_subspace,
     veronese,
 )
+from arcforms.field import make_field
 from arcforms.geometry import Arc, normal_rational_curve, normalize
 from arcforms import linalg, tensorform
 from arcforms.linalg import identity, inverse, mat_mul, rank
@@ -484,17 +485,15 @@ def test_contractions_match_direct_sum(q, blocks):
 
 
 class CountingField:
-    """Delegates add and mul to a field and counts the mul calls."""
+    """Delegates add_scaled to a field and counts its calls; it has no
+    scalar add or mul, so a contraction that called them would fail."""
 
     def __init__(self, gf):
-        self.gf, self.muls = gf, 0
+        self.gf, self.kernel_calls = gf, 0
 
-    def add(self, a, b):
-        return self.gf.add(a, b)
-
-    def mul(self, a, b):
-        self.muls += 1
-        return self.gf.mul(a, b)
+    def add_scaled(self, x, c, y):
+        self.kernel_calls += 1
+        return self.gf.add_scaled(x, c, y)
 
 
 class CountingList(list):
@@ -509,8 +508,8 @@ class CountingList(list):
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_contraction_work_follows_nonzeros(mode):
-    # one nonzero entry: one indexed read of the data and one mul per
-    # nonzero entry of its matrix row, whatever the tensor's size
+    # one nonzero entry: one indexed read of the data and one add_scaled
+    # of its matrix row, whatever the tensor's size
     gf = field(7)
     rng = random.Random(mode)
     shape, new_dim = [6, 6, 6], 5
@@ -526,13 +525,37 @@ def test_contraction_work_follows_nonzeros(mode):
         new_shape, out = _contract_mode(counting, list(shape), data, mode, matrix)
         row = matrix[J[mode]]
         assert data.reads <= 1
-        assert counting.muls <= sum(1 for m in row if m)
+        assert counting.kernel_calls == 1
         assert new_shape == shape[:mode] + [new_dim] + shape[mode + 1 :]
         want = [0] * len(out)
         for j, m in enumerate(row):
             K = J[:mode] + (j,) + J[mode + 1 :]
             want[(K[0] * new_shape[1] + K[1]) * new_shape[2] + K[2]] = gf.mul(3, m)
         assert out == want
+    # several nonzero entries: one read and one kernel call each
+    data = CountingList(rng.randrange(1, 7) if rng.random() < 0.1 else 0 for _ in range(216))
+    nonzeros = sum(1 for v in data if v)
+    counting = CountingField(gf)
+    _contract_mode(counting, list(shape), data, mode, matrix)
+    assert data.reads <= nonzeros and counting.kernel_calls == nonzeros
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (2, 4)])
+def test_evaluations_match_dense_brute_force(p, h):
+    # a random form on a random support, evaluated in full and partially at
+    # random points of PG(3, q), against the sum over its dense coefficients
+    gf, k, blocks, t = make_field(p, h), 4, 3, 2
+    rng = random.Random(p * 100 + h)
+    N = num_monomials(k, t)
+    support = sorted(rng.sample(range(N), 6))
+    block = tuple(rng.randrange(gf.q) if rng.random() < 0.7 else 0 for _ in range(6**blocks))
+    mf = MultiForm(k, blocks, t, block, tuple(support))
+    points = [tuple(rng.randrange(gf.q) for _ in range(k)) for _ in range(4)]
+    for tup in itertools.product(points, repeat=blocks):
+        assert evaluate(gf, mf, list(tup)) == direct_value(gf, mf, tup)[0]
+    for prefix in itertools.product(points, repeat=blocks - 1):
+        got = partial_evaluate(gf, mf, list(prefix))
+        assert list(got.coeffs) == direct_value(gf, mf, prefix)
 
 
 # -- shift extraction --------------------------------------------------------
