@@ -136,19 +136,18 @@ def coordinate_map(gf: GF, columns, dim: int):
 def _contract_mode(gf: GF, shape, data, mode: int, matrix):
     """Contract one tensor mode with an old_dim x new_dim matrix.
 
-    The work scales with the nonzero entries: one C-speed scan of data
-    finds its nonzero positions, and each of them adds its value times
-    its matrix row into the output's slice along the mode, one
-    gf.add_scaled call per entry.
+    A gather: each fiber along the mode (the entries that differ only in
+    that index) is read as one strided slice, an all-zero fiber is
+    skipped, and otherwise its output fiber is one gf.dot with each
+    matrix column.
     """
-    new_dim = len(matrix[0])
-    inner = prod(shape[mode + 1 :])
-    new_data = [0] * (prod(shape[:mode]) * new_dim * inner)
-    for pos in compress(range(len(data)), data):
-        oi, r = divmod(pos, inner)
-        o, i = divmod(oi, shape[mode])
-        out = slice(o * new_dim * inner + r, (o + 1) * new_dim * inner, inner)
-        new_data[out] = gf.add_scaled(new_data[out], data[pos], matrix[i])
+    dim, new_dim, inner = shape[mode], len(matrix[0]), prod(shape[mode + 1 :])
+    cols, new_data = list(zip(*matrix)), [0] * (prod(shape[:mode]) * new_dim * inner)
+    for o, r in product(range(prod(shape[:mode])), range(inner)):
+        fiber = data[o * dim * inner + r : (o + 1) * dim * inner : inner]
+        if any(fiber):
+            out = slice(o * new_dim * inner + r, (o + 1) * new_dim * inner, inner)
+            new_data[out] = [gf.dot(fiber, c) for c in cols]
     return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
 
 

@@ -4,7 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import defaultdict
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +34,7 @@ from arcforms.tangents import (
 from arcforms.tensorform import (
     MultiForm,
     _contract_mode,
+    _contract_modes,
     build_tensor_form,
     coordinate_map,
     evaluate,
@@ -485,19 +486,19 @@ def test_contractions_match_direct_sum(q, blocks):
 
 
 class CountingField:
-    """Delegates add_scaled to a field and counts its calls; it has no
-    scalar add or mul, so a contraction that called them would fail."""
+    """Delegates dot to a field and counts its calls; it has no scalar
+    add or mul, so a contraction that called them would fail."""
 
     def __init__(self, gf):
         self.gf, self.kernel_calls = gf, 0
 
-    def add_scaled(self, x, c, y):
+    def dot(self, u, v):
         self.kernel_calls += 1
-        return self.gf.add_scaled(x, c, y)
+        return self.gf.dot(u, v)
 
 
 class CountingList(list):
-    """A list that counts its indexed reads."""
+    """A list that counts its indexed reads (a slice is one read)."""
 
     reads = 0
 
@@ -508,11 +509,12 @@ class CountingList(list):
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_contraction_work_follows_nonzeros(mode):
-    # one nonzero entry: one indexed read of the data and one add_scaled
-    # of its matrix row, whatever the tensor's size
+    # one slice read per fiber along the mode, and one dot per matrix
+    # column for each fiber that is not all zero, whatever the entries
     gf = field(7)
     rng = random.Random(mode)
     shape, new_dim = [6, 6, 6], 5
+    fibers = prod(shape) // shape[mode]
     matrix = [
         [rng.randrange(7) if rng.random() < 0.5 else 0 for _ in range(new_dim)]
         for _ in range(6)
@@ -524,20 +526,61 @@ def test_contraction_work_follows_nonzeros(mode):
         counting = CountingField(gf)
         new_shape, out = _contract_mode(counting, list(shape), data, mode, matrix)
         row = matrix[J[mode]]
-        assert data.reads <= 1
-        assert counting.kernel_calls == 1
+        assert data.reads == fibers
+        assert counting.kernel_calls == new_dim
         assert new_shape == shape[:mode] + [new_dim] + shape[mode + 1 :]
         want = [0] * len(out)
         for j, m in enumerate(row):
             K = J[:mode] + (j,) + J[mode + 1 :]
             want[(K[0] * new_shape[1] + K[1]) * new_shape[2] + K[2]] = gf.mul(3, m)
         assert out == want
-    # several nonzero entries: one read and one kernel call each
+    # several nonzero entries: new_dim dots per fiber holding one of them
     data = CountingList(rng.randrange(1, 7) if rng.random() < 0.1 else 0 for _ in range(216))
-    nonzeros = sum(1 for v in data if v)
+    nonzero_fibers = {
+        J[:mode] + J[mode + 1 :] for J, v in zip(itertools.product(range(6), repeat=3), data) if v
+    }
     counting = CountingField(gf)
     _contract_mode(counting, list(shape), data, mode, matrix)
-    assert data.reads <= nonzeros and counting.kernel_calls == nonzeros
+    assert data.reads == fibers and counting.kernel_calls == new_dim * len(nonzero_fibers)
+
+
+def contract_mode_by_definition(gf, shape, data, mode, matrix):
+    """out[o, j, r] = sum_i data[o, i, r] * matrix[i][j], by gf.add and gf.mul."""
+    outer, dim, inner, new_dim = prod(shape[:mode]), shape[mode], prod(shape[mode + 1 :]), len(matrix[0])
+    out = []
+    for o in range(outer):
+        for j in range(new_dim):
+            for r in range(inner):
+                acc = 0
+                for i in range(dim):
+                    acc = gf.add(acc, gf.mul(data[(o * dim + i) * inner + r], matrix[i][j]))
+                out.append(acc)
+    return shape[:mode] + [new_dim] + shape[mode + 1 :], out
+
+
+@pytest.mark.parametrize("p,h", [(11, 1), (2, 4), (3, 2)])
+def test_contractions_match_definition(p, h):
+    # every mode of a 3-mode tensor, 6 -> 5 and 6 -> 9 (with a zero
+    # column), on all-zero, dense, 10%-sparse and tuple data
+    gf = make_field(p, h)
+    rng = random.Random(p * 100 + h)
+    matrices = [[[rng.randrange(gf.q) for _ in range(new_dim)] for _ in range(6)] for new_dim in (5, 9)]
+    for row in matrices[1]:
+        row[4] = 0
+    for mode, matrix in itertools.product(range(3), matrices):
+        shape = [3, 4, 2]
+        shape[mode] = 6
+        size = prod(shape)
+        dense = [rng.randrange(gf.q) for _ in range(size)]
+        sparse = [rng.randrange(1, gf.q) if rng.random() < 0.1 else 0 for _ in range(size)]
+        for data in ([0] * size, dense, sparse, tuple(dense)):
+            want = contract_mode_by_definition(gf, shape, data, mode, matrix)
+            assert _contract_mode(gf, list(shape), data, mode, matrix) == want
+    # every mode of a 6 x 6 x 6 tensor, in turn
+    dense = [rng.randrange(gf.q) for _ in range(216)]
+    sparse = [rng.randrange(1, gf.q) if rng.random() < 0.1 else 0 for _ in range(216)]
+    for matrix, data in itertools.product(matrices, ([0] * 216, dense, sparse, tuple(sparse))):
+        assert _contract_modes(gf, data, matrix, 3) == dense_contraction(gf, data, matrix, 3)
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (2, 4)])
