@@ -7,7 +7,8 @@ Every subcommand prints a JSON report to stdout (or a text rendering with
 ``main`` builds or loads the arc and opens the report; each handler is
 called as ``handler(pipeline, args, report)``, reads the stages it needs
 from the lazy ``Pipeline``, adds to the report and returns the JSON
-artifact for ``-o`` (``main`` writes it and notes the path) or ``None``.
+artifact for ``-o`` or ``None``; ``main`` writes it by ``_write_json``,
+json.dump but for the tensor form's Runs, and notes the path.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import json
 import sys
 import time
 from functools import cache, cached_property
-from itertools import product, repeat
+from itertools import product
 
 from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
 from .field import is_prime, make_field
 from .geometry import Arc
 from .report import Report
 
-# _write_json joins the texts of this many list items per write.
+# _write_runs joins the texts of this many list items per write.
 WRITE_SLICE = 8192
 
 
@@ -79,53 +80,44 @@ def _load_arc(path: str) -> Arc:
 
 
 class Runs:
-    """A JSON list as (item, count) pairs, for _json_texts to write unbuilt."""
+    """A list of field elements as (element, count) runs, written unbuilt."""
 
-    def __init__(self, pairs):
-        self.pairs = pairs
+    def __init__(self, gf, pairs):
+        self.gf, self.pairs = gf, pairs
 
 
-def _json_texts(obj, level: int):
-    """Yield json.dumps(obj, indent=2) in pieces, obj nested `level` deep.
-
-    Dicts, lists and Runs are laid out here with json's separators;
-    scalars and empty dicts are json.dumps's own text.  A list is the runs
-    of its items, one each, and runs go out at most WRITE_SLICE items a
-    piece, each distinct item rendered once a piece: keyed by value if an
-    int (a field element over GF(p)), else by identity (such as the shared
-    element lists of MultiForm.to_json over GF(p^h)).
-    """
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict) and obj:
-        opener = "{"
-        for key, value in obj.items():
-            # json's text for the key, with its coercion of non-str keys
-            yield opener + pad + json.dumps({key: 0})[1:-4] + ": "
-            yield from _json_texts(value, level + 1)
-            opener = ","
-        yield "\n" + "  " * level + "}"
-    elif isinstance(obj, (list, tuple, Runs)):
-        texts, piece, size = {}, ["["], 0
-        for item, count in obj.pairs if isinstance(obj, Runs) else zip(obj, repeat(1)):
-            key = item if type(item) is int else (id(item),)
-            if key not in texts:  # kept with its text, so the id stays its own
-                texts[key] = item, pad + "".join(_json_texts(item, level + 1)) + ","
-            text = texts[key][1]
-            while size + count > WRITE_SLICE:  # top the piece up and write it
-                yield "".join(piece) + text * (WRITE_SLICE - size)
-                texts, piece, size, count = {}, [], 0, count - (WRITE_SLICE - size)
-            piece.append(text * count)
-            size += count
-        # the last piece holds the last item: drop its comma
-        yield "".join(piece)[:-1] + "\n" + "  " * level + "]" if size else "[]"
-    else:
-        yield json.dumps(obj)
+def _write_runs(fh, runs: Runs) -> None:
+    """Write the runs' list as json.dump(indent=2) lays out the value of a
+    top-level key, at most WRITE_SLICE items a write.  Each element's text
+    is rendered once, keyed by its int."""
+    texts, piece, size = {}, ["["], 0
+    for a, count in runs.pairs:
+        if a not in texts:
+            value = runs.gf.element_to_json(a)  # an int, or a list of ints
+            if isinstance(value, list):
+                value = "[" + ",".join(f"\n      {c}" for c in value) + "\n    ]"
+            texts[a] = f"\n    {value},"
+        text = texts[a]
+        while size + count > WRITE_SLICE:  # top the piece up and write it
+            fh.write("".join(piece) + text * (WRITE_SLICE - size))
+            piece, size, count = [], 0, count - (WRITE_SLICE - size)
+        piece.append(text * count)
+        size += count
+    # the last piece holds the last item: drop its comma
+    fh.write("".join(piece)[:-1] + "\n  ]" if size else "[]")
 
 
 def _write_json(path: str, obj) -> None:
-    """Write json.dumps(obj, indent=2) and a newline, streamed in pieces."""
+    """Write json.dumps(obj, indent=2) and a newline, by json.dump; a Runs
+    under "coeffs", the last key of a tensor artifact, by _write_runs."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_texts(obj, 0))
+        runs = obj.get("coeffs") if isinstance(obj, dict) else None
+        if isinstance(runs, Runs):
+            fh.write(json.dumps({**obj, "coeffs": []}, indent=2)[: -len("[]\n}")])
+            _write_runs(fh, runs)
+            fh.write("\n}")
+        else:
+            json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 

@@ -322,12 +322,15 @@ def verify_lemma_of_tangents(ts: TangentSystem, seed: int = 0, report: Report | 
 
 
 def verify_tangent_counts(arc: Arc, report: Report | None = None) -> Report:
+    """Tally that each (k-2)-subset meets t tangent hyperplanes, a dependent
+    one failing; t = 0 and oversized forms are refused (ValueError)."""
     report = report or Report("tangent-counts", {}, [])
     chk = report.check("tangent-count")
+    _check_form_size(arc)
     for S in combinations(range(arc.n), arc.k - 2):
         try:
             tangent_hyperplanes(arc, S)
             chk.tally(True)
-        except TangentCountError as exc:
+        except (TangentCountError, ValueError) as exc:
             chk.tally(False, {"S": list(S), "error": str(exc)})
     return report

@@ -62,24 +62,23 @@ class MultiForm:
         if len(self.block) != want:
             raise ValueError(f"coefficient tensor needs {want} entries")
 
-    def dense(self, table=None) -> list | tuple:
-        """The dense row-major coefficients, each entry mapped through
-        table when one is given; zero (table[0]) off support^blocks."""
+    def dense(self) -> list | tuple:
+        """The dense row-major coefficients, zero off support^blocks."""
         if len(self.support) == self.mode_dim:
-            return self.block if table is None else list(map(table.__getitem__, self.block))
-        return list(chain.from_iterable(starmap(repeat, self.runs(table))))
+            return self.block
+        return list(chain.from_iterable(starmap(repeat, self.runs())))
 
-    def runs(self, table=None):
-        """dense(table) as (entry, count) runs, row-major, unbuilt: a run of
-        one per block entry, and a run of zeros per gap between them."""
-        zero, end, size = (0 if table is None else table[0]), 0, self.mode_dim**self.blocks
+    def runs(self):
+        """dense() as (entry, count) runs, row-major, unbuilt: a run of one
+        per block entry, and a run of zeros per gap between them."""
+        end, size = 0, self.mode_dim**self.blocks
         for off, v in zip(tuple_positions(self.mode_dim, self.support, range(self.blocks)), self.block):
             if off > end:
-                yield zero, off - end
-            yield (v if table is None else table[v]), 1
+                yield 0, off - end
+            yield v, 1
             end = off + 1
         if end < size:
-            yield zero, size - end
+            yield 0, size - end
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -91,11 +90,13 @@ class MultiForm:
         return (self.k, self.blocks, self.t, self.coeffs) == (other.k, other.blocks, other.t, other.coeffs)
 
     def to_json(self, gf: GF, runs=None) -> dict:
-        """The dense coefficients as element_to_json gives them (over GF(p) the
-        ints, else one shared list per element); given a wrapper `runs` such
-        as cli.Runs, runs(self.runs(table)) instead."""
-        table = [gf.element_to_json(a) for a in gf.elements()] if gf.h > 1 else None
-        coeffs = self.dense(table) if runs is None else runs(self.runs(table))
+        """The dense coefficients as element_to_json gives them (over GF(p)
+        the ints, unchanged); given a wrapper `runs` such as cli.Runs,
+        runs(gf, self.runs()) instead."""
+        if runs is not None:
+            coeffs = runs(gf, self.runs())
+        else:
+            coeffs = self.dense() if gf.h == 1 else list(map(gf.element_to_json, self.dense()))
         return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": coeffs}
 
     @classmethod

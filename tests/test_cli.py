@@ -351,6 +351,21 @@ def test_suite_and_lemma_fail_gracefully_on_corrupt_arc(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lemma_check_fails_on_a_dependent_subset(tmp_path, capsys):
+    # the NRC of PG(3, 7) with point 3 replaced by point 0: the span of
+    # S = (0, 3) is a point, so S has no pencil and fails its count
+    arc = normal_rational_curve(make_field(7), 4)
+    points = list(arc.points)
+    points[3] = points[0]
+    arc_path = tmp_path / "dependent.json"
+    arc_path.write_text(json.dumps(Arc(arc.gf, 4, tuple(points)).to_json()))
+    code, rep = run(capsys, "tangents", "lemma-check", str(arc_path))
+    assert code == 1 and not rep["passed"]
+    [chk] = rep["checks"]
+    assert chk["name"] == "tangent-count" and chk["failed"] == chk["total"] == 28
+    assert {"S": [0, 3], "error": "span points are linearly dependent"} in chk["witnesses"]
+
+
 def test_suite_reference_arcs(tmp_path, capsys):
     for typ, q, k in [("conic", "5", "3"), ("nrc", "7", "4"), ("hyperoval", "4", "3")]:
         arc_path = str(tmp_path / f"{typ}{q}.json")

@@ -1,5 +1,6 @@
 """The -o writer: every artifact is json.dumps(obj, indent=2) plus a newline,
-written one list slice at a time."""
+written by json.dump, and the coefficient runs of a tensor artifact one
+slice of field elements at a time."""
 
 import hashlib
 import itertools
@@ -48,7 +49,7 @@ def test_writer_matches_json_dumps(tmp_path, obj):
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
 
 
-# a slice whose items all have one text goes out as that text repeated
+# lists of one repeated item, alone or next to equal items of other types
 UNIFORM_CASES = {
     "zeros-across-slices": (0,) * (2 * WRITE_SLICE + 3),
     # 28^3 = 21,952 entries, each the one element list of GF(4)'s zero
@@ -159,42 +160,29 @@ def _expanded(pairs):
     return [item for item, count in pairs for _ in range(count)]
 
 
+# GF(11), GF(9) and GF(2^4): elements written as ints, and as lists of 2 and 4
+RUNS_FIELDS = [make_field(11), make_field(3, 2), make_field(2, 4)]
+RUNS_SLICE = 4  # WRITE_SLICE while the runs are written
 RUNS_CASES = {
     "empty": [],
-    "one-run-across-slices": [(0, 2 * WRITE_SLICE + 3)],
-    "runs-ending-on-slice-edges": [(7, WRITE_SLICE - 1), (0, 1), (300, WRITE_SLICE), (0, 2)],
+    "one-run-across-slices": [(0, 2 * RUNS_SLICE + 3)],
+    "runs-ending-on-slice-edges": [(7, RUNS_SLICE - 1), (0, 1), (8, RUNS_SLICE), (0, 2), (3, RUNS_SLICE - 2)],
     "empty-runs": [(5, 0), (6, 1), (5, 0)],
-    "equal-values-of-other-types": [(1, 2), (True, 1), (1.0, 2), (1, WRITE_SLICE), (False, 3), (0, 1)],
-    "shared-lists": [([0, 1], 3), ([1, 0], WRITE_SLICE), ([0, 1], 1)],
-    "dicts": [({"a": [1, 2]}, 2), (None, 1)],
 }
 
 
 @pytest.mark.parametrize("pairs", RUNS_CASES.values(), ids=RUNS_CASES)
 def test_runs_match_json_dumps(tmp_path, pairs):
     path = tmp_path / "obj.json"
-    for obj, want in [
-        (Runs(pairs), _expanded(pairs)),
-        ({"a": Runs(pairs), "b": [Runs(pairs)]}, {"a": _expanded(pairs), "b": [_expanded(pairs)]}),
-    ]:
-        _write_json(str(path), obj)
-        assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2) + "\n"
-
-
-def test_runs_of_fresh_items_are_keyed_while_alive(tmp_path):
-    # each list is made as its run is drawn; a dropped list's id could be
-    # reused by the next one, so the writer keeps what it has keyed
-    def pairs():
-        return (([i % 3, 1], 1 + i % 2) for i in range(30))
-
-    path = tmp_path / "obj.json"
-    _write_json(str(path), Runs(pairs()))
-    assert path.read_text(encoding="utf-8") == json.dumps(_expanded(pairs()), indent=2) + "\n"
+    for gf in RUNS_FIELDS:
+        with mock.patch.object(cli, "WRITE_SLICE", RUNS_SLICE):
+            _write_json(str(path), {"k": 4, "coeffs": Runs(gf, iter(pairs))})
+        want = {"k": 4, "coeffs": [gf.element_to_json(a) for a in _expanded(pairs)]}
+        assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2) + "\n", gf
 
 
 def test_fresh_items_are_dropped_with_their_piece(tmp_path):
-    # a list of fresh lists is keyed by identity, so each text keeps its
-    # item alive; the keys go when their piece is written, not at the end
+    # json.dump holds no text of the whole list
     obj = [[i % 3, 1] for i in range(5000)]
     with mock.patch.object(cli, "WRITE_SLICE", 256):
         tracemalloc.start()
@@ -212,7 +200,7 @@ def supported_forms(draw):
     """(field, a form on a random support, its dense coefficients, a slice
     length): supports of one position, touching both ends, or any sorted
     set; entries often zero."""
-    gf = field(draw(st.sampled_from([4, 5, 7, 9])))
+    gf = draw(st.sampled_from([field(4), field(5), field(7), field(9), *RUNS_FIELDS]))
     k, blocks, t = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
     N = num_monomials(k, t)
     support = draw(st.one_of(
@@ -230,18 +218,20 @@ def supported_forms(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(supported_forms())
-def test_form_runs_match_dense_and_json_dumps(case):
+@given(case=supported_forms())
+def test_form_runs_match_dense_and_json_dumps(tmp_path_factory, case):
     gf, mf, dense, piece = case
-    table = [gf.element_to_json(a) for a in gf.elements()]
-    for tab in (None, table):
-        want = dense if tab is None else [tab[c] for c in dense]
-        runs = list(mf.runs(tab))
-        assert all(count > 0 for _, count in runs)
-        assert _expanded(runs) == list(mf.dense(tab)) == want
+    runs = list(mf.runs())
+    assert all(count > 0 for _, count in runs)
+    assert _expanded(runs) == list(mf.dense()) == dense
+    want = json.dumps({
+        "k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [gf.element_to_json(c) for c in dense],
+    }, indent=2) + "\n"
+    assert json.dumps(mf.to_json(gf), indent=2) + "\n" == want
+    path = tmp_path_factory.getbasetemp() / "form.json"
     with mock.patch.object(cli, "WRITE_SLICE", piece):
-        text = "".join(cli._json_texts(mf.to_json(gf, runs=Runs), 0))
-    assert text == json.dumps({"k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": want}, indent=2)
+        _write_json(str(path), mf.to_json(gf, runs=Runs))
+    assert path.read_text(encoding="utf-8") == want
 
 
 def test_tensor_build_writes_from_the_support_block(tmp_path, capsys, monkeypatch):
