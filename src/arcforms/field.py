@@ -10,6 +10,7 @@ shared freely between threads and passed explicitly to every operation.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 
 
 class NotPrimeError(ValueError):
@@ -83,9 +84,10 @@ class GF:
     decide whether the modulus is irreducible.
     Arithmetic methods take and return plain ints; operands are assumed to
     be already reduced (use :meth:`check` at trust boundaries).  The
-    vector kernels dot and add_scaled branch on the field kind as add and
-    mul do; no bound method is stored on the instance, so a GF is never a
-    reference cycle and its tables are freed with its last reference.
+    vector kernels dot, add_scaled and convolve branch on the field kind
+    as add and mul do; no bound method is stored on the instance, so a GF
+    is never a reference cycle and its tables are freed with its last
+    reference.
     """
 
     def __init__(self, p: int, h: int, irreducible):
@@ -201,6 +203,33 @@ class GF:
             return [a ^ row[b] for a, b in zip(x, y)]
         add = self._add
         return [add[a][row[b]] for a, b in zip(x, y)]
+
+    def convolve(self, f, g, positions, size: int) -> list:
+        """The list of length size holding at out[positions[i][j]] the sum
+        of f_i·g_j: over GF(p) each term added and reduced at once, over
+        GF(2^h) one mul-table row XORed in per nonzero f_i, else the add
+        and mul tables."""
+        out, terms = [0] * size, [(j, b) for j, b in enumerate(g) if b]
+        rows = compress(zip(f, positions), f)  # the terms of nonzero f_i
+        if self.h == 1:
+            p = self.p
+            for a, row in rows:
+                for j, b in terms:
+                    pos = row[j]
+                    out[pos] = (out[pos] + a * b) % p
+        elif self.p == 2:
+            for a, row in rows:
+                products = self._mul_table[a]
+                for j, b in terms:
+                    out[row[j]] ^= products[b]
+        else:
+            mul, add = self._mul_table, self._add
+            for a, row in rows:
+                products = mul[a]
+                for j, b in terms:
+                    pos = row[j]
+                    out[pos] = add[out[pos]][products[b]]
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -145,15 +145,8 @@ def form_mul(gf: GF, f: Form, g: Form) -> Form:
     if f.k != g.k:
         raise ValueError("form variable-count mismatch")
     k, t = f.k, f.t + g.t
-    out = [0] * num_monomials(k, t)
-    g_nonzero = [(j, b) for j, b in enumerate(g.coeffs) if b]
-    for a, row in zip(f.coeffs, _product_positions(k, f.t, g.t)):
-        if not a:
-            continue
-        for j, b in g_nonzero:
-            pos = row[j]
-            out[pos] = gf.add(out[pos], gf.mul(a, b))
-    return Form(k, t, tuple(out))
+    positions = _product_positions(k, f.t, g.t)
+    return Form(k, t, tuple(gf.convolve(f.coeffs, g.coeffs, positions, num_monomials(k, t))))
 
 
 def product_linear_forms(gf: GF, k: int, factors) -> Form:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, compress, permutations, product
 from math import perm
 from operator import ne
@@ -231,7 +231,9 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
 
     Subsets are processed by increasing distance r = |S \\ E| so the chain
     rule only ever refers to forms already scaled; the base form is
-    normalized to take value 1 at the anchor point.
+    normalized to take value 1 at the anchor point.  The product of the
+    tangent hyperplanes takes at x_e the product of their values there,
+    so the scale is folded into the first hyperplane before multiplying.
     """
     check_buildable(arc)
     gf = arc.gf
@@ -239,15 +241,16 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
     anchor = arc.k - 2
     ts = TangentSystem(arc, E, anchor, {})
     for S in sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E))):
-        p_S = forms.product_linear_forms(gf, arc.k, tangent_hyperplanes(arc, S))
+        members = tangent_hyperplanes(arc, S)
         if S == E:
             e, target = anchor, 1
         else:
             e, a, parent, sign = scaling_rule(ts, S)
             target = gf.mul(sign, ts.eval_fS(parent, a))
         # e is an arc point off S, hence on no tangent S-hyperplane
-        denom = linalg.dot(gf, p_S.coeffs, ts.point_vectors[e])
-        ts.fS[S] = forms.form_scale(gf, gf.div(target, denom), p_S)
+        denom = reduce(gf.mul, (linalg.dot(gf, h, arc.points[e]) for h in members))
+        first = forms.form_scale(gf, gf.div(target, denom), forms.linear_form(arc.k, members[0]))
+        ts.fS[S] = forms.product_linear_forms(gf, arc.k, [first, *members[1:]])
     return ts
 
 

@@ -58,6 +58,23 @@ def glynn_arc():
     return Arc(gf, 5, tuple(pts) + ((0, 0, 0, 0, 1),))
 
 
+class CountingField:
+    """Delegates the vector kernels dot and convolve to a field and counts
+    their calls; it has no scalar add or mul, so code that called them
+    would fail."""
+
+    def __init__(self, gf):
+        self.gf, self.kernel_calls = gf, 0
+
+    def dot(self, u, v):
+        self.kernel_calls += 1
+        return self.gf.dot(u, v)
+
+    def convolve(self, f, g, positions, size):
+        self.kernel_calls += 1
+        return self.gf.convolve(f, g, positions, size)
+
+
 @pytest.fixture
 def gf5():
     return field(5)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import operator
 import random
 import weakref
 
@@ -17,6 +18,9 @@ from arcforms.field import (
     is_prime,
     make_field,
 )
+from arcforms.forms import Form, form_mul, monomial_basis, monomial_index, num_monomials
+
+from conftest import CountingField
 
 SMALL_Q = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -301,6 +305,35 @@ def test_add_scaled_matches_scalar_loop_and_mutates_nothing(p, h):
             assert got == [gf.add(a, gf.mul(c, b)) for a, b in zip(x, y)]
             assert got is not x and got is not y
             assert (x, y) == (x0, y0)
+
+
+def scalar_form_mul(gf, f, g):
+    """f·g term by term: each product of monomials found by its exponents."""
+    index, out = monomial_index(f.k, f.t + g.t), [0] * num_monomials(f.k, f.t + g.t)
+    for a, m in zip(f.coeffs, monomial_basis(f.k, f.t)):
+        for b, n in zip(g.coeffs, monomial_basis(g.k, g.t)):
+            pos = index[tuple(map(operator.add, m, n))]
+            out[pos] = gf.add(out[pos], gf.mul(a, b))
+    return Form(f.k, f.t + g.t, tuple(out))
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_form_mul_matches_scalar_loop(p, h):
+    # k = 1..5 and degrees 0-3 (degree 0 is a constant factor); f sparse or
+    # dense, g dense or all zero
+    gf = make_field(p, h)
+    rng = random.Random(p + 2 * h)
+    for k, s, t in itertools.product(range(1, 6), range(4), range(4)):
+        for density, g_zero in [(0.4, False), (1, False), (1, True)]:
+            f = Form(k, s, tuple(rng.randrange(1, gf.q) if rng.random() < density else 0
+                                 for _ in range(num_monomials(k, s))))
+            g = Form(k, t, tuple(0 if g_zero else rng.randrange(gf.q) for _ in range(num_monomials(k, t))))
+            assert form_mul(gf, f, g) == scalar_form_mul(gf, f, g), (k, s, t, density, g_zero)
+    # one kernel call, and no scalar add or mul (CountingField has none)
+    f, g = Form(3, 2, tuple(range(6))), Form(3, 1, (1, 0, gf.q - 1))
+    counting = CountingField(gf)
+    assert form_mul(counting, f, g) == scalar_form_mul(gf, f, g)
+    assert counting.kernel_calls == 1
 
 
 def test_tabulated_field_is_freed_without_the_cycle_collector():

@@ -6,7 +6,7 @@ import pytest
 
 from arcforms import linalg
 from arcforms.field import make_field
-from arcforms.forms import evaluate, form_scale, form_to_json, zero_form
+from arcforms.forms import evaluate, form_scale, form_to_json, product_linear_forms, zero_form
 from arcforms.geometry import Arc, hyperoval, normalize, projective_points
 from arcforms.report import Report
 from arcforms.sbbt import build_sbbt, evaluate_G, verify_sbbt
@@ -168,6 +168,29 @@ def test_scaling_chain_replay(q, p, h, k):
     report = verify_scaling_chain(ts)
     assert report.passed
     assert ts.eval_fS(ts.E, ts.anchor) == 1
+
+
+SCALED_PRODUCT_ARCS = {
+    **{f"q{q}-k{k}": lambda q=q, k=k: corpus_arc(q, k) for q, _, _, k in CORPUS},
+    "glynn": glynn_arc,
+    "gf9-t5": lambda: Arc(field(9), 4, corpus_arc(9, 4).points[:7]),
+}
+
+
+@pytest.mark.parametrize("make_arc", SCALED_PRODUCT_ARCS.values(), ids=SCALED_PRODUCT_ARCS)
+def test_built_forms_equal_the_scaled_product(make_arc):
+    # the oracle scales the whole product: f_S = target / p_S(x_e) · p_S
+    # for p_S the product of S's tangent hyperplanes
+    arc = make_arc()
+    gf, ts = arc.gf, build_tangent_system(arc)
+    for S, f in ts.fS.items():
+        if S == ts.E:
+            e, target = ts.anchor, 1
+        else:
+            e, a, parent, sign = scaling_rule(ts, S)
+            target = gf.mul(sign, ts.eval_fS(parent, a))
+        p_S = product_linear_forms(gf, arc.k, tangent_hyperplanes(arc, S))
+        assert f == form_scale(gf, gf.div(target, evaluate(gf, p_S, arc.points[e])), p_S), S
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)

@@ -47,7 +47,7 @@ from arcforms.tensorform import (
     verify_tensor_form,
 )
 
-from conftest import CORPUS, corpus_arc, corpus_system, corpus_tensor, field, glynn_arc
+from conftest import CORPUS, CountingField, corpus_arc, corpus_system, corpus_tensor, field, glynn_arc
 
 
 def greedy_socle(arc, t):
@@ -483,18 +483,6 @@ def test_contractions_match_direct_sum(q, blocks):
         for prefix in itertools.product(points, repeat=blocks - 1):
             got = partial_evaluate(gf, mf, list(prefix))
             assert list(got.coeffs) == direct_value(gf, mf, prefix)
-
-
-class CountingField:
-    """Delegates dot to a field and counts its calls; it has no scalar
-    add or mul, so a contraction that called them would fail."""
-
-    def __init__(self, gf):
-        self.gf, self.kernel_calls = gf, 0
-
-    def dot(self, u, v):
-        self.kernel_calls += 1
-        return self.gf.dot(u, v)
 
 
 class CountingList(list):

@@ -23,6 +23,26 @@ from arcforms.tangents import build_tangent_system
 from arcforms.tensorform import MultiForm, build_tensor_form
 from conftest import field
 
+
+def assert_same_text(got: str, want: str, label=""):
+    """Equal texts, compared by length and SHA-256.  A mismatch is reported
+    at its first differing offset with about 80 characters around it, not
+    as a diff of two texts that can run to megabytes."""
+    __tracebackhide__ = True
+    if len(got) == len(want) and _sha256(got) == _sha256(want):
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(at - 40, 0)
+    pytest.fail(
+        f"{label} texts differ at offset {at} (lengths {len(got)} and {len(want)}):\n"
+        f"  got  {got[lo:at + 40]!r}\n  want {want[lo:at + 40]!r}"
+    )
+
+
+def _sha256(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
 EDGE_CASES = {
     "empty": [[], {}, (), [[], {}, ()], {"a": [], "b": {}, "c": ()}],
     "nested": [[1, [2, [3, []]], [[[]]]], {"a": {"b": {"c": [{"d": []}]}}}],
@@ -34,9 +54,9 @@ EDGE_CASES = {
     "equal-values-of-other-types": [1, True, 1.0, 0, False, 0.0, -0.0, None],
     "bools-among-ints": [1, True, 0, False, 2, True],
     "non-str-keys": {1: "a", None: [2], 2.5: {3: 4}, False: 0},
-    "ints-across-slices": list(range(WRITE_SLICE * 2 + 5)),
-    "shared-lists-across-slices": [[0, 1], [1, 0]] * (WRITE_SLICE + 3),
-    "fresh-lists-across-slices": [[i % 3, 1] for i in range(WRITE_SLICE + 7)],
+    "long-list-of-ints": list(range(WRITE_SLICE * 2 + 5)),
+    "long-list-of-shared-lists": [[0, 1], [1, 0]] * (WRITE_SLICE + 3),
+    "long-list-of-fresh-lists": [[i % 3, 1] for i in range(WRITE_SLICE + 7)],
     "types-changing-between-slices": [True] * WRITE_SLICE + [1] * WRITE_SLICE + [1.0, 1],
     "dicts-in-a-list": [{"S": [0, 1], "form": {"coeffs": [1, 2, 300]}}] * 3,
 }
@@ -46,14 +66,14 @@ EDGE_CASES = {
 def test_writer_matches_json_dumps(tmp_path, obj):
     path = tmp_path / "obj.json"
     _write_json(str(path), obj)
-    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+    assert_same_text(path.read_text(encoding="utf-8"), json.dumps(obj, indent=2) + "\n")
 
 
 # lists of one repeated item, alone or next to equal items of other types
 UNIFORM_CASES = {
-    "zeros-across-slices": (0,) * (2 * WRITE_SLICE + 3),
+    "long-tuple-of-zeros": (0,) * (2 * WRITE_SLICE + 3),
     # 28^3 = 21,952 entries, each the one element list of GF(4)'s zero
-    "shared-gf4-zero-across-slices": MultiForm(3, 3, 6, (0,) * 8, (3, 17)).to_json(make_field(2, 2))["coeffs"],
+    "long-list-of-a-shared-gf4-zero": MultiForm(3, 3, 6, (0,) * 8, (3, 17)).to_json(make_field(2, 2))["coeffs"],
     "one-true-1-and-1.0-slice": [1] * 100 + [True] + [1] * 100 + [1.0] + [1] * 100,
     "uniform-then-mixed": [0] * WRITE_SLICE + [0, False, 0.0, 0, -0.0, 0] * 10,
     "uniform-bools-then-ints": [True] * WRITE_SLICE + [1] * WRITE_SLICE,
@@ -64,7 +84,7 @@ UNIFORM_CASES = {
 def test_uniform_slices_match_json_dumps(tmp_path, obj):
     path = tmp_path / "obj.json"
     _write_json(str(path), obj)
-    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+    assert_same_text(path.read_text(encoding="utf-8"), json.dumps(obj, indent=2) + "\n")
 
 
 def test_writer_rejects_what_json_rejects(tmp_path):
@@ -88,7 +108,7 @@ def _arc_file(tmp_path, capsys, q, k):
     argv = ["arc", "new", "--type", "nrc", "--q", str(q), "--k", str(k), "-o", str(path)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert path.read_text(encoding="utf-8") == json.dumps(arc.to_json(), indent=2) + "\n"
+    assert_same_text(path.read_text(encoding="utf-8"), json.dumps(arc.to_json(), indent=2) + "\n")
     return arc, str(path)
 
 
@@ -106,7 +126,7 @@ def test_every_artifact_is_json_dumps_of_its_object(tmp_path, capsys, q, k):
         out = tmp_path / "out.json"
         assert main([*command[:2], arc_path, *command[2:], "-o", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n", command
+        assert_same_text(out.read_text(encoding="utf-8"), json.dumps(obj, indent=2) + "\n", command)
 
 
 # SHA-256 of the `tensor build -o` files of the corpus twisted cubics,
@@ -178,21 +198,20 @@ def test_runs_match_json_dumps(tmp_path, pairs):
         with mock.patch.object(cli, "WRITE_SLICE", RUNS_SLICE):
             _write_json(str(path), {"k": 4, "coeffs": Runs(gf, iter(pairs))})
         want = {"k": 4, "coeffs": [gf.element_to_json(a) for a in _expanded(pairs)]}
-        assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2) + "\n", gf
+        assert_same_text(path.read_text(encoding="utf-8"), json.dumps(want, indent=2) + "\n", gf)
 
 
 def test_fresh_items_are_dropped_with_their_piece(tmp_path):
     # json.dump holds no text of the whole list
     obj = [[i % 3, 1] for i in range(5000)]
-    with mock.patch.object(cli, "WRITE_SLICE", 256):
-        tracemalloc.start()
-        try:
-            _write_json(str(tmp_path / "obj.json"), obj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        _write_json(str(tmp_path / "obj.json"), obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1 << 19, peak
-    assert (tmp_path / "obj.json").read_text(encoding="utf-8") == json.dumps(obj, indent=2) + "\n"
+    assert_same_text((tmp_path / "obj.json").read_text(encoding="utf-8"), json.dumps(obj, indent=2) + "\n")
 
 
 @st.composite
@@ -227,11 +246,11 @@ def test_form_runs_match_dense_and_json_dumps(tmp_path_factory, case):
     want = json.dumps({
         "k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [gf.element_to_json(c) for c in dense],
     }, indent=2) + "\n"
-    assert json.dumps(mf.to_json(gf), indent=2) + "\n" == want
+    assert_same_text(json.dumps(mf.to_json(gf), indent=2) + "\n", want)
     path = tmp_path_factory.getbasetemp() / "form.json"
     with mock.patch.object(cli, "WRITE_SLICE", piece):
         _write_json(str(path), mf.to_json(gf, runs=Runs))
-    assert path.read_text(encoding="utf-8") == want
+    assert_same_text(path.read_text(encoding="utf-8"), want)
 
 
 def test_tensor_build_writes_from_the_support_block(tmp_path, capsys, monkeypatch):
