@@ -68,6 +68,8 @@ def _new_arc(args) -> Arc:
         raise ValueError("--type custom requires --points FILE")
     with open(args.points, encoding="utf-8") as fh:
         data = _parse_json(fh.read())
+    if isinstance(data, dict) and "points" not in data:
+        raise ValueError("points object has no key 'points'")
     pts = data["points"] if isinstance(data, dict) else data
     arc = Arc.from_json({"field": gf.to_json(), "k": args.k, "points": pts})
     geometry.check_arc(arc)

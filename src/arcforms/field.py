@@ -10,6 +10,7 @@ shared freely between threads and passed explicitly to every operation.
 from __future__ import annotations
 
 import operator
+from array import array
 from itertools import compress
 
 
@@ -84,10 +85,10 @@ class GF:
     decide whether the modulus is irreducible.
     Arithmetic methods take and return plain ints; operands are assumed to
     be already reduced (use :meth:`check` at trust boundaries).  The
-    vector kernels dot, add_scaled and convolve branch on the field kind
-    as add and mul do; no bound method is stored on the instance, so a GF
-    is never a reference cycle and its tables are freed with its last
-    reference.
+    vector kernels dot, add_scaled, convolve and vec_mat branch on the
+    field kind as add and mul do; no bound method is stored on the
+    instance, so a GF is never a reference cycle and its tables are freed
+    with its last reference.
     """
 
     def __init__(self, p: int, h: int, irreducible):
@@ -231,6 +232,30 @@ class GF:
                     out[pos] = add[out[pos]][products[b]]
         return out
 
+    def vec_mat(self, matrix):
+        """The map v ↦ v·matrix.  Over GF(2^h) v·matrix is the XOR over the
+        nonzero v_i of c·row_i, each packed into one int, a byte per entry
+        for q <= 256 and two bytes above, the first time (i, c = v_i) is
+        used; else one dot per column, the columns taken once."""
+        if self.h == 1 or self.p != 2:
+            cols, dot = list(zip(*matrix)), self.dot
+            return lambda v: [dot(v, c) for c in cols]
+        mul, code = self._mul_table, "B" if self.q <= 256 else "H"
+        width = len(matrix[0]) * array(code).itemsize if matrix else 0
+        rows = [(row, [None] * self.q) for row in matrix]
+
+        def combine(v):
+            acc = 0
+            for c, (row, packed) in compress(zip(v, rows), v):
+                scaled = packed[c]
+                if scaled is None:  # XOR acts byte by byte: any native layout will do
+                    scaled = array(code, map(mul[c].__getitem__, row)).tobytes()
+                    scaled = packed[c] = int.from_bytes(scaled, "little")
+                acc ^= scaled
+            return array(code, acc.to_bytes(width, "little")).tolist()
+
+        return combine
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -324,6 +349,9 @@ def make_field(p: int, h: int = 1, irreducible=None) -> GF:
 def field_from_json(obj) -> GF:
     if not isinstance(obj, dict):
         raise ValueError(f"field must be a JSON object, got {obj!r}")
+    missing = next((key for key in ("p", "h") if key not in obj), None)
+    if missing:
+        raise ValueError(f"field object has no key {missing!r}")
     irreducible = obj.get("irreducible")
     if not isinstance(irreducible, (list, type(None))) or not all(
         type(v) is int for v in [obj["p"], obj["h"], *(irreducible or [])]

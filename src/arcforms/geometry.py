@@ -62,6 +62,9 @@ class Arc:
     def from_json(cls, obj) -> "Arc":
         if not isinstance(obj, dict):
             raise ValueError(f"an arc must be a JSON object, got {type(obj).__name__}")
+        missing = next((key for key in ("field", "k", "points") if key not in obj), None)
+        if missing:
+            raise ValueError(f"arc object has no key {missing!r}")
         gf = field_from_json(obj["field"])
         k, points = obj["k"], obj["points"]
         if type(k) is not int or not isinstance(points, list) or not all(

@@ -20,8 +20,8 @@ def mat_vec(gf: GF, rows, v):
 
 
 def mat_mul(gf: GF, a, b):
-    cols = list(zip(*b))
-    return [[dot(gf, row, col) for col in cols] for row in a]
+    combine = gf.vec_mat(b)
+    return [combine(row) for row in a]
 
 
 def identity(n: int):

@@ -139,16 +139,16 @@ def _contract_mode(gf: GF, shape, data, mode: int, matrix):
 
     A gather: each fiber along the mode (the entries that differ only in
     that index) is read as one strided slice, an all-zero fiber is
-    skipped, and otherwise its output fiber is one gf.dot with each
-    matrix column.
+    skipped, and otherwise its output fiber is fiber·matrix, by the one
+    gf.vec_mat kernel taken per call.
     """
     dim, new_dim, inner = shape[mode], len(matrix[0]), prod(shape[mode + 1 :])
-    cols, new_data = list(zip(*matrix)), [0] * (prod(shape[:mode]) * new_dim * inner)
+    combine, new_data = gf.vec_mat(matrix), [0] * (prod(shape[:mode]) * new_dim * inner)
     for o, r in product(range(prod(shape[:mode])), range(inner)):
         fiber = data[o * dim * inner + r : (o + 1) * dim * inner : inner]
         if any(fiber):
             out = slice(o * new_dim * inner + r, (o + 1) * new_dim * inner, inner)
-            new_data[out] = [gf.dot(fiber, c) for c in cols]
+            new_data[out] = combine(fiber)
     return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
 
 

@@ -59,12 +59,13 @@ def glynn_arc():
 
 
 class CountingField:
-    """Delegates the vector kernels dot and convolve to a field and counts
-    their calls; it has no scalar add or mul, so code that called them
+    """Delegates the vector kernels dot, convolve and vec_mat to a field and
+    counts their calls, and the calls of each map vec_mat returns in
+    combine_calls; it has no scalar add or mul, so code that called them
     would fail."""
 
     def __init__(self, gf):
-        self.gf, self.kernel_calls = gf, 0
+        self.gf, self.kernel_calls, self.combine_calls = gf, 0, 0
 
     def dot(self, u, v):
         self.kernel_calls += 1
@@ -73,6 +74,16 @@ class CountingField:
     def convolve(self, f, g, positions, size):
         self.kernel_calls += 1
         return self.gf.convolve(f, g, positions, size)
+
+    def vec_mat(self, matrix):
+        self.kernel_calls += 1
+        combine = self.gf.vec_mat(matrix)
+
+        def counted(v):
+            self.combine_calls += 1
+            return combine(v)
+
+        return counted
 
 
 @pytest.fixture

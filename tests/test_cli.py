@@ -67,6 +67,27 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, site):
     assert err.startswith("error: ") and "nested too deeply" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("missing", ["p", "h", "field", "k", "points", "points-file"])
+def test_missing_json_key_is_named(tmp_path, capsys, missing):
+    # a field object without p or h, an arc without field, k or points, and
+    # a custom points object without points: exit 2 naming the key
+    field = {"p": 7, "h": 1, "irreducible": [0, 1]}
+    blob = {"field": field, "k": 3, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}
+    path = tmp_path / "in.json"
+    if missing == "points-file":
+        path.write_text(json.dumps({"pts": blob["points"]}))
+        argv = ["arc", "new", "--type", "custom", "--q", "7", "--k", "3",
+                "--points", str(path), "-o", str(tmp_path / "custom.json")]
+        missing = "points"
+    else:
+        del (field if missing in field else blob)[missing]
+        path.write_text(json.dumps(blob))
+        argv = ["arc", "verify", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"has no key {missing!r}" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["arc", "new", "--type", "nrc", "--q", "6", "--k", "3", "-o", str(tmp_path / "x.json")]) == 2
     assert main(["arc", "verify", str(tmp_path / "missing.json")]) == 2

@@ -307,6 +307,43 @@ def test_add_scaled_matches_scalar_loop_and_mutates_nothing(p, h):
             assert (x, y) == (x0, y0)
 
 
+# GF(2^9) and GF(2^11) pack two bytes per entry in vec_mat, the smaller
+# binary fields one
+WIDE_BINARY_FIELDS = [(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]), (2, 11, [1, 0, 1] + [0] * 8 + [1])]
+
+
+@pytest.mark.parametrize("p,h,modulus", [(p, h, None) for p, h in KERNEL_FIELDS] + WIDE_BINARY_FIELDS)
+def test_vec_mat_matches_scalar_dots_and_mutates_nothing(p, h, modulus):
+    # 1 x 1, zero-column, square and wide matrices; v all zero, with one
+    # nonzero entry, with q - 1 everywhere, sparse and dense; every v is
+    # combined twice, so the second round reuses the packed scaled rows
+    gf = make_field(p, h, modulus)
+    rng = random.Random(p + 3 * h)
+    top = gf.q - 1
+    for rows, cols in [(1, 1), (4, 0), (6, 6), (17, 9)]:
+        matrix = [[rng.randrange(gf.q) for _ in range(cols)] for _ in range(rows - 1)] + [[top] * cols]
+        before = [list(row) for row in matrix]
+        vectors = [[0] * rows, [top] * rows]
+        for i in range(rows):
+            vectors.append([rng.randrange(1, gf.q) if j == i else 0 for j in range(rows)])
+        for density in (0.3, 1):
+            vectors.append([rng.randrange(1, gf.q) if rng.random() < density else 0 for _ in range(rows)])
+        combine = gf.vec_mat(matrix)
+        for v in vectors + vectors:
+            got = combine(v)
+            assert got == [scalar_dot(gf, v, c) for c in zip(*matrix)]
+            assert all(type(x) is int and 0 <= x < gf.q for x in got)
+        assert matrix == before
+    # the map keeps no reference cycle through the field
+    gc.disable()
+    try:
+        ref = weakref.ref(gf)
+        del gf, combine
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def scalar_form_mul(gf, f, g):
     """f·g term by term: each product of monomials found by its exponents."""
     index, out = monomial_index(f.k, f.t + g.t), [0] * num_monomials(f.k, f.t + g.t)

@@ -497,8 +497,9 @@ class CountingList(list):
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
 def test_contraction_work_follows_nonzeros(mode):
-    # one slice read per fiber along the mode, and one dot per matrix
-    # column for each fiber that is not all zero, whatever the entries
+    # one slice read per fiber along the mode, one vec_mat per contraction,
+    # and one call of its map for each fiber that is not all zero,
+    # whatever the entries
     gf = field(7)
     rng = random.Random(mode)
     shape, new_dim = [6, 6, 6], 5
@@ -515,21 +516,22 @@ def test_contraction_work_follows_nonzeros(mode):
         new_shape, out = _contract_mode(counting, list(shape), data, mode, matrix)
         row = matrix[J[mode]]
         assert data.reads == fibers
-        assert counting.kernel_calls == new_dim
+        assert (counting.kernel_calls, counting.combine_calls) == (1, 1)
         assert new_shape == shape[:mode] + [new_dim] + shape[mode + 1 :]
         want = [0] * len(out)
         for j, m in enumerate(row):
             K = J[:mode] + (j,) + J[mode + 1 :]
             want[(K[0] * new_shape[1] + K[1]) * new_shape[2] + K[2]] = gf.mul(3, m)
         assert out == want
-    # several nonzero entries: new_dim dots per fiber holding one of them
+    # several nonzero entries: one map call per fiber holding one of them
     data = CountingList(rng.randrange(1, 7) if rng.random() < 0.1 else 0 for _ in range(216))
     nonzero_fibers = {
         J[:mode] + J[mode + 1 :] for J, v in zip(itertools.product(range(6), repeat=3), data) if v
     }
     counting = CountingField(gf)
     _contract_mode(counting, list(shape), data, mode, matrix)
-    assert data.reads == fibers and counting.kernel_calls == new_dim * len(nonzero_fibers)
+    assert data.reads == fibers and counting.kernel_calls == 1
+    assert counting.combine_calls == len(nonzero_fibers)
 
 
 def contract_mode_by_definition(gf, shape, data, mode, matrix):
@@ -546,11 +548,12 @@ def contract_mode_by_definition(gf, shape, data, mode, matrix):
     return shape[:mode] + [new_dim] + shape[mode + 1 :], out
 
 
-@pytest.mark.parametrize("p,h", [(11, 1), (2, 4), (3, 2)])
+@pytest.mark.parametrize("p,h", [(11, 1), (2, 4), (3, 2), (2, 8), (2, 9)])
 def test_contractions_match_definition(p, h):
     # every mode of a 3-mode tensor, 6 -> 5 and 6 -> 9 (with a zero
-    # column), on all-zero, dense, 10%-sparse and tuple data
-    gf = make_field(p, h)
+    # column), on all-zero, dense, 10%-sparse and tuple data; GF(2^8) is
+    # the last field packed a byte per entry, GF(2^9) packs two
+    gf = make_field(p, h, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1] if (p, h) == (2, 9) else None)
     rng = random.Random(p * 100 + h)
     matrices = [[[rng.randrange(gf.q) for _ in range(new_dim)] for _ in range(6)] for new_dim in (5, 9)]
     for row in matrices[1]:
