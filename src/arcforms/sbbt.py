@@ -10,21 +10,25 @@ dual of every hyperplane meeting the arc in exactly k-2 points.
 
 With the first k-2 rows fixed, every minor is a linear form in the last
 row (linalg.minor_forms), so phi becomes the residual form G(S, X) of
-degree deg(phi) in X.  The verifier checks each residual against f_S^m,
+degree deg(phi) in X, multiplied out by a substitution plan built once
+per phi.  The verifier checks each residual against f_S^m,
 then compares G with the m-th power of the signed tangent evaluation on
 every ordered (k-1)-tuple of arc indices.  It reads G as
 tangents.signed_table reads g, from the residual of each sorted S at every
 x_j: permuting the rows by σ multiplies every maximal minor by sgn σ, so
 G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on rows with a repeat,
-whose minors all vanish.
+whose minors all vanish.  The hyperplane sweep evaluates phi at the dual
+of every hyperplane, each covector prefix's polynomial in the last
+coordinate at every x, and counts its arc points, by GF.vec_mat maps
+built once per sweep.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from functools import cached_property
+from itertools import combinations, compress, islice
 from operator import ne
 
 from . import forms, linalg
@@ -61,6 +65,27 @@ class SBBTForm:
     m: int
     E: tuple  # interpolation indices: the first mt+k-1 arc points
     phi: forms.Form  # degree m*t in the k dual variables
+
+    @cached_property
+    def substitution_plan(self) -> tuple:
+        """(steps, terms): the products of linear forms L_0..L_{k-1} that
+        phi's nonzero monomials need, each a step (parent, j, positions,
+        size) that multiplies product number parent (0 is the constant 1)
+        by L_j, its parent having one factor fewer, off its last variable;
+        and phi as its (coefficient, product number) terms."""
+        k, number, steps = self.phi.k, {(0,) * self.phi.k: 0}, []
+
+        def product(exp):
+            if exp not in number:
+                j = max(i for i, e in enumerate(exp) if e)
+                parent = product(exp[:j] + (exp[j] - 1,) + exp[j + 1 :])
+                s = sum(exp) - 1
+                steps.append((parent, j, forms._product_positions(k, s, 1), forms.num_monomials(k, s + 1)))
+                number[exp] = len(steps)
+            return number[exp]
+
+        basis = forms.monomial_basis(k, self.phi.t)
+        return steps, [(c, product(exp)) for c, exp in zip(self.phi.coeffs, basis) if c]
 
     def to_json(self, gf: GF) -> dict:
         return {"m": self.m, "E": list(self.E), "phi": forms.form_to_json(gf, self.phi)}
@@ -119,31 +144,22 @@ def evaluate_G(gf: GF, sbbt: SBBTForm, rows) -> int:
     return forms.evaluate(gf, sbbt.phi, minor_vector(gf, rows))
 
 
-def _linear_product(gf: GF, linear, exp, products) -> forms.Form:
-    """The product of linear[j]^exp[j] over j, kept in ``products``: each
-    is its parent's (one factor fewer, off the last variable) times one
-    linear form."""
-    if exp not in products:
-        j = max(i for i, e in enumerate(exp) if e)
-        parent = exp[:j] + (exp[j] - 1,) + exp[j + 1 :]
-        products[exp] = forms.form_mul(
-            gf, _linear_product(gf, linear, parent, products), linear[j]
-        )
-    return products[exp]
-
-
 def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     """G(prefix, X) as a polynomial in X: substitute, into phi, the linear
-    forms that each minor becomes once all rows but the last are fixed."""
+    forms that each minor becomes once all rows but the last are fixed, by
+    phi's substitution plan: one convolve per product step, then one
+    add_scaled per nonzero term."""
     k = sbbt.phi.k
     if len(prefix_rows) != k - 2:
         raise ValueError(f"need k-2 = {k - 2} prefix rows")
-    linear = [forms.linear_form(k, L) for L in linalg.minor_forms(gf, prefix_rows)]
-    products = {(0,) * k: forms.Form(k, 0, (1,))}
+    linear = linalg.minor_forms(gf, prefix_rows)
+    steps, terms = sbbt.substitution_plan
+    products = [[1]]
+    for parent, j, positions, size in steps:
+        products.append(gf.convolve(products[parent], linear[j], positions, size))
     out = [0] * len(sbbt.phi.coeffs)
-    for c, exp in zip(sbbt.phi.coeffs, forms.monomial_basis(k, sbbt.phi.t)):
-        if c:
-            out = gf.add_scaled(out, c, _linear_product(gf, linear, exp, products).coeffs)
+    for c, node in terms:
+        out = gf.add_scaled(out, c, products[node])
     return forms.Form(k, sbbt.phi.t, tuple(out))
 
 
@@ -155,40 +171,42 @@ def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
     coordinate x.  Once per head, the first k-2 coordinates that
     consecutive prefixes share, phi's nonzero terms are multiplied out one
     coordinate at a time from the signed powers (σ_j·y)^e and summed by
-    tail, and the arc points' dot products from the products y·p_j; the
-    prefix's last coordinate leaves phi a polynomial in x.  A dot product
-    s + x·p_last vanishes for the one x = -s/p_last when p_last != 0, and
-    for every x or for none when p_last = 0.
+    tail; the prefix's last coordinate leaves phi a polynomial in x, whose
+    coefficient list one gf.vec_mat map, built once over the (d+1) x q
+    matrix of (σ_{k-1}·x)^e, evaluates at every x.  An arc point
+    p = (p', p_last) is on the hyperplane for the one x = prefix·p'·(-1/p_last)
+    when p_last != 0, and for every x or for none, as prefix·p' is 0 or
+    not, when p_last = 0: two more maps, over the columns p'·(-1/p_last)
+    and p', give both for every arc point at once.
     """
     gf, k, d, add, mul = arc.gf, arc.k, sbbt.phi.t, arc.gf.add, arc.gf.mul
     sign = covector_to_dual_point(gf, (1,) * k)
     powers = [[[gf.pow(mul(s, y), e) for e in range(d + 1)] for y in gf.elements()] for s in sign]
-    times = [[[mul(y, p[j]) for p in arc.points] for y in gf.elements()] for j in range(k - 1)]
     terms = [(c, e) for c, e in zip(sbbt.phi.coeffs, forms.monomial_basis(k, d)) if c]
     exps = [[e[j] for _, e in terms] for j in range(k - 2)]
     tail = [e[-2:] for _, e in terms]  # a term's exponents of the last two coordinates
-    lasts = [p[-1] for p in arc.points]
+    at_every_x = gf.vec_mat(list(zip(*powers[k - 1])))
+    slopes = [(p[:-1], gf.neg(gf.inv(p[-1]))) for p in arc.points if p[-1]]  # (p', -1/p_last)
+    roots = gf.vec_mat(list(zip(*([mul(c, s) for c in u] for u, s in slopes))))
+    flat = gf.vec_mat(list(zip(*(p[:-1] for p in arc.points if not p[-1]))))
+    singles = [(x,) for x in gf.elements()]
     out, head = [], None
     for prefix in [(0,) * (k - 1), *projective_points(gf, k - 1)]:
         if prefix[:-1] != head:
-            head, values, shared = prefix[:-1], [c for c, _ in terms], [0] * arc.n
+            head, values = prefix[:-1], [c for c, _ in terms]
             for j, y in enumerate(head):
                 values = list(map(mul, values, map(powers[j][y].__getitem__, exps[j])))
-                shared = list(map(add, shared, times[j][y]))
             tails = dict.fromkeys(tail, 0)  # phi on the head, summed by tail
             for t, v in zip(tail, values):
                 tails[t] = add(tails[t], v)
-        power, poly = powers[k - 2][prefix[-1]], {}  # poly[e]: the x^e coefficient
+        power, poly = powers[k - 2][prefix[-1]], [0] * (d + 1)  # poly[e]: the x^e coefficient
         for (a, e), v in tails.items():
-            poly[e] = add(poly.get(e, 0), mul(v, power[a]))
-        dots = list(map(add, shared, times[k - 2][prefix[-1]]))
-        always = sum(1 for s, c in zip(dots, lasts) if not (s or c))
-        roots = Counter(gf.div(gf.neg(s), c) for s, c in zip(dots, lasts) if c)
-        for x in gf.elements() if any(prefix) else (1,):
-            value, power = 0, powers[k - 1][x]
-            for e, c in poly.items():
-                value = add(value, mul(c, power[e]))
-            out.append((prefix + (x,), always + roots[x], value))
+            poly[e] = add(poly[e], mul(v, power[a]))
+        counts = [flat(prefix).count(0)] * gf.q
+        for x in roots(prefix):
+            counts[x] += 1
+        rows = zip(map(prefix.__add__, singles), counts, at_every_x(poly))
+        out += rows if any(prefix) else islice(rows, 1, 2)  # the zero prefix takes x = 1 only
     return out
 
 

@@ -65,6 +65,20 @@ def tuple_positions(n: int, points, order) -> list:
     return out
 
 
+def repeat_positions(n: int, m: int) -> list:
+    """The row-major positions in product(range(n), repeat=m), ascending, of
+    the tuples with a repeated index: the union over i < j of the tuples
+    with a_i = a_j, whose shared index carries both weights."""
+    out = set()
+    for i, j in combinations(range(m), 2):
+        weights = [n ** (m - 1 - s) + (s == i) * n ** (m - 1 - j) for s in range(m) if s != j]
+        positions = [0]
+        for weight in weights:
+            positions = [p + a * weight for p in positions for a in range(n)]
+        out.update(positions)
+    return sorted(out)
+
+
 def signed_table(arc: Arc, rows, power: int) -> list:
     """A function on the ordered (k-1)-tuples of arc indices, row-major, from
     its rows on the sorted (k-2)-subsets S (combinations order, one entry

@@ -28,7 +28,7 @@ from . import forms, linalg
 from .field import GF
 from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, perm_parity, tuple_at, tuple_position, tuple_positions
+from .tangents import TangentSystem, perm_parity, repeat_positions, tuple_at, tuple_position, tuple_positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +273,9 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
         prop1.tally(table[pos : pos + n] == g[pos : pos + n], {"S": list(S)})
 
     prop2 = report.check("repeated-points-vanish")
-    for pos, prefix in enumerate(product(range(n), repeat=blocks - 1)):
-        if len(set(prefix)) < blocks - 1:
-            prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": list(prefix)})
-    repeats = [pos for pos, a in enumerate(product(range(n), repeat=blocks)) if len(set(a)) < blocks]
+    for pos in repeat_positions(n, blocks - 1):
+        prop2.tally(not any(table[pos * n : (pos + 1) * n]), {"prefix": tuple_at(pos, n, blocks - 1)})
+    repeats = repeat_positions(n, blocks)
     prop2.tally_many(len(repeats), [{"tuple": tuple_at(pos, n, blocks)} for pos in repeats if table[pos]])
 
     prop3 = report.check("block-permutation-antisymmetry")

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from arcforms import linalg
+from arcforms import forms, linalg
+from arcforms.field import make_field
 from arcforms.forms import (
     Form,
     evaluate as eval_form,
@@ -176,6 +177,39 @@ def test_residual_form_takes_each_minor_once(monkeypatch):
         assert list(map(len, calls)) == [math.comb(k, 2)]
 
 
+@pytest.mark.parametrize("q", [7, 8, 9])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_residual_form_matches_substitution_oracle(q, k):
+    # sparse, dense, zero and degree-0 phi at random prefix rows, zero and
+    # repeated rows included
+    gf, rng = field(q), random.Random(10 * q + k)
+    for d, density in [(3, 0.3), (2, 1), (3, 0), (0, 1)]:
+        coeffs = [rng.randrange(1, q) if rng.random() < density else 0 for _ in monomial_basis(k, d)]
+        sb = SBBTForm(1, (), Form(k, d, tuple(coeffs)))
+        for _ in range(3):
+            prefix = [[rng.randrange(q) for _ in range(k)] for _ in range(k - 2)]
+            assert residual_form(gf, sb, prefix) == _substituted(gf, sb.phi, prefix), (d, prefix)
+        if k > 2:
+            prefix = [[0] * k] + [[1] * k] * (k - 3)
+            assert residual_form(gf, sb, prefix) == _substituted(gf, sb.phi, prefix), (d, prefix)
+
+
+def test_one_substitution_plan_serves_every_residual(monkeypatch):
+    # phi's plan reads the product-position tables once, on the first
+    # residual; every later residual of the same SBBTForm reuses it
+    arc, ts = corpus_system(7, 4)
+    sb = build_sbbt(arc, ts)
+    calls = []
+    positions = forms._product_positions
+    monkeypatch.setattr(forms, "_product_positions", lambda *a: calls.append(a) or positions(*a))
+    rows = [[arc.points[i] for i in S] for S in itertools.combinations(range(arc.n), 2)]
+    first = residual_form(arc.gf, sb, rows[0])
+    steps, terms = plan = sb.substitution_plan
+    assert len(calls) == len(steps) > 0 and len(terms) == sum(1 for c in sb.phi.coeffs if c)
+    later = [residual_form(arc.gf, sb, r) for r in rows]
+    assert later[0] == first and len(calls) == len(steps) and sb.substitution_plan is plan
+
+
 @pytest.mark.parametrize("case", [(q, k) for q, _, _, k in CORPUS] + ["glynn"])
 def test_residuals_give_G_on_every_sorted_subset(case):
     # residual_S(X) is phi at the minor vector of [S, X] as a polynomial,
@@ -282,24 +316,48 @@ def _oracle_duals(arc, phi):
     ]
 
 
+# GF(2^9) and GF(2^11), moduli x^9+x^4+1 and x^11+x^2+1: vec_mat packs two
+# bytes per entry there
+WIDE_BINARY_MODULI = {512: [1, 0, 0, 0, 1, 0, 0, 0, 0, 1], 2048: [1, 0, 1] + [0] * 8 + [1]}
+
+
 @pytest.mark.parametrize(
     "q,k,d,kind",
     [
         (q, k, 1 + (q + k) % 4, ("sparse", "dense", "zero")[(q + 2 * k) % 3])
         for q in (4, 5, 7, 8, 9)
         for k in range(2, 6)
-    ],
+    ]
+    + [(512, 2, 3, "dense"), (2048, 2, 4, "sparse")],
 )
 def test_classify_hyperplanes_matches_oracle(q, k, d, kind):
-    # a shuffled subset of the NRC and a phi of degree d with about 30%,
-    # all or none of its coefficients nonzero
+    # a shuffled subset of the NRC, at most 40 points, and a phi of degree d
+    # with about 30%, all or none of its coefficients nonzero
     rng = random.Random(100 * q + 10 * k + d)
-    nrc = normal_rational_curve(field(q), k)
-    arc = Arc(nrc.gf, k, tuple(rng.sample(nrc.points, rng.randint(k, nrc.n))))
+    gf = make_field(2, q.bit_length() - 1, WIDE_BINARY_MODULI[q]) if q in WIDE_BINARY_MODULI else field(q)
+    nrc = normal_rational_curve(gf, k)
+    arc = Arc(gf, k, tuple(rng.sample(nrc.points, rng.randint(k, min(nrc.n, 40)))))
     density = {"sparse": 0.3, "dense": 1, "zero": 0}[kind]
     coeffs = [rng.randrange(1, q) if rng.random() < density else 0 for _ in monomial_basis(k, d)]
     sb = SBBTForm(1, (), Form(k, d, tuple(coeffs)))
     assert classify_hyperplanes(arc, sb) == _oracle_duals(arc, sb.phi)
+
+
+def _substituted(gf, phi, prefix):
+    """phi with each Z_j replaced by the linear form the j-th minor of
+    [prefix, X] is in X (coefficient of X_c read off with X = e_c),
+    monomial by monomial."""
+    k = phi.k
+    unit = [tuple(int(c == j) for c in range(k)) for j in range(k)]
+    linear = [
+        linear_form(k, [det_minor(gf, prefix + [unit[c]], j) for c in range(k)])
+        for j in range(k)
+    ]
+    out = zero_form(k, phi.t)
+    for c, exp in zip(phi.coeffs, monomial_basis(k, phi.t)):
+        factors = [linear[j] for j, e in enumerate(exp) for _ in range(e)]
+        out = form_add(gf, out, form_scale(gf, c, product_linear_forms(gf, k, factors)))
+    return out
 
 
 def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
@@ -318,19 +376,9 @@ def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
         bad = [w for ok, w in results if not ok]
         out.append((name, len(results), len(bad), bad[:10]))
 
-    basis = monomial_basis(k, sb.phi.t)
-    unit = [tuple(int(c == j) for c in range(k)) for j in range(k)]
     results = []
     for S in itertools.combinations(range(arc.n), k - 2):
-        prefix = [arc.points[i] for i in S]
-        linear = [
-            linear_form(k, [det_minor(gf, prefix + [unit[c]], j) for c in range(k)])
-            for j in range(k)
-        ]
-        got = zero_form(k, sb.phi.t)
-        for c, exp in zip(sb.phi.coeffs, basis):
-            factors = [linear[j] for j, e in enumerate(exp) for _ in range(e)]
-            got = form_add(gf, got, form_scale(gf, c, product_linear_forms(gf, k, factors)))
+        got = _substituted(gf, sb.phi, [arc.points[i] for i in S])
         fS = ts.form(S)
         want = fS if m == 1 else form_mul(gf, fS, fS)
         results.append((got == want, {"S": list(S)}))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -16,6 +17,7 @@ from arcforms.tangents import (
     build_tangent_system,
     g_value,
     perm_parity,
+    repeat_positions,
     scaling_rule,
     signed_table,
     tangent_hyperplanes,
@@ -355,6 +357,18 @@ def test_tuple_index_helpers():
         assert tuple_positions(n, points, range(m)) == [
             tuple_position(tup, n) for tup in itertools.product(points, repeat=m)
         ]
+
+
+
+def test_repeat_positions_are_the_tuples_with_a_repeated_index():
+    # the old per-tuple set filter is the oracle; m = 1 has no repeats
+    for n in range(1, 7):
+        for m in range(1, 5):
+            got = repeat_positions(n, m)
+            tuples = itertools.product(range(n), repeat=m)
+            assert got == [pos for pos, a in enumerate(tuples) if len(set(a)) < m], (n, m)
+            assert len(got) == n**m - math.perm(n, m), (n, m)
+    assert repeat_positions(5, 1) == []
 
 
 def test_g_table_is_g_value_on_every_tuple():

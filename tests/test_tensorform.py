@@ -24,6 +24,7 @@ from arcforms.field import make_field
 from arcforms.geometry import Arc, normal_rational_curve, normalize
 from arcforms import linalg, tensorform
 from arcforms.linalg import identity, inverse, mat_mul, rank
+from arcforms.report import MAX_WITNESSES
 from arcforms.tangents import (
     TangentSystem,
     build_tangent_system,
@@ -413,6 +414,29 @@ def test_corrupted_tensor_entry_is_caught(q, k, failed):
     bad[pos] = gf.add(bad[pos], 1)
     report = verify_tensor_form(arc, ts, MultiForm(F.k, F.blocks, F.t, tuple(bad)))
     assert {c.name: c.failed for c in report.checks} == failed
+
+
+def test_repeated_point_witnesses_stay_in_tuple_order():
+    # one corrupted entry: the witnesses of repeated-points-vanish are the
+    # failing prefixes, then the failing tuples, each in ascending
+    # row-major order, as the per-tuple set filter lists them
+    arc, ts, F = corpus_tensor(7, 4)
+    gf, n, blocks = arc.gf, arc.n, F.blocks
+    bad = list(F.coeffs)
+    bad[0] = gf.add(bad[0], 1)
+    bad = MultiForm(F.k, blocks, F.t, tuple(bad))
+    table = evaluation_table(gf, bad, arc.points)
+    prefixes = itertools.product(range(n), repeat=blocks - 1)
+    want = [
+        {"prefix": list(a)} for pos, a in enumerate(prefixes)
+        if len(set(a)) < blocks - 1 and any(table[pos * n : (pos + 1) * n])
+    ] + [
+        {"tuple": list(a)} for pos, a in enumerate(itertools.product(range(n), repeat=blocks))
+        if len(set(a)) < blocks and table[pos]
+    ]
+    check = next(c for c in verify_tensor_form(arc, ts, bad).checks if c.name == "repeated-points-vanish")
+    assert any("tuple" in w for w in check.witnesses)
+    assert (check.failed, check.witnesses) == (len(want), want[:MAX_WITNESSES])
 
 
 def test_rescaled_representative_rebuild():
