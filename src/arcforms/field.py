@@ -10,6 +10,7 @@ shared freely between threads and passed explicitly to every operation.
 from __future__ import annotations
 
 import operator
+import sys
 from array import array
 from itertools import compress
 
@@ -85,10 +86,10 @@ class GF:
     decide whether the modulus is irreducible.
     Arithmetic methods take and return plain ints; operands are assumed to
     be already reduced (use :meth:`check` at trust boundaries).  The
-    vector kernels dot, add_scaled, convolve and vec_mat branch on the
-    field kind as add and mul do; no bound method is stored on the
-    instance, so a GF is never a reference cycle and its tables are freed
-    with its last reference.
+    vector kernels dot, add_scaled, convolve and vec_mat (rows packed into
+    ints) branch on the field kind as add and mul do; no bound method is
+    stored on the instance, so a GF is never a reference cycle and its
+    tables are freed with its last reference.
     """
 
     def __init__(self, p: int, h: int, irreducible):
@@ -233,13 +234,31 @@ class GF:
         return out
 
     def vec_mat(self, matrix):
-        """The map v ↦ v·matrix.  Over GF(2^h) v·matrix is the XOR over the
-        nonzero v_i of c·row_i, each packed into one int, a byte per entry
-        for q <= 256 and two bytes above, the first time (i, c = v_i) is
-        used; else one dot per column, the columns taken once."""
+        """The map v ↦ v·matrix, each matrix row packed into one int with a
+        lane per column.  Over GF(p) the lanes are the narrowest array code
+        of H, I and Q that holds len(matrix)·(p-1)^2, so v·matrix is one
+        int sum of the v_i·row_i, carrying no lane into the next, reduced
+        once per lane.  Over GF(2^h) it is the XOR over the nonzero v_i of
+        c·row_i, a byte per entry for q <= 256 and two bytes above, packed
+        the first time (i, c = v_i) is used.  Else, or with lanes above 64
+        bits, one dot per column, the columns taken once."""
         if self.h == 1 or self.p != 2:
-            cols, dot = list(zip(*matrix)), self.dot
-            return lambda v: [dot(v, c) for c in cols]
+            bound = len(matrix) * (self.p - 1) ** 2
+            if self.h > 1 or bound >> 64:
+                cols, dot = list(zip(*matrix)), self.dot
+                return lambda v: [dot(v, c) for c in cols]
+            # a lane's sum carries from its low bytes to its high ones, so
+            # both ends take the native byte order that array uses
+            code = next(c for c in "HIQ" if bound < 1 << 8 * array(c).itemsize)
+            order, reduce = sys.byteorder, self.p.__rmod__
+            width = len(matrix[0]) * array(code).itemsize if matrix else 0
+            packed = [int.from_bytes(array(code, row).tobytes(), order) for row in matrix]
+
+            def combine(v):
+                acc = sum(map(operator.mul, v, packed))
+                return list(map(reduce, array(code, acc.to_bytes(width, order))))
+
+            return combine
         mul, code = self._mul_table, "B" if self.q <= 256 else "H"
         width = len(matrix[0]) * array(code).itemsize if matrix else 0
         rows = [(row, [None] * self.q) for row in matrix]

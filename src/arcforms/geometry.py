@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .field import GF, field_from_json
@@ -40,6 +41,11 @@ class Arc:
     gf: GF
     k: int
     points: tuple  # tuple of length-k int tuples, order significant
+
+    @cached_property
+    def point_map(self):
+        """The GF.vec_mat map c ↦ [c·x for x in points], built once."""
+        return self.gf.vec_mat(list(zip(*self.points)))
 
     @property
     def n(self) -> int:
@@ -82,19 +88,18 @@ class Arc:
 IN_SPAN = object()  # the pencil key of a point in the span: it is on every member
 
 
-def pencil(gf: GF, k: int, span, points):
+def pencil(gf: GF, k: int, span, at_points):
     """The pencil through k-2 independent span points: (u, v, keys), {u, v}
-    the span's nullspace basis and keys[i] the member points[i] = x lies on,
-    by two dots: None for u, λ = -(v·x)/(u·x) for v + λu, and IN_SPAN if
-    u·x = v·x = 0."""
+    the span's nullspace basis and keys[i] the member the i-th point x lies
+    on, read off at_points(u) and at_points(v), at_points(c) the list of
+    c·x over the points (one GF.vec_mat map over their columns): None for
+    u, λ = -(v·x)/(u·x) for v + λu, and IN_SPAN if u·x = v·x = 0."""
     rk, basis = linalg.nullspace(gf, span, ncols=k)
     if rk != k - 2:
         raise ValueError("span points are linearly dependent")
     u, v = basis
-    keys = []
-    for x in points:
-        a, b = linalg.dot(gf, u, x), linalg.dot(gf, v, x)
-        keys.append(gf.div(gf.neg(b), a) if a else None if b else IN_SPAN)
+    pairs = zip(at_points(u), at_points(v))
+    keys = [gf.div(gf.neg(b), a) if a else None if b else IN_SPAN for a, b in pairs]
     return u, v, keys
 
 
@@ -114,11 +119,11 @@ def is_arc(gf: GF, k: int, points):
             raise ValueError("the zero vector is not a projective point")
     if k < 2:  # a 1x1 minor is the point's one nonzero coordinate
         return True, None
-    n = len(points)
+    n, at_points = len(points), gf.vec_mat(list(zip(*points)))
     for S in itertools.combinations(range(n - 2), k - 2):
         start = S[-1] + 1 if S else 0
         try:
-            keys = pencil(gf, k, [points[i] for i in S], points[start:])[2]
+            keys = pencil(gf, k, [points[i] for i in S], lambda c: at_points(c)[start:])[2]
         except ValueError:  # S is dependent: every S + (a, b) is singular
             keys = [IN_SPAN] * (n - start)
         if len({*keys, IN_SPAN}) <= len(keys):  # two keys equal, or one IN_SPAN

@@ -218,11 +218,15 @@ def verify_sbbt(
     report: Report | None = None,
     hyperplanes=None,
 ) -> Report:
-    """Check the dual form against the tangent system; hyperplanes, when
-    given, is classify_hyperplanes(arc, sbbt), so a caller that keeps it
-    sweeps once."""
+    """Check the dual form against the tangent system.  The G rows are read
+    off one GF.vec_mat map over the arc's Veronese vectors of degree
+    deg(phi), ts.veronese_map when that is t; hyperplanes, when given, is
+    classify_hyperplanes(arc, sbbt), so a caller that keeps it sweeps once."""
     gf, k, m, d = arc.gf, arc.k, sbbt.m, sbbt.phi.t
-    vectors = ts.point_vectors if d == arc.t else [forms.monomial_vector(gf, x, d) for x in arc.points]
+    if d == arc.t:
+        at_points = ts.veronese_map
+    else:
+        at_points = gf.vec_mat(list(zip(*(forms.monomial_vector(gf, x, d) for x in arc.points))))
 
     report = report or Report("sbbt-verify", {}, [])
     ident = report.check("residual-equals-tangent-form-power")
@@ -234,7 +238,9 @@ def verify_sbbt(
         for _ in range(m - 1):
             want = forms.form_mul(gf, want, fS)
         ident.tally(got == want, {"S": list(S)})
-        residuals.append([0 if j in S else linalg.dot(gf, got.coeffs, v) for j, v in enumerate(vectors)])
+        residuals.append(at_points(got.coeffs))
+        for j in S:
+            residuals[-1][j] = 0
 
     sweep0 = report.check("vanishes-on-tangent-hyperplane-duals")
     sweep1 = report.check("nonzero-on-secant-hyperplane-duals")
@@ -255,7 +261,7 @@ def verify_sbbt(
     )
 
     G = signed_table(arc, residuals, d)
-    want = ts.g_table if m == 1 else [gf.pow(v, m) for v in ts.g_table]
+    want = ts.g_table if m == 1 else list(map(gf.mul, ts.g_table, ts.g_table))
     report.check("agrees-with-signed-evaluations-powered").tally_many(len(G), [
         {"tuple": tuple_at(pos, arc.n, k - 1)} for pos in compress(range(len(G)), map(ne, G, want))
     ])

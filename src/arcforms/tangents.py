@@ -113,18 +113,18 @@ def check_buildable(arc: Arc) -> None:
 
 def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
-    the rest of the arc: the members of S's pencil (geometry.pencil) that no
-    other arc point lies on, none if one lies in S's span.  Raises
-    TangentCountError if the count is off, which signals corrupted arc data,
-    and ValueError if f_S would have more than forms.MAX_ENTRIES entries."""
+    the rest of the arc: the members of S's pencil (geometry.pencil, off
+    the arc's point_map) that no other arc point lies on, none if one lies
+    in S's span.  Raises TangentCountError if the count is off, which
+    signals corrupted arc data, and ValueError if f_S would have more than
+    forms.MAX_ENTRIES entries."""
     _check_form_size(arc)
     subset = tuple(sorted(subset))
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")
     gf = arc.gf
-    others = [x for i, x in enumerate(arc.points) if i not in subset]
-    u, v, keys = pencil(gf, arc.k, [arc.points[i] for i in subset], others)
-    hit = set(keys)
+    u, v, keys = pencil(gf, arc.k, [arc.points[i] for i in subset], arc.point_map)
+    hit = {key for i, key in enumerate(keys) if i not in subset}  # S's own points are IN_SPAN
     tangents = [
         normalize(gf, u if lam is None else gf.add_scaled(v, lam, u))
         for lam in (None, *gf.elements())  # u is keyed None, v + λu by λ
@@ -186,14 +186,21 @@ class TangentSystem:
         return list(map(self.g_table.__getitem__, positions))
 
     @cached_property
+    def veronese_map(self):
+        """The GF.vec_mat map c ↦ [c·v for v in point_vectors]: a degree-t
+        form's values at every arc point."""
+        return self.gf.vec_mat(list(zip(*self.point_vectors)))
+
+    @cached_property
     def g_table(self) -> list:
         """g on every ordered (k-1)-tuple of arc indices: the signed_table,
-        with power t+1, of the rows f_S(x_j), one dot per j off S and 0 on S."""
-        gf, vectors = self.gf, self.point_vectors
-        rows = (
-            [0 if j in S else linalg.dot(gf, self.fS[S].coeffs, v) for j, v in enumerate(vectors)]
-            for S in combinations(range(self.arc.n), self.arc.k - 2)
-        )
+        with power t+1, of the rows f_S(x_j), one veronese_map call per S
+        with 0 written on S."""
+        rows = []
+        for S in combinations(range(self.arc.n), self.arc.k - 2):
+            rows.append(self.veronese_map(self.fS[S].coeffs))
+            for j in S:
+                rows[-1][j] = 0
         return signed_table(self.arc, rows, self.arc.t + 1)
 
     def eval_fS(self, subset, point_index: int) -> int:

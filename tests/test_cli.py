@@ -9,7 +9,7 @@ import pytest
 
 from arcforms import linalg, sbbt, tangents, tensorform
 from arcforms.cli import _factor_prime_power, build_parser, main
-from arcforms.field import make_field
+from arcforms.field import GF, make_field
 from arcforms.geometry import Arc, normal_rational_curve
 
 from conftest import glynn_arc
@@ -418,9 +418,10 @@ def test_suite_on_a_k5_arc_keeps_only_the_support_block(tmp_path, capsys):
 def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
     # one tangent system, one F, one coordinate map and one elimination of
     # the N x n Veronese matrix (N = 10, n = 8) serve every stage of the
-    # suite.  The verifiers never call g_value: the tuple sweeps read one
-    # table of g, and their only dot products are its C(n, 2)·(n - 2)
-    # values f_S(x_j), S a 2-subset and j off S.
+    # suite.  The verifiers never call g_value and take no dot product: the
+    # tuple sweeps read one table of g, whose rows f_S(x_j) are C(n, 2)
+    # calls, one per 2-subset S, of one vec_mat map over the 10 x 8 matrix
+    # of the points' Veronese vectors.
     arc_path = str(tmp_path / "tc7.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
     calls, stage = Counter(), ["other"]
@@ -457,14 +458,29 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
         dots[stage[-1]] += 1
         return dot(*args)
     monkeypatch.setattr(linalg, "dot", staged_dot)
+    vec_mat = GF.vec_mat
+
+    def counted_vec_mat(gf, matrix):
+        combine = vec_mat(gf, matrix)
+        if (len(matrix), len(matrix[0])) != (10, 8):
+            return combine
+        calls["veronese map"] += 1
+
+        def staged_combine(v):
+            dots[stage[-1], "veronese map"] += 1
+            return combine(v)
+        return staged_combine
+    monkeypatch.setattr(GF, "vec_mat", counted_vec_mat)
     code, rep = run(capsys, "suite", arc_path)
     assert code == 0 and rep["passed"]
     n = 8
     assert calls == Counter({
         "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1, "g_value": 0,
-        "build_tangent_system": 1, "tangent_hyperplanes": comb(n, 2),
+        "build_tangent_system": 1, "tangent_hyperplanes": comb(n, 2), "veronese map": 1,
     })
-    assert dots["verify_lemma_of_tangents"] + dots["verify_tensor_form"] == comb(n, 2) * (n - 2)
+    assert dots["verify_lemma_of_tangents"] + dots["verify_tensor_form"] == 0
+    tabulated = dots["verify_lemma_of_tangents", "veronese map"] + dots["verify_tensor_form", "veronese map"]
+    assert tabulated == comb(n, 2)
 
 
 def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):

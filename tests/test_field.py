@@ -310,18 +310,28 @@ def test_add_scaled_matches_scalar_loop_and_mutates_nothing(p, h):
 # GF(2^9) and GF(2^11) pack two bytes per entry in vec_mat, the smaller
 # binary fields one
 WIDE_BINARY_FIELDS = [(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]), (2, 11, [1, 0, 1] + [0] * 8 + [1])]
+# vec_mat's GF(p) lanes hold rows·(p-1)^2: 16 bits for 251 with one row,
+# 32 with 17 rows; 257 with one row needs 32, as (p-1)^2 = 2^16 exactly;
+# 65521 needs 32 with one row and 64 with 17; 10^18 + 3 needs more than 64
+# and takes one dot per column
+LANE_EDGE_PRIMES = [(251, 1, None), (257, 1, None), (65521, 1, None)]
 
 
-@pytest.mark.parametrize("p,h,modulus", [(p, h, None) for p, h in KERNEL_FIELDS] + WIDE_BINARY_FIELDS)
+@pytest.mark.parametrize(
+    "p,h,modulus", [(p, h, None) for p, h in KERNEL_FIELDS] + WIDE_BINARY_FIELDS + LANE_EDGE_PRIMES
+)
 def test_vec_mat_matches_scalar_dots_and_mutates_nothing(p, h, modulus):
-    # 1 x 1, zero-column, square and wide matrices; v all zero, with one
-    # nonzero entry, with q - 1 everywhere, sparse and dense; every v is
-    # combined twice, so the second round reuses the packed scaled rows
+    # 1 x 1, zero-column, square and wide matrices, and a 17 x 3 matrix of
+    # q - 1 only, whose lanes reach the bound rows·(q-1)^2 at v = q - 1;
+    # v all zero, with one nonzero entry, with q - 1 everywhere, sparse and
+    # dense; every v is combined twice, so the second round reuses the
+    # packed scaled rows
     gf = make_field(p, h, modulus)
     rng = random.Random(p + 3 * h)
     top = gf.q - 1
-    for rows, cols in [(1, 1), (4, 0), (6, 6), (17, 9)]:
-        matrix = [[rng.randrange(gf.q) for _ in range(cols)] for _ in range(rows - 1)] + [[top] * cols]
+    for rows, cols, drawn in [(1, 1, 0), (4, 0, 3), (6, 6, 5), (17, 9, 16), (17, 3, 0)]:
+        matrix = [[rng.randrange(gf.q) for _ in range(cols)] for _ in range(drawn)]
+        matrix += [[top] * cols for _ in range(rows - drawn)]
         before = [list(row) for row in matrix]
         vectors = [[0] * rows, [top] * rows]
         for i in range(rows):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcforms import linalg
-from arcforms.field import make_field
+from arcforms.field import GF, make_field
 from arcforms.geometry import (
+    IN_SPAN,
     Arc,
     arc_from_points,
     check_arc,
@@ -19,11 +21,12 @@ from arcforms.geometry import (
     mds_generator,
     normal_rational_curve,
     normalize,
+    pencil,
     project,
     projective_points,
 )
 
-from conftest import CORPUS, corpus_arc, field
+from conftest import CORPUS, corpus_arc, field, glynn_arc
 
 
 def test_normalize(gf5):
@@ -142,14 +145,52 @@ def test_is_arc_witness_on_hand_built_pencils(gf5, points):
 
 
 def test_is_arc_dot_count(monkeypatch):
-    # two dots per (k-2)-subset S and point after it: 2·n·C(n, k-2) at most
-    calls = []
-    dot = linalg.dot
+    # no dots: one vec_mat map over the points' columns, two calls of it
+    # per (k-2)-subset S, whose pencil keys are read off its values
+    calls, maps = [], []
+    dot, vec_mat = linalg.dot, GF.vec_mat
     monkeypatch.setattr(linalg, "dot", lambda *a: calls.append(1) or dot(*a))
+
+    def counted_vec_mat(gf, matrix):
+        combine, uses = vec_mat(gf, matrix), []
+        maps.append(uses)
+        return lambda v: uses.append(1) or combine(v)
+    monkeypatch.setattr(GF, "vec_mat", counted_vec_mat)
     for arc in [conic(make_field(31)), *(corpus_arc(q, k) for q, _, _, k in CORPUS)]:
-        calls.clear()
+        calls.clear(), maps.clear()
         assert is_arc(arc.gf, arc.k, arc.points) == (True, None)
-        assert len(calls) <= 2 * arc.n * math.comb(arc.n, arc.k - 2), (arc.gf.q, arc.k)
+        assert calls == [] and [len(uses) for uses in maps] == [2 * math.comb(arc.n - 2, arc.k - 2)]
+
+
+def scalar_keys(gf, u, v, points):
+    """The pencil keys of the points by two scalar dots per point."""
+    keys = []
+    for x in points:
+        a, b = (functools.reduce(gf.add, map(gf.mul, w, x), 0) for w in (u, v))
+        keys.append(gf.div(gf.neg(b), a) if a else None if b else IN_SPAN)
+    return keys
+
+
+def test_pencil_keys_match_two_scalar_dots():
+    # on every S of the corpus, a GF(2^4) arc and Glynn's arc, at every arc
+    # point and at x_0 + ... + x_{k-3}, which is in the span of the first
+    # S, (0, ..., k-3); S's own points are IN_SPAN too, and for k > 3 a
+    # repeated point makes S dependent
+    arcs = [corpus_arc(q, k) for q, _, _, k in CORPUS]
+    for arc in arcs + [normal_rational_curve(make_field(2, 4), 4), glynn_arc()]:
+        gf, k = arc.gf, arc.k
+        points = [*arc.points, functools.reduce(lambda x, y: tuple(map(gf.add, x, y)), arc.points[: k - 2])]
+        at_points = gf.vec_mat(list(zip(*points)))
+        for S in itertools.combinations(range(arc.n), k - 2):
+            span = [arc.points[i] for i in S]
+            u, v, keys = pencil(gf, k, span, at_points)
+            assert keys == scalar_keys(gf, u, v, points), (gf, k, S)
+            assert keys[:-1] == pencil(gf, k, span, arc.point_map)[2]
+            assert [keys[i] for i in S] == [IN_SPAN] * (k - 2)
+        assert pencil(gf, k, arc.points[: k - 2], at_points)[2][-1] is IN_SPAN
+        if k > 3:
+            with pytest.raises(ValueError, match="dependent"):
+                pencil(gf, k, [arc.points[0]] * (k - 2), at_points)
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)

@@ -275,6 +275,14 @@ def test_G_agrees_with_signed_evaluations_powered():
             assert evaluate_G(gf, sb, rows) == gf.pow(g_value(ts, tup), sb.m)
 
 
+def test_g_table_squared_by_mul_is_its_pow():
+    # for odd q (m = 2) verify_sbbt squares the g table by one mul per entry
+    for q, k in [(5, 3), (7, 3), (9, 3), (5, 4), (7, 4)]:
+        arc, ts = corpus_system(q, k)
+        g = ts.g_table
+        assert list(map(arc.gf.mul, g, g)) == [arc.gf.pow(v, 2) for v in g]
+
+
 @pytest.mark.parametrize("q,k", [(4, 3), (5, 3), (7, 3), (8, 3), (9, 3), (7, 4), (8, 4)])
 def test_verify_sbbt_corpus(q, k):
     arc, ts = corpus_system(q, k)

@@ -6,9 +6,9 @@ import time
 import pytest
 
 from arcforms import linalg
-from arcforms.field import make_field
+from arcforms.field import GF, make_field
 from arcforms.forms import evaluate, form_scale, form_to_json, product_linear_forms, zero_form
-from arcforms.geometry import Arc, hyperoval, normalize, projective_points
+from arcforms.geometry import Arc, hyperoval, normal_rational_curve, normalize, projective_points
 from arcforms.report import Report
 from arcforms.sbbt import build_sbbt, evaluate_G, verify_sbbt
 from arcforms.tangents import (
@@ -106,15 +106,34 @@ def test_tangents_match_brute_force_sweep():
 
 
 def test_tangent_hyperplanes_dot_count(monkeypatch):
-    # one nullspace, then the two dots u·x and v·x per arc point off the subset
+    # one nullspace, then u·x and v·x for every arc point off the arc's
+    # point_map, with no dot product
     calls = []
     dot = linalg.dot
     monkeypatch.setattr(linalg, "dot", lambda *a: calls.append(1) or dot(*a))
     for arc in (corpus_arc(9, 3), corpus_arc(8, 4), glynn_arc()):
         for subset in itertools.combinations(range(arc.n), arc.k - 2):
-            calls.clear()
             tangent_hyperplanes(arc, subset)
-            assert len(calls) <= 2 * (arc.n - arc.k + 2)
+    assert calls == []
+
+
+def test_one_point_map_serves_a_whole_tangent_system_build(monkeypatch):
+    # every pencil is read off the arc's point_map: one k x n vec_mat map
+    # per Arc, called twice per (k-2)-subset, and kept for later sweeps
+    built, calls, vec_mat = [], [], GF.vec_mat
+
+    def counted_vec_mat(gf, matrix):
+        combine = vec_mat(gf, matrix)
+        built.append((len(matrix), len(matrix[0])))
+        return lambda v: calls.append(1) or combine(v)
+    monkeypatch.setattr(GF, "vec_mat", counted_vec_mat)
+    for p, h, k in [(7, 1, 4), (3, 2, 3), (2, 4, 4)]:
+        arc = normal_rational_curve(make_field(p, h), k)  # a fresh Arc, no map yet
+        built.clear(), calls.clear()
+        build_tangent_system(arc)
+        assert built == [(k, arc.n)] and len(calls) == 2 * math.comb(arc.n, k - 2), (p, h, k)
+        verify_tangent_counts(arc)
+        assert built == [(k, arc.n)]
 
 
 def test_tangent_hyperplanes_rejects_dependent_span(gf5):
