@@ -25,7 +25,6 @@ from .tangents import (
     TangentCountError,
     TangentSystem,
     build_tangent_system,
-    g_value,
     tangent_hyperplanes,
     verify_lemma_of_tangents,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "TangentCountError",
     "TangentSystem",
     "build_tangent_system",
-    "g_value",
     "tangent_hyperplanes",
     "verify_lemma_of_tangents",
     "MultiForm",

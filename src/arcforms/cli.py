@@ -24,6 +24,7 @@ from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
 from .field import is_prime, make_field
 from .geometry import Arc
 from .report import Report
+from .tensorform import Runs
 
 # _write_runs joins the texts of this many list items per write.
 WRITE_SLICE = 8192
@@ -79,13 +80,6 @@ def _new_arc(args) -> Arc:
 def _load_arc(path: str) -> Arc:
     with open(path, encoding="utf-8") as fh:
         return Arc.from_json(_parse_json(fh.read()))
-
-
-class Runs:
-    """A list of field elements as (element, count) runs, written unbuilt."""
-
-    def __init__(self, gf, pairs):
-        self.gf, self.pairs = gf, pairs
 
 
 def _write_runs(fh, runs: Runs) -> None:
@@ -243,7 +237,7 @@ def cmd_tangents_lemma(pipeline, args, report):
 def cmd_tensor_build(pipeline, args, report):
     arc = pipeline.arc
     tensorform.check_signed_evaluations(arc, pipeline.ts, pipeline.F, report)
-    return pipeline.F.to_json(arc.gf, runs=Runs)
+    return pipeline.F.to_json(arc.gf)
 
 
 def cmd_tensor_verify(pipeline, args, report):

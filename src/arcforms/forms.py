@@ -62,10 +62,6 @@ class Form:
                 f"{num_monomials(self.k, self.t)} coefficients, got {len(self.coeffs)}"
             )
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 def zero_form(k: int, t: int) -> Form:
     return Form(k, t, (0,) * num_monomials(k, t))

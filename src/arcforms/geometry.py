@@ -182,7 +182,10 @@ def project(arc: Arc, idx: int) -> Arc:
     Drops coordinate j, the first nonzero coordinate of the centre x, and
     maps every other point a to (a_i x_j - a_j x_i) for i != j.  Point
     order is preserved (centre removed); size drops by one and t is kept.
+    An arc of PG(1, q) has no image: it would have k = 1 coordinates.
     """
+    if arc.k < 3:
+        raise ValueError(f"projection needs k >= 3, got k = {arc.k}: the image would not be an arc")
     if not 0 <= idx < arc.n:
         raise IndexError(f"arc index {idx} out of range")
     gf = arc.gf

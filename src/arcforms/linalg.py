@@ -104,10 +104,6 @@ def rref(gf: GF, rows):
     return m[:top], pivots
 
 
-def rank(gf: GF, rows) -> int:
-    return len(rref(gf, rows)[0])
-
-
 def nullspace(gf: GF, rows, ncols=None):
     """Right kernel of the matrix: (rank, basis), the basis in reduced
     echelon form, so the output is canonical for a given kernel subspace.
@@ -132,11 +128,3 @@ def nullspace(gf: GF, rows, ncols=None):
                 v[pc] = gf.neg(row[f])
         basis.append(v[::-1])
     return len(pivots), basis
-
-
-def inverse(gf: GF, rows):
-    n = len(rows)
-    red, pivots = rref(gf, [[*r, *unit] for r, unit in zip(rows, identity(n))])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]

@@ -148,7 +148,7 @@ class TangentSystem:
     g is tabulated once, in g_table from the values f_S(x_j), and every
     tuple sweep reads that table.  socle_core and g_table are caches
     derived from fS on first use: to try other forms, build a fresh
-    TangentSystem from them.  eval_fS and g_value read fS directly.
+    TangentSystem from them.  eval_fS reads fS directly.
     """
 
     arc: Arc
@@ -273,23 +273,6 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
         first = forms.form_scale(gf, gf.div(target, denom), forms.linear_form(arc.k, members[0]))
         ts.fS[S] = forms.product_linear_forms(gf, arc.k, [first, *members[1:]])
     return ts
-
-
-def g_value(ts: TangentSystem, indices) -> int:
-    """Signed tangent-form evaluation on an ordered (k-1)-tuple of arc
-    indices: zero on repeats, otherwise the form of the first k-2 entries
-    at the last entry, signed by the parity that sorts the prefix."""
-    indices = tuple(indices)
-    if len(indices) != ts.arc.k - 1:
-        raise ValueError(f"need an ordered (k-1)-tuple, got {len(indices)} indices")
-    for i in indices:
-        if not 0 <= i < ts.arc.n:
-            raise IndexError(f"arc index {i} out of range")
-    if len(set(indices)) != len(indices):
-        return 0
-    prefix, last = indices[:-1], indices[-1]
-    sign = _sign_power(ts.gf, perm_parity(prefix) * (ts.arc.t + 1))
-    return ts.gf.mul(sign, ts.eval_fS(prefix, last))
 
 
 def verify_scaling_chain(ts: TangentSystem, report: Report | None = None) -> Report:

@@ -7,20 +7,19 @@ core (TangentSystem.socle_core) is g on all socle tuples; its modes
 contracted by one left inverse M of the socle's Veronese matrix give the
 tensor F, and contracted by C they give F's values on all arc tuples.  M
 is zero off the w pivot coordinates P of that matrix (coordinate_map
-returns P and M's w x w block there), so F is stored as its w^(k-1)
-block on P^(k-1), and evaluations read Veronese vectors at P only.  The
-N^(k-1) dense tensor is expanded only for MultiForm.coeffs, == and
-to_json; `tensor build -o` writes the block's runs.  F agrees with g at
-every tuple of arc points, is degree t in each of its k-1 blocks of k
-variables, and its partial evaluations at (k-2)-tuples of arc points
-reproduce the scaled tangent forms up to forms vanishing on the arc.
+returns P and M's w x w block there), so F is held only as its w^(k-1)
+block on P^(k-1): evaluations read Veronese vectors at P, and `tensor
+build -o` writes the N^(k-1) dense coefficients as runs streamed off the
+block.  F agrees with g at every tuple of arc points, is degree t in each
+of its k-1 blocks of k variables, and its partial evaluations at
+(k-2)-tuples of arc points reproduce the scaled tangent forms up to forms
+vanishing on the arc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, compress, islice, permutations, product, repeat, starmap
+from itertools import combinations, compress, islice, permutations, product
 from math import comb, prod
 from operator import ne
 
@@ -31,6 +30,13 @@ from .report import Report
 from .tangents import TangentSystem, perm_parity, repeat_positions, tuple_at, tuple_position, tuple_positions
 
 
+class Runs:
+    """A list of field elements as (element, count) runs, written unbuilt."""
+
+    def __init__(self, gf, pairs):
+        self.gf, self.pairs = gf, pairs
+
+
 @dataclass(frozen=True, eq=False)
 class MultiForm:
     """Form of multidegree (t, ..., t) in `blocks` blocks of k variables.
@@ -38,8 +44,8 @@ class MultiForm:
     Each mode runs over the canonical degree-t monomials in k variables.
     The form is zero off support^blocks, where support is a sorted list of
     monomial positions (default: all of them); block holds its entries on
-    support^blocks, row-major over the blocks.  coeffs is the dense
-    row-major tensor, and two forms are equal when their dense tensors are.
+    support^blocks, row-major over the blocks, and is the form's only
+    representation.  Two forms are equal only when they are one object.
     """
 
     k: int
@@ -62,17 +68,15 @@ class MultiForm:
         if len(self.block) != want:
             raise ValueError(f"coefficient tensor needs {want} entries")
 
-    def dense(self) -> list | tuple:
-        """The dense row-major coefficients, zero off support^blocks."""
-        if len(self.support) == self.mode_dim:
-            return self.block
-        return list(chain.from_iterable(starmap(repeat, self.runs())))
-
     def runs(self):
-        """dense() as (entry, count) runs, row-major, unbuilt: a run of one
-        per block entry, and a run of zeros per gap between them."""
-        end, size = 0, self.mode_dim**self.blocks
-        for off, v in zip(tuple_positions(self.mode_dim, self.support, range(self.blocks)), self.block):
+        """The dense row-major coefficients as (entry, count) runs, unbuilt:
+        a run of one per block entry, and a run of zeros per gap between
+        them.  Each entry's offset is a sum of one weight per mode, taken
+        in block order off the product of the modes' weights."""
+        N, blocks = self.mode_dim, self.blocks
+        weights = [[s * N ** (blocks - 1 - i) for s in self.support] for i in range(blocks)]
+        end, size = 0, N**blocks
+        for off, v in zip(map(sum, product(*weights)), self.block):
             if off > end:
                 yield 0, off - end
             yield v, 1
@@ -80,33 +84,9 @@ class MultiForm:
         if end < size:
             yield 0, size - end
 
-    @cached_property
-    def coeffs(self) -> tuple:
-        return tuple(self.dense())
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiForm):
-            return NotImplemented
-        return (self.k, self.blocks, self.t, self.coeffs) == (other.k, other.blocks, other.t, other.coeffs)
-
-    def to_json(self, gf: GF, runs=None) -> dict:
-        """The dense coefficients as element_to_json gives them (over GF(p)
-        the ints, unchanged); given a wrapper `runs` such as cli.Runs,
-        runs(gf, self.runs()) instead."""
-        if runs is not None:
-            coeffs = runs(gf, self.runs())
-        else:
-            coeffs = self.dense() if gf.h == 1 else list(map(gf.element_to_json, self.dense()))
-        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, gf: GF, obj) -> "MultiForm":
-        return cls(
-            obj["k"],
-            obj["blocks"],
-            obj["t"],
-            tuple(gf.element_from_json(c) for c in obj["coeffs"]),
-        )
+    def to_json(self, gf: GF) -> dict:
+        """The artifact object, its coefficients Runs of runs()."""
+        return {"k": self.k, "blocks": self.blocks, "t": self.t, "coeffs": Runs(gf, self.runs())}
 
 
 def coordinate_map(gf: GF, columns, dim: int):
@@ -192,13 +172,6 @@ def _contract_leading(gf: GF, mf: MultiForm, points):
     return data
 
 
-def evaluate(gf: GF, mf: MultiForm, points) -> int:
-    """Full evaluation at `blocks` point vectors."""
-    if len(points) != mf.blocks:
-        raise ValueError(f"need {mf.blocks} points, got {len(points)}")
-    return _contract_leading(gf, mf, points)[0]
-
-
 def partial_evaluate(gf: GF, mf: MultiForm, prefix) -> forms.Form:
     """Evaluate all blocks but the last at points; the leftover is a form."""
     if len(prefix) != mf.blocks - 1:
@@ -216,19 +189,6 @@ def evaluation_table(gf: GF, mf: MultiForm, vectors):
     return _contract_modes(gf, mf.block, mat, mf.blocks)
 
 
-def is_block_congruent(D: MultiForm, arc: Arc) -> bool:
-    """Whether D is a sum of terms carrying, in some block, a form that
-    vanishes on the arc.
-
-    Equivalent test: D evaluates to zero on every tuple of arc points.
-    (A multihomogeneous form is such a sum exactly when the multilinear
-    functional it induces kills the tensor power of the span of the arc's
-    Veronese images, and that span is generated by the arc tuples.)
-    """
-    table = evaluation_table(arc.gf, D, arc.points)
-    return not any(table)
-
-
 def check_signed_evaluations(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report) -> list:
     """Tally the defining contract F(a) = g(a) over every tuple a of arc
     points and return the evaluation table it was read from."""
@@ -244,9 +204,10 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     """Check the four contract properties of the tensor form.
 
     Every check reads the one table T[a] = F(x_a) over tuples a of arc
-    points, using that a form is block congruent to zero exactly when its
-    table vanishes (is_block_congruent) and that the table is linear in
-    the form:
+    points, using that a form is block congruent to zero (a sum of terms
+    carrying, in some block, a form that vanishes on the arc) exactly when
+    its table vanishes, since the arc tuples span the tensor power of the
+    arc's Veronese span, and that the table is linear in the form:
 
     - F is multilinear in its blocks, so its partial evaluation at x_S,
       evaluated at x_j, is T[S + (j,)]; the residual against the scaled

@@ -1,4 +1,5 @@
-"""Shared corpus fixtures: reference arcs and their derived systems.
+"""Shared corpus fixtures: reference arcs and their derived systems, and
+reference functions that the package does not carry.
 
 Builds are cached per session because several test modules sweep the same
 arcs; everything returned is treated as immutable by the tests.
@@ -8,10 +9,11 @@ from functools import lru_cache
 
 import pytest
 
+from arcforms import linalg
 from arcforms.field import make_field
 from arcforms.geometry import Arc, normal_rational_curve
-from arcforms.tangents import build_tangent_system
-from arcforms.tensorform import build_tensor_form
+from arcforms.tangents import _sign_power, build_tangent_system, perm_parity
+from arcforms.tensorform import _contract_leading, build_tensor_form, evaluation_table
 
 # (q, p, h, k): conics over q in {4,5,7,8,9}, twisted cubics over {5,7,8}
 CONIC_FIELDS = [(4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]
@@ -56,6 +58,70 @@ def glynn_arc():
         for s in gf.elements()
     ]
     return Arc(gf, 5, tuple(pts) + ((0, 0, 0, 0, 1),))
+
+
+# -- reference functions ----------------------------------------------------
+
+
+def dense(mf) -> list:
+    """The dense row-major coefficients of a MultiForm, zero off
+    support^blocks: its runs, expanded."""
+    return [v for v, count in mf.runs() for _ in range(count)]
+
+
+def dense_json(gf, mf) -> dict:
+    """A MultiForm's artifact object with its coefficients as the dense
+    list of their element_to_json values."""
+    coeffs = [gf.element_to_json(c) for c in dense(mf)]
+    return {"k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": coeffs}
+
+
+def g_value(ts, indices) -> int:
+    """Signed tangent-form evaluation on an ordered (k-1)-tuple of arc
+    indices: zero on repeats, otherwise the form of the first k-2 entries
+    at the last entry, signed by the parity that sorts the prefix."""
+    indices = tuple(indices)
+    if len(indices) != ts.arc.k - 1:
+        raise ValueError(f"need an ordered (k-1)-tuple, got {len(indices)} indices")
+    for i in indices:
+        if not 0 <= i < ts.arc.n:
+            raise IndexError(f"arc index {i} out of range")
+    if len(set(indices)) != len(indices):
+        return 0
+    prefix, last = indices[:-1], indices[-1]
+    sign = _sign_power(ts.gf, perm_parity(prefix) * (ts.arc.t + 1))
+    return ts.gf.mul(sign, ts.eval_fS(prefix, last))
+
+
+def inverse(gf, rows):
+    n = len(rows)
+    red, pivots = linalg.rref(gf, [[*r, *unit] for r, unit in zip(rows, linalg.identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def rank(gf, rows) -> int:
+    return len(linalg.rref(gf, rows)[0])
+
+
+def evaluate(gf, mf, points) -> int:
+    """Full evaluation of a MultiForm at `blocks` point vectors."""
+    if len(points) != mf.blocks:
+        raise ValueError(f"need {mf.blocks} points, got {len(points)}")
+    return _contract_leading(gf, mf, points)[0]
+
+
+def is_block_congruent(D, arc) -> bool:
+    """Whether D is a sum of terms carrying, in some block, a form that
+    vanishes on the arc.
+
+    Equivalent test: D evaluates to zero on every tuple of arc points.
+    (A multihomogeneous form is such a sum exactly when the multilinear
+    functional it induces kills the tensor power of the span of the arc's
+    Veronese images, and that span is generated by the arc tuples.)
+    """
+    return not any(evaluation_table(arc.gf, D, arc.points))
 
 
 class CountingField:

@@ -12,7 +12,7 @@ from arcforms.cli import _factor_prime_power, build_parser, main
 from arcforms.field import GF, make_field
 from arcforms.geometry import Arc, normal_rational_curve
 
-from conftest import glynn_arc
+from conftest import dense_json, glynn_arc
 
 
 def run(capsys, *argv):
@@ -296,6 +296,16 @@ def test_arc_project_and_mds(tmp_path, capsys):
     assert code == 0 and "generator" in rep["result"]
 
 
+def test_arc_project_refuses_an_arc_of_the_line(tmp_path, capsys):
+    # the image of an arc of PG(1, 7) would have k = 1: exit 2, no file
+    arc_path, out = str(tmp_path / "a2.json"), tmp_path / "a1.json"
+    run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "2", "-o", arc_path)
+    assert main(["arc", "project", arc_path, "--index", "0", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k >= 3" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_phi_command(tmp_path, capsys):
     arc_path = str(tmp_path / "conic5.json")
     run(capsys, "arc", "new", "--type", "conic", "--q", "5", "-o", arc_path)
@@ -418,8 +428,8 @@ def test_suite_on_a_k5_arc_keeps_only_the_support_block(tmp_path, capsys):
 def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
     # one tangent system, one F, one coordinate map and one elimination of
     # the N x n Veronese matrix (N = 10, n = 8) serve every stage of the
-    # suite.  The verifiers never call g_value and take no dot product: the
-    # tuple sweeps read one table of g, whose rows f_S(x_j) are C(n, 2)
+    # suite.  The verifiers take no dot product: the tuple sweeps read one
+    # table of g, whose rows f_S(x_j) are C(n, 2)
     # calls, one per 2-subset S, of one vec_mat map over the 10 x 8 matrix
     # of the points' Veronese vectors.
     arc_path = str(tmp_path / "tc7.json")
@@ -445,7 +455,7 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
     for name in ("build_tensor_form", "coordinate_map"):
         monkeypatch.setattr(tensorform, name, counted(name, getattr(tensorform, name)))
-    for name in ("g_value", "tangent_hyperplanes", "build_tangent_system"):
+    for name in ("tangent_hyperplanes", "build_tangent_system"):
         monkeypatch.setattr(tangents, name, counted(name, getattr(tangents, name)))
     monkeypatch.setattr(linalg, "rref", counted(
         "veronese rref", linalg.rref, lambda gf, rows: (len(rows), len(rows[0])) == (10, 8)
@@ -475,7 +485,7 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and rep["passed"]
     n = 8
     assert calls == Counter({
-        "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1, "g_value": 0,
+        "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1,
         "build_tangent_system": 1, "tangent_hyperplanes": comb(n, 2), "veronese map": 1,
     })
     assert dots["verify_lemma_of_tangents"] + dots["verify_tensor_form"] == 0
@@ -525,8 +535,8 @@ def test_artifact_roundtrip_byte_stable(tmp_path, capsys):
 
 def test_derived_artifacts_reload_byte_stable(tmp_path, capsys):
     from arcforms.geometry import Arc
-    from arcforms.tangents import TangentSystem
-    from arcforms.tensorform import MultiForm
+    from arcforms.tangents import TangentSystem, build_tangent_system
+    from arcforms.tensorform import build_tensor_form
     from arcforms.sbbt import SBBTForm
 
     arc_path = str(tmp_path / "conic5.json")
@@ -542,8 +552,8 @@ def test_derived_artifacts_reload_byte_stable(tmp_path, capsys):
     mf_path = str(tmp_path / "mf.json")
     run(capsys, "tensor", "build", arc_path, "-o", mf_path)
     blob = Path(mf_path).read_text()
-    mf = MultiForm.from_json(arc.gf, json.loads(blob))
-    assert json.dumps(mf.to_json(arc.gf), indent=2) + "\n" == blob
+    F = build_tensor_form(arc, build_tangent_system(arc))
+    assert json.dumps(dense_json(arc.gf, F), indent=2) + "\n" == blob
 
     sb_path = str(tmp_path / "sb.json")
     run(capsys, "sbbt", "build", arc_path, "-o", sb_path)

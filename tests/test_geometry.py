@@ -241,6 +241,14 @@ def test_project_conic_from_conic_point():
     assert ok  # distinct points of the projective line
 
 
+def test_project_refuses_an_arc_of_the_line():
+    # the projected conic is an arc of PG(1, 7); its image would have k = 1
+    line = project(corpus_arc(7, 3), 0)
+    for idx in (0, line.n - 1, line.n):
+        with pytest.raises(ValueError, match="k >= 3"):
+            project(line, idx)
+
+
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
 def test_project_preserves_t_and_archood_all_centres(q, p, h, k):
     arc = corpus_arc(q, k)

@@ -34,12 +34,11 @@ from arcforms.sbbt import (
 from arcforms.tangents import (
     TangentSystem,
     build_tangent_system,
-    g_value,
     signed_table,
     tangent_hyperplanes,
 )
 
-from conftest import CORPUS, corpus_arc, corpus_system, field, glynn_arc
+from conftest import CORPUS, corpus_arc, corpus_system, field, g_value, glynn_arc
 
 
 def det_minor(gf, rows, j):

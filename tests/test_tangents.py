@@ -15,7 +15,6 @@ from arcforms.tangents import (
     TangentCountError,
     TangentSystem,
     build_tangent_system,
-    g_value,
     perm_parity,
     repeat_positions,
     scaling_rule,
@@ -30,7 +29,7 @@ from arcforms.tangents import (
 )
 from arcforms.tensorform import build_tensor_form, evaluation_table, verify_tensor_form
 
-from conftest import CORPUS, corpus_arc, corpus_system, field, glynn_arc
+from conftest import CORPUS, corpus_arc, corpus_system, field, g_value, glynn_arc, rank
 
 
 def conic_tangent_oracle(gf, s):
@@ -93,7 +92,7 @@ def test_tangents_match_brute_force_sweep():
     for arc in sweep_arcs():
         on = hyperplane_incidences(arc)
         for subset in itertools.combinations(range(arc.n), arc.k - 2):
-            if linalg.rank(arc.gf, [arc.points[i] for i in subset]) < arc.k - 2:
+            if rank(arc.gf, [arc.points[i] for i in subset]) < arc.k - 2:
                 with pytest.raises(ValueError, match="linearly dependent"):
                     tangent_hyperplanes(arc, subset)
                 continue

@@ -23,12 +23,12 @@ from arcforms.forms import (
 from arcforms.field import make_field
 from arcforms.geometry import Arc, normal_rational_curve, normalize
 from arcforms import linalg, tensorform
-from arcforms.linalg import identity, inverse, mat_mul, rank
+from arcforms.cli import _write_json
+from arcforms.linalg import identity, mat_mul
 from arcforms.report import MAX_WITNESSES
 from arcforms.tangents import (
     TangentSystem,
     build_tangent_system,
-    g_value,
     perm_parity,
     tangent_hyperplanes,
 )
@@ -38,9 +38,7 @@ from arcforms.tensorform import (
     _contract_modes,
     build_tensor_form,
     coordinate_map,
-    evaluate,
     evaluation_table,
-    is_block_congruent,
     partial_evaluate,
     quadric_check,
     search_exact_tangent_match,
@@ -48,7 +46,22 @@ from arcforms.tensorform import (
     verify_tensor_form,
 )
 
-from conftest import CORPUS, CountingField, corpus_arc, corpus_system, corpus_tensor, field, glynn_arc
+from conftest import (
+    CORPUS,
+    CountingField,
+    corpus_arc,
+    corpus_system,
+    corpus_tensor,
+    dense,
+    dense_json,
+    evaluate,
+    field,
+    g_value,
+    glynn_arc,
+    inverse,
+    is_block_congruent,
+    rank,
+)
 
 
 def greedy_socle(arc, t):
@@ -164,19 +177,18 @@ def rref_widths(monkeypatch):
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
-def test_coordinate_map_reduces_once(q, p, h, k, rref_widths, monkeypatch):
+def test_coordinate_map_reduces_once(q, p, h, k, rref_widths):
     # P and V[P, :]^-1 come off one elimination of [V^T reversed | I_w]
     arc, ts = corpus_system(q, k)
     V = [ts.point_vectors[i] for i in ts.socle[0]]
     N = num_monomials(k, arc.t)
-    monkeypatch.setattr(linalg, "inverse", None)
     rref_widths.clear()
     P, inv = coordinate_map(arc.gf, V, N)
     assert rref_widths == [N + len(V)]
     assert padded(P, inv, N) == greedy_left_inverse(arc.gf, V, N, reverse=False)
 
 
-# SHA-256 of json.dumps(F.to_json(gf)), recorded before the basis
+# SHA-256 of json.dumps of F's artifact object with its dense coefficients, recorded before the basis
 # completion was derived from pivots; the artifacts must stay byte-stable.
 ARTIFACT_SHA256 = {
     (7, 4): "52d288b817302921ccd5fcf228e14e8ff37fbcac92249ea22b37dacf27e236ac",
@@ -189,7 +201,7 @@ ARTIFACT_SHA256 = {
 def test_tensor_form_bytes_are_stable(q, k):
     arc, ts = corpus_system(q, k)
     F = build_tensor_form(arc, ts)
-    blob = json.dumps(F.to_json(arc.gf)).encode()
+    blob = json.dumps(dense_json(arc.gf, F)).encode()
     assert hashlib.sha256(blob).hexdigest() == ARTIFACT_SHA256[q, k]
 
 
@@ -226,7 +238,7 @@ def test_built_form_is_core_contracted_by_greedy_inverse(arc):
     core = [g_value(ts, a) for a in itertools.product(soc, repeat=blocks)]
     F = build_tensor_form(arc, ts)
     assert len(F.block) == len(soc) ** blocks
-    assert list(F.coeffs) == dense_contraction(gf, core, M, blocks)
+    assert dense(F) == dense_contraction(gf, core, M, blocks)
 
 
 @st.composite
@@ -239,23 +251,23 @@ def partial_forms(draw):
     support = sorted(draw(st.sets(st.integers(0, N - 1), min_size=1)))
     size = len(support) ** blocks
     block = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
-    dense = [0] * N**blocks
+    coeffs = [0] * N**blocks
     for J, v in zip(itertools.product(support, repeat=blocks), block):
-        dense[sum(j * N ** (blocks - 1 - m) for m, j in enumerate(J))] = v
+        coeffs[sum(j * N ** (blocks - 1 - m) for m, j in enumerate(J))] = v
     coordinate = st.integers(0, q - 1)
     points = draw(st.lists(st.tuples(*[coordinate] * k), min_size=1, max_size=3))
     prefix_monomials = [m for d in range(t + 1) for m in monomial_basis(k, d)]
     exponents = [draw(st.sampled_from(prefix_monomials)) for _ in range(blocks - 1)]
-    return q, MultiForm(k, blocks, t, tuple(block), tuple(support)), dense, points, exponents
+    return q, MultiForm(k, blocks, t, tuple(block), tuple(support)), coeffs, points, exponents
 
 
 @settings(max_examples=150, deadline=None)
 @given(partial_forms())
 def test_partial_support_matches_dense_twin(case):
-    q, mf, dense, points, exponents = case
+    q, mf, coeffs, points, exponents = case
     gf = field(q)
-    twin = MultiForm(mf.k, mf.blocks, mf.t, tuple(dense))
-    assert mf.coeffs == tuple(dense) and mf == twin
+    twin = MultiForm(mf.k, mf.blocks, mf.t, tuple(coeffs))
+    assert dense(mf) == coeffs == dense(twin)
     table = evaluation_table(gf, mf, points)
     assert table == evaluation_table(gf, twin, points)
     for tup, value in zip(itertools.product(points, repeat=mf.blocks), table):
@@ -264,8 +276,8 @@ def test_partial_support_matches_dense_twin(case):
         assert partial_evaluate(gf, mf, list(prefix)) == partial_evaluate(gf, twin, list(prefix))
     assert shift_extract(gf, mf, exponents) == shift_extract(gf, twin, exponents)
     elements = [gf.element_to_json(a) for a in gf.elements()]
-    want = {"k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [elements[c] for c in dense]}
-    assert json.dumps(mf.to_json(gf)) == json.dumps(twin.to_json(gf)) == json.dumps(want)
+    want = {"k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [elements[c] for c in coeffs]}
+    assert json.dumps(dense_json(gf, mf)) == json.dumps(dense_json(gf, twin)) == json.dumps(want)
 
 
 def test_support_must_be_sorted_distinct_and_in_range():
@@ -404,13 +416,12 @@ def test_uniqueness_check_matches_reversed_build(q, p, h, k):
 )
 def test_corrupted_tensor_entry_is_caught(q, k, failed):
     arc, ts, F = corpus_tensor(q, k)
-    gf = arc.gf
-    for pos in range(len(F.coeffs)):
-        delta = [0] * len(F.coeffs)
+    gf, bad = arc.gf, dense(F)
+    for pos in range(len(bad)):
+        delta = [0] * len(bad)
         delta[pos] = 1
         if not is_block_congruent(MultiForm(F.k, F.blocks, F.t, tuple(delta)), arc):
             break
-    bad = list(F.coeffs)
     bad[pos] = gf.add(bad[pos], 1)
     report = verify_tensor_form(arc, ts, MultiForm(F.k, F.blocks, F.t, tuple(bad)))
     assert {c.name: c.failed for c in report.checks} == failed
@@ -422,7 +433,7 @@ def test_repeated_point_witnesses_stay_in_tuple_order():
     # row-major order, as the per-tuple set filter lists them
     arc, ts, F = corpus_tensor(7, 4)
     gf, n, blocks = arc.gf, arc.n, F.blocks
-    bad = list(F.coeffs)
+    bad = dense(F)
     bad[0] = gf.add(bad[0], 1)
     bad = MultiForm(F.k, blocks, F.t, tuple(bad))
     table = evaluation_table(gf, bad, arc.points)
@@ -463,7 +474,7 @@ def direct_value(gf, mf, points):
     vecs = [monomial_vector(gf, x, mf.t) for x in points]
     rest = mf.mode_dim ** (mf.blocks - len(points))
     out = [0] * rest
-    for pos, c in enumerate(mf.coeffs):
+    for pos, c in enumerate(dense(mf)):
         lead, tail = divmod(pos, rest)
         J = []
         for _ in points:
@@ -629,8 +640,9 @@ def brute_force_shift_coefficient(gf, F, exponents):
     def binom(n, m):
         return comb(n, m) % gf.p
 
+    coeffs = dense(F)
     for pos, J in enumerate(itertools.product(range(len(basis)), repeat=blocks)):
-        c = F.coeffs[pos]
+        c = coeffs[pos]
         if not c:
             continue
         jm = [basis[j] for j in J]
@@ -676,7 +688,7 @@ def test_shift_extract_diagonal_on_conic():
         gf = arc.gf
         f = shift_extract(gf, F, [(0, 0, 0)])
         assert f.t == 2
-        assert not f.is_zero
+        assert any(f.coeffs)
         assert vanishes_on(gf, f, arc.points)
         # and it is proportional to the conic: dim Phi_2 = 1
         sub = vanishing_subspace(gf, 3, arc.points, 2)
@@ -689,7 +701,7 @@ def test_shift_extract_full_degree_is_zero():
     for i1 in monomial_basis(3, 1):
         f = shift_extract(gf, F, [i1])
         assert f.t == 1
-        assert f.is_zero  # the excluded diagonal removes every term
+        assert not any(f.coeffs)  # the excluded diagonal removes every term
         assert vanishes_on(gf, f, arc.points)
 
 
@@ -697,7 +709,7 @@ def test_shift_extract_zero_tensor():
     gf = field(5)
     zero = MultiForm(3, 2, 1, (0,) * 9)
     f = shift_extract(gf, zero, [(0, 0, 0)])
-    assert f.is_zero and f.t == 2
+    assert not any(f.coeffs) and f.t == 2
 
 
 def test_shift_extract_degree_formula():
@@ -726,7 +738,7 @@ def test_quadric_check_twisted_cubics():
     for q in (5, 7):
         arc = corpus_arc(q, 4)
         quad = quadric_check(arc)
-        assert quad is not None and not quad.is_zero
+        assert quad is not None and any(quad.coeffs)
         assert quad.t == 2
         assert vanishes_on(arc.gf, quad, arc.points)
 
@@ -748,9 +760,9 @@ def test_quadric_check_preconditions():
 def expand_correction(gf, F, terms):
     """F - sum_b U_b (x) phi_b as a dense MultiForm: the corrected form that
     search_exact_tangent_match returns as its factors (U_b, phi_b)."""
-    coeffs, N = list(F.coeffs), F.mode_dim
+    coeffs, N = dense(F), F.mode_dim
     for U, f in terms:
-        for pos, u in enumerate(U.coeffs):
+        for pos, u in enumerate(dense(U)):
             for j, c in enumerate(f.coeffs):
                 coeffs[pos * N + j] = gf.sub(coeffs[pos * N + j], gf.mul(u, c))
     return MultiForm(F.k, F.blocks, F.t, tuple(coeffs))
@@ -760,7 +772,7 @@ def test_search_exact_trivial_when_no_vanishing_forms():
     arc, ts, F = corpus_tensor(5, 3)
     found, terms = search_exact_tangent_match(arc, ts, F)
     assert (found, terms) == (True, [])  # t = 1: residuals are already zero
-    assert expand_correction(arc.gf, F, terms) == F
+    assert dense(expand_correction(arc.gf, F, terms)) == dense(F)
 
 
 def test_search_exact_twisted_cubic():
@@ -840,7 +852,7 @@ def test_search_exact_stops_at_a_residual_off_the_vanishing_forms(q, rref_widths
     # forms: the search returns after the one elimination of the Veronese
     # matrix (vanishing_subspace), before it builds the prefix system
     arc, ts, F = corpus_tensor(q, 4)
-    coeffs = list(F.coeffs)
+    coeffs = dense(F)
     coeffs[0] = arc.gf.add(coeffs[0], 1)
     rref_widths.clear()
     assert search_exact_tangent_match(arc, ts, MultiForm(F.k, F.blocks, F.t, tuple(coeffs))) == (False, None)
@@ -868,7 +880,10 @@ def test_search_exact_stops_when_the_prefix_system_is_inconsistent(rref_widths, 
     assert len(evaluations) == comb(arc.n, 2)  # the residuals only
 
 
-def test_multiform_json_roundtrip():
+def test_multiform_json_roundtrip(tmp_path):
+    # the written coefficients, read back on full support, are F's own
     arc, ts, F = corpus_tensor(4, 3)
-    blob = F.to_json(arc.gf)
-    assert MultiForm.from_json(arc.gf, blob) == F
+    _write_json(str(tmp_path / "F.json"), F.to_json(arc.gf))
+    obj = json.loads((tmp_path / "F.json").read_text())
+    again = MultiForm(obj["k"], obj["blocks"], obj["t"], tuple(map(arc.gf.element_from_json, obj["coeffs"])))
+    assert (again.k, again.blocks, again.t, dense(again)) == (F.k, F.blocks, F.t, dense(F))

@@ -21,7 +21,7 @@ from arcforms.geometry import Arc, normal_rational_curve, project
 from arcforms.sbbt import build_sbbt
 from arcforms.tangents import build_tangent_system
 from arcforms.tensorform import MultiForm, build_tensor_form
-from conftest import field
+from conftest import dense, dense_json, field
 
 
 def assert_same_text(got: str, want: str, label=""):
@@ -73,7 +73,7 @@ def test_writer_matches_json_dumps(tmp_path, obj):
 UNIFORM_CASES = {
     "long-tuple-of-zeros": (0,) * (2 * WRITE_SLICE + 3),
     # 28^3 = 21,952 entries, each the one element list of GF(4)'s zero
-    "long-list-of-a-shared-gf4-zero": MultiForm(3, 3, 6, (0,) * 8, (3, 17)).to_json(make_field(2, 2))["coeffs"],
+    "long-list-of-a-shared-gf4-zero": dense_json(make_field(2, 2), MultiForm(3, 3, 6, (0,) * 8, (3, 17)))["coeffs"],
     "one-true-1-and-1.0-slice": [1] * 100 + [True] + [1] * 100 + [1.0] + [1] * 100,
     "uniform-then-mixed": [0] * WRITE_SLICE + [0, False, 0.0, 0, -0.0, 0] * 10,
     "uniform-bools-then-ints": [True] * WRITE_SLICE + [1] * WRITE_SLICE,
@@ -119,7 +119,7 @@ def test_every_artifact_is_json_dumps_of_its_object(tmp_path, capsys, q, k):
     expected = {
         ("arc", "project", "--index", "0"): project(arc, 0).to_json(),
         ("tangents", "build"): ts.to_json(),
-        ("tensor", "build"): build_tensor_form(arc, ts).to_json(gf),
+        ("tensor", "build"): dense_json(gf, build_tensor_form(arc, ts)),
         ("sbbt", "build"): build_sbbt(arc, ts).to_json(gf),
     }
     for command, obj in expected.items():
@@ -157,7 +157,7 @@ def test_long_tensor_artifact_streams(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert MultiForm.from_json(gf, json.loads((tmp_path / "F.json").read_text())) == F
+    assert json.loads((tmp_path / "F.json").read_text()) == dense_json(gf, F)
 
 
 @pytest.mark.parametrize("q,k", [(4, 3), (7, 4), (8, 4)])
@@ -229,31 +229,31 @@ def supported_forms(draw):
     entry = st.one_of(st.just(0), st.integers(0, gf.q - 1))
     size = len(support) ** blocks
     block = draw(st.lists(entry, min_size=size, max_size=size))
-    dense = [0] * N**blocks
+    coeffs = [0] * N**blocks
     for J, v in zip(itertools.product(support, repeat=blocks), block):
-        dense[sum(j * N ** (blocks - 1 - m) for m, j in enumerate(J))] = v
+        coeffs[sum(j * N ** (blocks - 1 - m) for m, j in enumerate(J))] = v
     mf = MultiForm(k, blocks, t, tuple(block), tuple(support))
-    return gf, mf, dense, draw(st.integers(1, 7))
+    return gf, mf, coeffs, draw(st.integers(1, 7))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=supported_forms())
 def test_form_runs_match_dense_and_json_dumps(tmp_path_factory, case):
-    gf, mf, dense, piece = case
+    gf, mf, coeffs, piece = case
     runs = list(mf.runs())
     assert all(count > 0 for _, count in runs)
-    assert _expanded(runs) == list(mf.dense()) == dense
+    assert _expanded(runs) == dense(mf) == coeffs
     want = json.dumps({
-        "k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [gf.element_to_json(c) for c in dense],
+        "k": mf.k, "blocks": mf.blocks, "t": mf.t, "coeffs": [gf.element_to_json(c) for c in coeffs],
     }, indent=2) + "\n"
-    assert_same_text(json.dumps(mf.to_json(gf), indent=2) + "\n", want)
+    assert_same_text(json.dumps(dense_json(gf, mf), indent=2) + "\n", want)
     path = tmp_path_factory.getbasetemp() / "form.json"
     with mock.patch.object(cli, "WRITE_SLICE", piece):
-        _write_json(str(path), mf.to_json(gf, runs=Runs))
+        _write_json(str(path), mf.to_json(gf))
     assert_same_text(path.read_text(encoding="utf-8"), want)
 
 
-def test_tensor_build_writes_from_the_support_block(tmp_path, capsys, monkeypatch):
+def test_tensor_build_writes_from_the_support_block(tmp_path, capsys):
     # 8 points of PG(3, 11): t = 6 and N = 84, so F has 84^3 = 592,704
     # coefficients, of which only its 8^3 block entries can be nonzero
     gf = make_field(11)
@@ -262,12 +262,7 @@ def test_tensor_build_writes_from_the_support_block(tmp_path, capsys, monkeypatc
     arc_path.write_text(json.dumps(arc.to_json()), encoding="utf-8")
     F = build_tensor_form(arc, build_tangent_system(arc))
     assert arc.t == 6 and len(F.support) == 8
-    want = json.dumps(F.to_json(gf), indent=2) + "\n"
-
-    def never(self, table=None):
-        raise AssertionError("the dense tensor was expanded")
-
-    monkeypatch.setattr(MultiForm, "dense", never)
+    want = json.dumps(dense_json(gf, F), indent=2) + "\n"
     tracemalloc.start()
     try:
         assert main(["tensor", "build", str(arc_path), "-o", str(out)]) == 0
