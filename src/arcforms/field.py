@@ -86,10 +86,11 @@ class GF:
     decide whether the modulus is irreducible.
     Arithmetic methods take and return plain ints; operands are assumed to
     be already reduced (use :meth:`check` at trust boundaries).  The
-    vector kernels dot, add_scaled, convolve and vec_mat (rows packed into
-    ints) branch on the field kind as add and mul do; no bound method is
-    stored on the instance, so a GF is never a reference cycle and its
-    tables are freed with its last reference.
+    vector kernels dot, col_dot (a dot at every position of columns),
+    add_scaled, convolve and vec_mat (rows packed into ints) branch on the
+    field kind as add and mul do; no bound method is stored on the
+    instance, so a GF is never a reference cycle and its tables are freed
+    with its last reference.
     """
 
     def __init__(self, p: int, h: int, irreducible):
@@ -194,6 +195,24 @@ class GF:
         for a, b in zip(u, v):
             acc = add[acc][mul[a][b]]
         return acc
+
+    def col_dot(self, us, vs) -> list:
+        """[Σ_i u_i[b]·v_i[b] for each position b] of r >= 1 pairs of
+        equal-length columns u_i, v_i: one chain of C-level maps over the
+        positions, over GF(p) of int products and sums reduced once per
+        position, over GF(2^h) of mul-table reads and XOR, else of the
+        add and mul tables."""
+        if self.h == 1:
+            acc = map(operator.mul, us[0], vs[0])
+            for u, v in zip(us[1:], vs[1:]):
+                acc = map(operator.add, acc, map(operator.mul, u, v))
+            return list(map(self.p.__rmod__, acc))
+        at, mul, add = list.__getitem__, self._mul_table.__getitem__, self._add.__getitem__
+        acc = map(at, map(mul, us[0]), vs[0])
+        for u, v in zip(us[1:], vs[1:]):
+            terms = map(at, map(mul, u), v)
+            acc = map(operator.xor, acc, terms) if self.p == 2 else map(at, map(add, acc), terms)
+        return list(acc)
 
     def add_scaled(self, x, c: int, y) -> list:
         """The new list x + c·y; x and y are left as they are."""

@@ -28,55 +28,69 @@ def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _minors(gf: GF, rows, ncols: int) -> dict:
-    """Every r x r minor of the r rows, keyed by its sorted column subset.
+def _minors(gf: GF, batch, ncols: int) -> dict:
+    """Every r x r minor of each r-row matrix of the batch, keyed by its
+    sorted column subset, as the column of its values over the batch.
 
     The minors of the first i+1 rows come from those of the first i by
     Laplace expansion along row i: on columns c_0 < ... < c_i the minor is
-    the sum of (-1)^(i+j) row_i[c_j] times the i-minor without c_j.
+    the sum of (-1)^(i+j) row_i[c_j] times the i-minor without c_j, one
+    GF.col_dot over the batch per column subset.
     All sizes are built, ~r·2^(r-1) products: exponential, for r <= ~10.
     """
-    minors = {(): 1}
-    for i, row in enumerate(rows):
-        level = {}
-        for cols in itertools.combinations(range(ncols), i + 1):
-            acc = 0
-            for j, c in enumerate(cols):
-                m = minors[cols[:j] + cols[j + 1 :]]
-                if row[c] and m:
-                    term = gf.mul(row[c], m)
-                    acc = gf.sub(acc, term) if (i + j) % 2 else gf.add(acc, term)
-            level[cols] = acc
-        minors = level
+    minors = {(): [1] * len(batch)}
+    for i, row in enumerate(zip(*batch)):  # row i of every matrix
+        entries = list(zip(*row))  # entries[c]: entry c of row i over the batch
+        subsets = list(itertools.combinations(range(ncols), i + 1))
+        odd = {c for cols in subsets for c in cols[1 - i % 2 :: 2]}  # columns with sign -1
+        negated = {c: list(map(gf.neg, entries[c])) for c in odd}
+        minors = {
+            cols: gf.col_dot(
+                [negated[c] if (i + j) % 2 else entries[c] for j, c in enumerate(cols)],
+                [minors[cols[:j] + cols[j + 1 :]] for j in range(i + 1)],
+            )
+            for cols in subsets
+        }
     return minors
 
 
 def det(gf: GF, rows) -> int:
-    """The one maximal minor of a square matrix; exponential, see _minors."""
+    """The one maximal minor of a square matrix, as a batch of one;
+    exponential, see _minors."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _minors(gf, rows, n)[tuple(range(n))]
+    return _minors(gf, [rows], n)[tuple(range(n))][0]
 
 
 def minor_forms(gf: GF, rows):
     """The k linear forms L_j of k-2 rows of length k: L_j·x is the
-    determinant of [rows, x] with column j deleted.
+    determinant of [rows, x] with column j deleted; minor_forms_batch of
+    the one prefix."""
+    return minor_forms_batch(gf, [rows])[0]
+
+
+def minor_forms_batch(gf: GF, prefixes):
+    """minor_forms of every prefix of k-2 rows of length k, from one
+    batched _minors table.
 
     Expanding along x, the coefficient of x_c (c != j) is a signed
     (k-2)-minor of the rows on the columns other than j and c; the C(k, 2)
     minors come from one _minors table (exponential in k, see _minors).
     """
-    k = len(rows) + 2
-    if any(len(r) != k for r in rows):
+    if not prefixes:
+        return []
+    k = len(prefixes[0]) + 2
+    if set(map(len, prefixes)) != {k - 2} or set(map(len, itertools.chain(*prefixes))) - {k}:
         raise ValueError(f"need {k - 2} rows of length {k}")
-    out = [[0] * k for _ in range(k)]
-    for cols, m in _minors(gf, rows, k).items():
+    zero = [0] * len(prefixes)
+    grid = [[zero] * k for _ in range(k)]  # grid[j][c]: L_j's x_c coefficient over the batch
+    for cols, m in _minors(gf, prefixes, k).items():
         a, b = (i for i in range(k) if i not in cols)
         # x_b is column b - 1 of [rows, x] without a; x_a is column a without b
-        out[a][b] = gf.neg(m) if (k + b - 1) % 2 else m
-        out[b][a] = gf.neg(m) if (k + a) % 2 else m
-    return out
+        grid[a][b] = list(map(gf.neg, m)) if (k + b - 1) % 2 else m
+        grid[b][a] = list(map(gf.neg, m)) if (k + a) % 2 else m
+    return [list(map(list, form)) for form in zip(*(zip(*row) for row in grid))]
 
 
 def rref(gf: GF, rows):

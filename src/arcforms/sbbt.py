@@ -8,19 +8,24 @@ for the minors turns phi into a symmetric function G on (k-1)-tuples that
 evaluates to the m-th power of the tangent forms, and phi vanishes on the
 dual of every hyperplane meeting the arc in exactly k-2 points.
 
-With the first k-2 rows fixed, every minor is a linear form in the last
-row (linalg.minor_forms), so phi becomes the residual form G(S, X) of
-degree deg(phi) in X, multiplied out by a substitution plan built once
-per phi.  The verifier checks each residual against f_S^m,
-then compares G with the m-th power of the signed tangent evaluation on
-every ordered (k-1)-tuple of arc indices.  It reads G as
-tangents.signed_table reads g, from the residual of each sorted S at every
-x_j: permuting the rows by σ multiplies every maximal minor by sgn σ, so
+Minors come in batches from the cofactor recurrence linalg._minors, one
+GF.col_dot per column subset over all matrices: build_sbbt's
+interpolation subsets in one call, the verifier's C(n, k-2) prefixes in
+one (linalg.minor_forms_batch) and its symmetry check's row sets in one
+(evaluate_G_batch: the monomials one GF.col_dot each, phi one GF.vec_mat
+map).  With the first k-2 rows fixed, every minor is a linear form in
+the last row, so phi becomes the residual form G(S, X) of degree
+deg(phi) in X, multiplied out per prefix by a substitution plan built
+once per phi.  The verifier checks each residual against f_S^m, then
+compares G with the m-th power of the signed tangent evaluation on every
+ordered (k-1)-tuple of arc indices.  It reads G as tangents.signed_table
+reads g, from the residual of each sorted S at every x_j: permuting the
+rows by σ multiplies every maximal minor by sgn σ, so
 G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on rows with a repeat,
-whose minors all vanish.  The hyperplane sweep evaluates phi at the dual
-of every hyperplane, each covector prefix's polynomial in the last
-coordinate at every x, and counts its arc points, by GF.vec_mat maps
-built once per sweep.
+whose minors all vanish.  The hyperplane sweep evaluates phi at the dual of every
+hyperplane, each covector prefix's polynomial in the last coordinate at
+every x, and counts its arc points, by GF.vec_mat maps built once per
+sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice
 from operator import ne
 
 from . import forms, linalg
@@ -38,12 +43,21 @@ from .report import Report
 from .tangents import RANDOM_TRIALS, TangentSystem, signed_table, tuple_at
 
 
+def _minor_columns(gf: GF, row_sets):
+    """The k maximal minors of every set of k-1 rows of length k, from one
+    batched linalg._minors table: column j holds, for each set, the minor
+    without column j, the dual coordinate Z_j of the set's span."""
+    k = len(row_sets[0]) + 1
+    if set(map(len, row_sets)) != {k - 1} or set(map(len, chain(*row_sets))) != {k}:
+        raise ValueError(f"need {k - 1} rows of length {k}")
+    minors = linalg._minors(gf, row_sets, k)
+    return [minors[tuple(c for c in range(k) if c != j)] for j in range(k)]
+
+
 def minor_vector(gf: GF, rows):
     """All k maximal minors of the k-1 rows: the dual coordinates of their
-    span, the minor forms of all rows but the last applied to the last."""
-    if not rows or len(rows[-1]) != len(rows) + 1:
-        raise ValueError(f"need {len(rows)} rows of length {len(rows) + 1}")
-    return tuple(linalg.dot(gf, L, rows[-1]) for L in linalg.minor_forms(gf, rows[:-1]))
+    span, as a batch of one."""
+    return tuple(z for z, in _minor_columns(gf, [rows]))
 
 
 def covector_to_dual_point(gf: GF, ell):
@@ -125,8 +139,9 @@ def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
     m, size = check_size(arc)
     E = tuple(range(size))
     phi = forms.zero_form(k, m * t)
-    for T in combinations(E, k - 1):
-        z = minor_vector(gf, [arc.points[i] for i in T])
+    subsets = list(combinations(E, k - 1))
+    duals = zip(*_minor_columns(gf, [[arc.points[i] for i in T] for T in subsets]))
+    for T, z in zip(subsets, duals):
         c = gf.pow(ts.eval_fS(T[:-1], T[-1]), m)  # f_{T minus last}(last), T in arc order
         lin = [appended_det_form(gf, k, arc.points[u]) for u in E if u not in T]
         for L in lin:
@@ -139,20 +154,39 @@ def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
     return SBBTForm(m, E, phi)
 
 
+def evaluate_G_batch(gf: GF, sbbt: SBBTForm, row_sets) -> list:
+    """phi at the minor coordinates of every set of k-1 point rows: the
+    monomials of the batch's minor columns built along
+    forms._monomial_parents, one GF.col_dot each, and phi as one
+    GF.vec_mat map over the columns of the monomials of degree deg(phi)."""
+    k, d = sbbt.phi.k, sbbt.phi.t
+    if len(row_sets[0]) != k - 1:
+        raise ValueError(f"need k-1 = {k - 1} rows")
+    z = _minor_columns(gf, row_sets)
+    monomials = [[1] * len(row_sets)]
+    for parent, j in forms._monomial_parents(k, d):
+        monomials.append(gf.col_dot([monomials[parent]], [z[j]]))
+    return gf.vec_mat(monomials[len(monomials) - forms.num_monomials(k, d) :])(sbbt.phi.coeffs)
+
+
 def evaluate_G(gf: GF, sbbt: SBBTForm, rows) -> int:
-    """phi at the minor coordinates of k-1 point rows."""
-    return forms.evaluate(gf, sbbt.phi, minor_vector(gf, rows))
+    """phi at the minor coordinates of k-1 point rows, as a batch of one."""
+    return evaluate_G_batch(gf, sbbt, [rows])[0]
 
 
 def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     """G(prefix, X) as a polynomial in X: substitute, into phi, the linear
-    forms that each minor becomes once all rows but the last are fixed, by
-    phi's substitution plan: one convolve per product step, then one
-    add_scaled per nonzero term."""
+    forms that each minor becomes once all rows but the last are fixed."""
+    if len(prefix_rows) != sbbt.phi.k - 2:
+        raise ValueError(f"need k-2 = {sbbt.phi.k - 2} prefix rows")
+    return _substitute(gf, sbbt, linalg.minor_forms(gf, prefix_rows))
+
+
+def _substitute(gf: GF, sbbt: SBBTForm, linear) -> forms.Form:
+    """phi at the linear forms L_0..L_{k-1} of one prefix, by phi's
+    substitution plan: one convolve per product step, then one add_scaled
+    per nonzero term."""
     k = sbbt.phi.k
-    if len(prefix_rows) != k - 2:
-        raise ValueError(f"need k-2 = {k - 2} prefix rows")
-    linear = linalg.minor_forms(gf, prefix_rows)
     steps, terms = sbbt.substitution_plan
     products = [[1]]
     for parent, j, positions, size in steps:
@@ -231,8 +265,10 @@ def verify_sbbt(
     report = report or Report("sbbt-verify", {}, [])
     ident = report.check("residual-equals-tangent-form-power")
     residuals = []  # G(S, x_j) = residual_S(x_j), and 0 on S
-    for S in combinations(range(arc.n), k - 2):
-        got = residual_form(gf, sbbt, [arc.points[i] for i in S])
+    subsets = list(combinations(range(arc.n), k - 2))
+    linear = linalg.minor_forms_batch(gf, [[arc.points[i] for i in S] for S in subsets])
+    for S, lin in zip(subsets, linear):
+        got = _substitute(gf, sbbt, lin)
         fS = ts.form(S)
         want = fS
         for _ in range(m - 1):
@@ -268,15 +304,13 @@ def verify_sbbt(
 
     rng = random.Random(seed)
     sym = report.check("symmetric-under-row-permutations")
+    trials = []
     for _ in range(RANDOM_TRIALS):
-        rows = [
-            [rng.randrange(gf.q) for _ in range(k)] for _ in range(k - 1)
-        ]
+        rows = [[rng.randrange(gf.q) for _ in range(k)] for _ in range(k - 1)]
         perm = list(range(k - 1))
         rng.shuffle(perm)
-        sym.tally(
-            evaluate_G(gf, sbbt, rows)
-            == evaluate_G(gf, sbbt, [rows[i] for i in perm]),
-            {"rows": rows, "perm": perm},
-        )
+        trials.append((rows, perm))
+    values = evaluate_G_batch(gf, sbbt, [r for rows, perm in trials for r in (rows, [rows[i] for i in perm])])
+    for (rows, perm), a, b in zip(trials, values[::2], values[1::2]):
+        sym.tally(a == b, {"rows": rows, "perm": perm})
     return report

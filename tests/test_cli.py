@@ -494,20 +494,23 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
 
 def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
-    # is_arc reads pencils off one nullspace per subset, and the G sweep
-    # and build_sbbt's interpolation denominators read determinants off
-    # linalg.minor_forms, which expands minors itself, so linalg.det is
-    # never called, and phi is evaluated at minor coordinates only by the
-    # random-row symmetry check, twice per trial
+    # is_arc reads pencils off one nullspace per subset, the G sweep reads
+    # determinants off linalg.minor_forms_batch and build_sbbt's
+    # interpolation denominators off batched minor coordinates, both
+    # expanded by linalg._minors, so linalg.det is never called; phi is
+    # evaluated at minor coordinates only by the random-row symmetry
+    # check, at its two row sets per trial, in one batch
     arc_path = str(tmp_path / "tc7.json")
     run(capsys, "arc", "new", "--type", "nrc", "--q", "7", "--k", "4", "-o", arc_path)
-    dets, evaluations, evaluate_G = [], [], sbbt.evaluate_G
+    dets, evaluations, evaluate_G_batch = [], [], sbbt.evaluate_G_batch
     monkeypatch.setattr(linalg, "det", lambda *a: dets.append(1))
-    monkeypatch.setattr(sbbt, "evaluate_G", lambda *a: evaluations.append(1) or evaluate_G(*a))
+    monkeypatch.setattr(
+        sbbt, "evaluate_G_batch", lambda *a: evaluations.append(len(a[2])) or evaluate_G_batch(*a)
+    )
     code, rep = run(capsys, "suite", arc_path)
     assert code == 0 and rep["passed"]
     assert dets == []
-    assert len(evaluations) == 2 * 100
+    assert evaluations == [2 * 100]
 
 
 def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):

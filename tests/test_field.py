@@ -307,6 +307,34 @@ def test_add_scaled_matches_scalar_loop_and_mutates_nothing(p, h):
             assert (x, y) == (x0, y0)
 
 
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_col_dot_matches_dot_at_every_position_and_mutates_nothing(p, h):
+    # r = 1, 2 and 5 pairs of columns over batches of 1, 3 and 17
+    # positions: random, with an all-zero u and an all-zero v column, all
+    # zero, and q - 1 everywhere (the largest GF(p) sums); lists and tuples
+    gf = make_field(p, h)
+    rng = random.Random(5 * p + h)
+    top = gf.q - 1
+    for size, r in itertools.product((1, 3, 17), (1, 2, 5)):
+        def draw():
+            return [[rng.randrange(gf.q) for _ in range(size)] for _ in range(r)]
+
+        us, vs = draw(), draw()
+        cases = [
+            (us, vs),
+            ([[0] * size] + us[1:], vs[:-1] + [[0] * size]),
+            ([[0] * size] * r, draw()),
+            ([[top] * size] * r, [tuple([top] * size)] * r),
+            ([tuple(u) for u in us], vs),
+        ]
+        for us, vs in cases:
+            before = ([list(u) for u in us], [list(v) for v in vs])
+            got = gf.col_dot(us, vs)
+            assert got == [gf.dot(u, v) for u, v in zip(zip(*us), zip(*vs))], (size, r)
+            assert len(got) == size and all(type(x) is int and 0 <= x < gf.q for x in got)
+            assert ([list(u) for u in us], [list(v) for v in vs]) == before
+
+
 # GF(2^9) and GF(2^11) pack two bytes per entry in vec_mat, the smaller
 # binary fields one
 WIDE_BINARY_FIELDS = [(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]), (2, 11, [1, 0, 1] + [0] * 8 + [1])]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -68,6 +69,48 @@ def test_minor_forms_are_cofactor_expansions(rows):
     for j, L in enumerate(forms):
         minor = [[r[c] for c in range(k) if c != j] for r in rows]
         assert linalg.dot(F7, L, x) == det_cofactor(F7, minor)
+
+
+F9 = make_field(3, 2)
+
+
+@st.composite
+def matrix_batches(draw, rows=None, ncols=None):
+    """(field, batch, ncols): 1-6 matrices of r rows and ncols >= r
+    columns, over GF(7) or GF(3^2), some with a row zeroed or repeated."""
+    gf = draw(st.sampled_from([F7, F9]))
+    r = draw(st.integers(1, 4)) if rows is None else rows
+    ncols = draw(st.integers(r, 5)) if ncols is None else ncols
+    row = st.lists(st.integers(0, gf.q - 1), min_size=ncols, max_size=ncols)
+    batch = draw(st.lists(st.lists(row, min_size=r, max_size=r), min_size=1, max_size=6))
+    for m in batch:
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        kind = draw(st.sampled_from(["as drawn", "zero row", "repeated row"]))
+        if kind == "zero row":
+            m[i] = [0] * ncols
+        elif kind == "repeated row":
+            m[i] = list(m[j])
+    return gf, batch, ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_batches())
+def test_batched_minors_are_cofactor_expansions(case):
+    # entry b of the column of each column subset is that minor of matrix b
+    gf, batch, ncols = case
+    r = len(batch[0])
+    minors = linalg._minors(gf, batch, ncols)
+    assert sorted(minors) == list(itertools.combinations(range(ncols), r))
+    for cols, column in minors.items():
+        assert column == [det_cofactor(gf, [[row[c] for c in cols] for row in m]) for m in batch]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda k: matrix_batches(rows=k - 2, ncols=k)))
+def test_batched_minor_forms_match_each_prefix(case):
+    gf, prefixes, _ = case
+    assert linalg.minor_forms_batch(gf, prefixes) == [linalg.minor_forms(gf, rows) for rows in prefixes]
+    assert linalg.minor_forms_batch(gf, [[]] * 2) == [linalg.minor_forms(gf, [])] * 2  # k = 2
 
 
 def test_minor_forms_dimension_check():

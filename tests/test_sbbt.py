@@ -32,6 +32,7 @@ from arcforms.sbbt import (
     verify_sbbt,
 )
 from arcforms.tangents import (
+    RANDOM_TRIALS,
     TangentSystem,
     build_tangent_system,
     signed_table,
@@ -174,6 +175,21 @@ def test_residual_form_takes_each_minor_once(monkeypatch):
         calls.clear()
         residual_form(gf, SBBTForm(1, (), phi), rows)
         assert list(map(len, calls)) == [math.comb(k, 2)]
+
+
+@pytest.mark.parametrize("q,k", [(7, 4), (9, 3)])
+def test_verify_sbbt_takes_its_minors_in_two_batches(q, k, monkeypatch):
+    # one minor table for the minor forms of all C(n, k-2) residual
+    # prefixes, and one for the maximal minors of the symmetry check's two
+    # row sets per trial, at which phi is then evaluated in one batch
+    arc, ts = corpus_system(q, k)
+    sb = build_sbbt(arc, ts)
+    batches, minors = [], linalg._minors
+    monkeypatch.setattr(
+        linalg, "_minors", lambda gf, batch, ncols: batches.append((len(batch), len(batch[0]))) or minors(gf, batch, ncols)
+    )
+    assert verify_sbbt(arc, ts, sb).passed
+    assert batches == [(math.comb(arc.n, k - 2), k - 2), (2 * RANDOM_TRIALS, k - 1)]
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
