@@ -20,7 +20,7 @@ from .geometry import (
     normal_rational_curve,
     project,
 )
-from .sbbt import SBBTForm, build_sbbt, evaluate_G, verify_sbbt
+from .sbbt import SBBTForm, build_sbbt, verify_sbbt
 from .tangents import (
     TangentCountError,
     TangentSystem,
@@ -69,7 +69,6 @@ __all__ = [
     "verify_tensor_form",
     "SBBTForm",
     "build_sbbt",
-    "evaluate_G",
     "verify_sbbt",
 ]
 

@@ -63,16 +63,9 @@ def det(gf: GF, rows) -> int:
     return _minors(gf, [rows], n)[tuple(range(n))][0]
 
 
-def minor_forms(gf: GF, rows):
-    """The k linear forms L_j of k-2 rows of length k: L_j·x is the
-    determinant of [rows, x] with column j deleted; minor_forms_batch of
-    the one prefix."""
-    return minor_forms_batch(gf, [rows])[0]
-
-
 def minor_forms_batch(gf: GF, prefixes):
-    """minor_forms of every prefix of k-2 rows of length k, from one
-    batched _minors table.
+    """The k linear forms L_j of each prefix of k-2 rows of length k, L_j·x
+    the determinant of [rows, x] without column j, from one _minors table.
 
     Expanding along x, the coefficient of x_c (c != j) is a signed
     (k-2)-minor of the rows on the columns other than j and c; the C(k, 2)

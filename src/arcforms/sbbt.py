@@ -54,12 +54,6 @@ def _minor_columns(gf: GF, row_sets):
     return [minors[tuple(c for c in range(k) if c != j)] for j in range(k)]
 
 
-def minor_vector(gf: GF, rows):
-    """All k maximal minors of the k-1 rows: the dual coordinates of their
-    span, as a batch of one."""
-    return tuple(z for z, in _minor_columns(gf, [rows]))
-
-
 def covector_to_dual_point(gf: GF, ell):
     """Minor coordinates of the hyperplane with covector ell."""
     k = len(ell)
@@ -69,8 +63,8 @@ def covector_to_dual_point(gf: GF, ell):
 
 
 def appended_det_form(gf: GF, k: int, u) -> forms.Form:
-    """The linear form L in Z with L(minor_vector(rows)) = det(rows + [u]):
-    cofactor expansion along the appended row gives u's dual point."""
+    """The linear form L in Z with L(z) = det(rows + [u]), z the maximal minors
+    of rows: cofactor expansion along the appended row gives u's dual point."""
     return forms.linear_form(k, covector_to_dual_point(gf, u))
 
 
@@ -169,17 +163,12 @@ def evaluate_G_batch(gf: GF, sbbt: SBBTForm, row_sets) -> list:
     return gf.vec_mat(monomials[len(monomials) - forms.num_monomials(k, d) :])(sbbt.phi.coeffs)
 
 
-def evaluate_G(gf: GF, sbbt: SBBTForm, rows) -> int:
-    """phi at the minor coordinates of k-1 point rows, as a batch of one."""
-    return evaluate_G_batch(gf, sbbt, [rows])[0]
-
-
 def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
     """G(prefix, X) as a polynomial in X: substitute, into phi, the linear
     forms that each minor becomes once all rows but the last are fixed."""
     if len(prefix_rows) != sbbt.phi.k - 2:
         raise ValueError(f"need k-2 = {sbbt.phi.k - 2} prefix rows")
-    return _substitute(gf, sbbt, linalg.minor_forms(gf, prefix_rows))
+    return _substitute(gf, sbbt, linalg.minor_forms_batch(gf, [prefix_rows])[0])
 
 
 def _substitute(gf: GF, sbbt: SBBTForm, linear) -> forms.Form:

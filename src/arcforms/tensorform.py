@@ -132,10 +132,10 @@ def _contract_mode(gf: GF, shape, data, mode: int, matrix):
     return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
 
 
-def _contract_modes(gf: GF, data, matrix, blocks: int):
-    """Contract every mode of a len(matrix)^blocks tensor with matrix."""
-    shape = [len(matrix)] * blocks
-    for mode in range(blocks):
+def _contract_modes(gf: GF, data, matrix, modes: int):
+    """Contract a tensor's leading modes, each of len(matrix) entries, with matrix; keep the rest."""
+    shape = [len(matrix)] * modes + [len(data) // len(matrix) ** modes]
+    for mode in range(modes):
         shape, data = _contract_mode(gf, shape, data, mode, matrix)
     return data
 
@@ -152,41 +152,32 @@ def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:
     return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, ts.socle_core, inv, blocks)), P)
 
 
-def _support_vector(gf: GF, mf: MultiForm, x):
-    """The degree-t monomials at x, read at mf's support."""
-    return list(map(forms.monomial_vector(gf, x, mf.t).__getitem__, mf.support))
+def _support_matrix(gf: GF, mf: MultiForm, vectors):
+    """The support x len(vectors) matrix of the vectors' degree-t monomials."""
+    ver = [forms.monomial_vector(gf, x, mf.t) for x in vectors]
+    return [[v[J] for v in ver] for J in mf.support]
 
 
-def _contract_leading(gf: GF, mf: MultiForm, points):
-    """Contract the leading modes with the points' Veronese vectors in
-    turn: each contraction is sum_i v_i · row_i over the contiguous rows
-    of the leading mode, one gf.add_scaled per nonzero v_i."""
-    data, dim = mf.block, len(mf.support)
-    for x in points:
-        inner = len(data) // dim
-        out = [0] * inner
-        for i, v in enumerate(_support_vector(gf, mf, x)):
-            if v:
-                out = gf.add_scaled(out, v, data[i * inner : (i + 1) * inner])
-        data = out
-    return data
+def _partial_forms(gf: GF, mf: MultiForm, vectors, tuples):
+    """F(x_a, ·) for each (blocks-1)-tuple a of indices into vectors, read off one
+    table: mf's leading modes contracted by _support_matrix, row tuple_position(a, len(vectors))."""
+    dim = len(mf.support)
+    rows = _contract_modes(gf, mf.block, _support_matrix(gf, mf, vectors), mf.blocks - 1)
+    for pos in (tuple_position(a, len(vectors)) * dim for a in tuples):
+        at = dict(zip(mf.support, rows[pos : pos + dim]))
+        yield forms.Form(mf.k, mf.t, tuple(at.get(j, 0) for j in range(mf.mode_dim)))
 
 
 def partial_evaluate(gf: GF, mf: MultiForm, prefix) -> forms.Form:
     """Evaluate all blocks but the last at points; the leftover is a form."""
     if len(prefix) != mf.blocks - 1:
         raise ValueError(f"prefix must have {mf.blocks - 1} points")
-    out = [0] * mf.mode_dim
-    for j, v in zip(mf.support, _contract_leading(gf, mf, prefix)):
-        out[j] = v
-    return forms.Form(mf.k, mf.t, tuple(out))
+    return next(_partial_forms(gf, mf, prefix, [range(len(prefix))]))
 
 
 def evaluation_table(gf: GF, mf: MultiForm, vectors):
     """Flat table of evaluations at every tuple from `vectors`, row-major."""
-    ver = [_support_vector(gf, mf, x) for x in vectors]
-    mat = [[v[J] for v in ver] for J in range(len(mf.support))]
-    return _contract_modes(gf, mf.block, mat, mf.blocks)
+    return _contract_modes(gf, mf.block, _support_matrix(gf, mf, vectors), mf.blocks)
 
 
 def check_signed_evaluations(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report) -> list:
@@ -327,10 +318,8 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
     """
     gf, t, blocks = arc.gf, arc.t, arc.k - 2
     subsets = list(combinations(range(arc.n), blocks))
-    residuals = [
-        list(forms.form_sub(gf, partial_evaluate(gf, F, [arc.points[i] for i in S]), ts.form(S)).coeffs)
-        for S in subsets
-    ]
+    partials = zip(_partial_forms(gf, F, arc.points, subsets), subsets)
+    residuals = [list(forms.form_sub(gf, f, ts.form(S)).coeffs) for f, S in partials]
     phi = forms.vanishing_subspace(gf, arc.k, arc.points, t)
     if phi.dim == 0:
         exact = not any(map(any, residuals))

@@ -6,14 +6,16 @@ arcs; everything returned is treated as immutable by the tests.
 """
 
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 from arcforms import linalg
 from arcforms.field import make_field
+from arcforms.forms import monomial_vector
 from arcforms.geometry import Arc, normal_rational_curve
 from arcforms.tangents import _sign_power, build_tangent_system, perm_parity
-from arcforms.tensorform import _contract_leading, build_tensor_form, evaluation_table
+from arcforms.tensorform import build_tensor_form, evaluation_table
 
 # (q, p, h, k): conics over q in {4,5,7,8,9}, twisted cubics over {5,7,8}
 CONIC_FIELDS = [(4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]
@@ -106,10 +108,19 @@ def rank(gf, rows) -> int:
 
 
 def evaluate(gf, mf, points) -> int:
-    """Full evaluation of a MultiForm at `blocks` point vectors."""
+    """Full evaluation of a MultiForm at `blocks` point vectors: the sum,
+    over the entries of its support block, of the entry times the points'
+    monomials at its support indices, by gf.mul and gf.add; no tensor
+    contraction used."""
     if len(points) != mf.blocks:
         raise ValueError(f"need {mf.blocks} points, got {len(points)}")
-    return _contract_leading(gf, mf, points)[0]
+    vecs = [monomial_vector(gf, x, mf.t) for x in points]
+    total = 0
+    for J, c in zip(product(mf.support, repeat=mf.blocks), mf.block):
+        for v, j in zip(vecs, J):
+            c = gf.mul(c, v[j])
+        total = gf.add(total, c)
+    return total
 
 
 def is_block_congruent(D, arc) -> bool:

@@ -64,7 +64,7 @@ def test_minor_forms_are_cofactor_expansions(rows):
     # L_j·x is the determinant of [rows, x] with column j deleted
     *prefix, x = rows
     k = len(x)
-    forms = linalg.minor_forms(F7, prefix)
+    forms = linalg.minor_forms_batch(F7, [prefix])[0]
     assert len(forms) == k
     for j, L in enumerate(forms):
         minor = [[r[c] for c in range(k) if c != j] for r in rows]
@@ -109,14 +109,14 @@ def test_batched_minors_are_cofactor_expansions(case):
 @given(st.integers(3, 5).flatmap(lambda k: matrix_batches(rows=k - 2, ncols=k)))
 def test_batched_minor_forms_match_each_prefix(case):
     gf, prefixes, _ = case
-    assert linalg.minor_forms_batch(gf, prefixes) == [linalg.minor_forms(gf, rows) for rows in prefixes]
-    assert linalg.minor_forms_batch(gf, [[]] * 2) == [linalg.minor_forms(gf, [])] * 2  # k = 2
+    assert linalg.minor_forms_batch(gf, prefixes) == [linalg.minor_forms_batch(gf, [rows])[0] for rows in prefixes]
+    assert linalg.minor_forms_batch(gf, [[]] * 2) == linalg.minor_forms_batch(gf, [[]]) * 2  # k = 2
 
 
 def test_minor_forms_dimension_check():
-    assert linalg.minor_forms(F5, []) == [[0, 1], [1, 0]]
+    assert linalg.minor_forms_batch(F5, [[]]) == [[[0, 1], [1, 0]]]
     with pytest.raises(ValueError):
-        linalg.minor_forms(F5, [[1, 2]])
+        linalg.minor_forms_batch(F5, [[[1, 2]]])
 
 
 def test_nullspace_examples():
@@ -162,7 +162,7 @@ def test_nullspace_canonical_under_row_scrambling():
 
 
 def test_each_matrix_is_row_reduced_once(monkeypatch):
-    # det and minor_forms expand minors and run no elimination; nullspace
+    # det and minor_forms_batch expand minors and run no elimination; nullspace
     # reads its reduced echelon basis off one rref
     calls, rref = [], linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
@@ -170,7 +170,7 @@ def test_each_matrix_is_row_reduced_once(monkeypatch):
     for n in range(2, 6):
         m = [[rng.randrange(7) for _ in range(n)] for _ in range(n)]
         assert linalg.det(F7, m) == det_cofactor(F7, m)
-        linalg.minor_forms(F7, m[: n - 2])
+        linalg.minor_forms_batch(F7, [m[: n - 2]])
     assert calls == []
     for shape in [(1, 4), (2, 5), (3, 3), (3, 6), (4, 6)]:
         rows = [[rng.randrange(7) for _ in range(shape[1])] for _ in range(shape[0])]

@@ -25,9 +25,9 @@ from arcforms.sbbt import (
     appended_det_form,
     build_sbbt,
     classify_hyperplanes,
+    _minor_columns,
     covector_to_dual_point,
-    evaluate_G,
-    minor_vector,
+    evaluate_G_batch,
     residual_form,
     verify_sbbt,
 )
@@ -71,12 +71,12 @@ def test_laplace_identity_random(gf7):
             u = [rng.randrange(7) for _ in range(k)]
             lf = appended_det_form(gf7, k, u)
             direct = linalg.det(gf7, rows + [u])
-            assert eval_form(gf7, lf, minor_vector(gf7, rows)) == direct
+            assert eval_form(gf7, lf, next(zip(*_minor_columns(gf7, [rows])))) == direct
 
 
 def test_minors_vanish_on_repeated_rows(gf7):
     rows = [(1, 2, 3, 4), (0, 1, 1, 1), (1, 2, 3, 4)]
-    assert minor_vector(gf7, rows) == (0, 0, 0, 0)
+    assert next(zip(*_minor_columns(gf7, [rows]))) == (0, 0, 0, 0)
 
 
 def test_covector_dual_point_consistency(gf7):
@@ -85,7 +85,7 @@ def test_covector_dual_point_consistency(gf7):
     rng = random.Random(1)
     for _ in range(20):
         rows = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
-        z = minor_vector(gf7, rows)
+        z = next(zip(*_minor_columns(gf7, [rows])))
         if not any(z):
             continue
         ell = covector_to_dual_point(gf7, z)  # involution up to global sign
@@ -229,7 +229,7 @@ def test_one_substitution_plan_serves_every_residual(monkeypatch):
 def test_residuals_give_G_on_every_sorted_subset(case):
     # residual_S(X) is phi at the minor vector of [S, X] as a polynomial,
     # for any phi: the signed table of the residuals at the arc points, 0
-    # on S, with power deg phi, is evaluate_G on every ordered (k-1)-tuple,
+    # on S, with power deg phi, is G on every ordered (k-1)-tuple,
     # for the built phi (m = 1 and m = 2), a corrupted one and a random one
     # of degree t.  The twisted cubic of PG(3, 5) is too small to
     # interpolate; a random phi of degree mt stands in for the built one.
@@ -249,9 +249,10 @@ def test_residuals_give_G_on_every_sorted_subset(case):
     coeffs = list(sb.phi.coeffs)
     coeffs[0] = gf.add(coeffs[0], 1)
     bad = SBBTForm(sb.m, sb.E, Form(k, sb.phi.t, tuple(coeffs)))
-    duals = [minor_vector(gf, [arc.points[i] for i in T]) for T in itertools.product(range(arc.n), repeat=k - 1)]
+    tuples = itertools.product(range(arc.n), repeat=k - 1)
+    duals = list(zip(*_minor_columns(gf, [[arc.points[i] for i in T] for T in tuples])))
     for phi in (sb, bad, random_phi(t)):
-        # evaluate_G on every ordered tuple; rows with a repeat have minors 0
+        # G on every ordered tuple; rows with a repeat have minors 0
         want = [eval_form(gf, phi.phi, z) if any(z) else 0 for z in duals]
         rows = []
         for S in itertools.combinations(range(arc.n), k - 2):
@@ -266,18 +267,18 @@ def test_evaluate_G_examples():
     sb = build_sbbt(arc, ts)
     # repeated rows: all minors vanish
     rows = [arc.points[0], arc.points[1], arc.points[0]]
-    assert evaluate_G(gf, sb, rows) == 0
+    assert evaluate_G_batch(gf, sb, [rows])[0] == 0
     # S plus an off-tangent arc point: the square of the tangent evaluation
     S = (0, 2)
     x = 5
     rows = [arc.points[0], arc.points[2], arc.points[x]]
     val = ts.eval_fS(S, x)
-    assert val != 0 and evaluate_G(gf, sb, rows) == gf.mul(val, val)
+    assert val != 0 and evaluate_G_batch(gf, sb, [rows])[0] == gf.mul(val, val)
     # S plus any point of a tangent hyperplane at S: zero
     dual = tangent_hyperplanes(arc, S)[0]
     _, basis = linalg.nullspace(gf, [dual], ncols=4)
     on_plane = basis[0]
-    assert evaluate_G(gf, sb, [arc.points[0], arc.points[2], on_plane]) == 0
+    assert evaluate_G_batch(gf, sb, [[arc.points[0], arc.points[2], on_plane]])[0] == 0
 
 
 def test_G_agrees_with_signed_evaluations_powered():
@@ -287,7 +288,7 @@ def test_G_agrees_with_signed_evaluations_powered():
         sb = build_sbbt(arc, ts)
         for tup in itertools.product(range(arc.n), repeat=k - 1):
             rows = [arc.points[i] for i in tup]
-            assert evaluate_G(gf, sb, rows) == gf.pow(g_value(ts, tup), sb.m)
+            assert evaluate_G_batch(gf, sb, [rows])[0] == gf.pow(g_value(ts, tup), sb.m)
 
 
 def test_g_table_squared_by_mul_is_its_pow():
@@ -425,7 +426,7 @@ def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
 
     check("agrees-with-signed-evaluations-powered", [
         (
-            evaluate_G(gf, sb, [arc.points[i] for i in tup]) == gf.pow(g_value(ts, tup), m),
+            evaluate_G_batch(gf, sb, [[arc.points[i] for i in tup]])[0] == gf.pow(g_value(ts, tup), m),
             {"tuple": list(tup)},
         )
         for tup in itertools.product(range(arc.n), repeat=k - 1)
@@ -437,7 +438,7 @@ def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
         rows = [[rng.randrange(gf.q) for _ in range(k)] for _ in range(k - 1)]
         perm = list(range(k - 1))
         rng.shuffle(perm)
-        same = evaluate_G(gf, sb, rows) == evaluate_G(gf, sb, [rows[i] for i in perm])
+        same = evaluate_G_batch(gf, sb, [rows])[0] == evaluate_G_batch(gf, sb, [[rows[i] for i in perm]])[0]
         results.append((same, {"rows": rows, "perm": perm}))
     check("symmetric-under-row-permutations", results)
     return out, notes, duals

@@ -10,7 +10,7 @@ from arcforms.field import GF, make_field
 from arcforms.forms import evaluate, form_scale, form_to_json, product_linear_forms, zero_form
 from arcforms.geometry import Arc, hyperoval, normal_rational_curve, normalize, projective_points
 from arcforms.report import Report
-from arcforms.sbbt import build_sbbt, evaluate_G, verify_sbbt
+from arcforms.sbbt import build_sbbt, evaluate_G_batch, verify_sbbt
 from arcforms.tangents import (
     TangentCountError,
     TangentSystem,
@@ -419,7 +419,7 @@ def test_signed_table_matches_parity_oracle(power):
 
 def per_tuple_sweeps(arc, ts, F, sb, seed=0, random_trials=100):
     """The tuple sweeps recomputed one ordered tuple at a time from
-    g_value, eval_fS, perm_parity and evaluate_G, as
+    g_value, eval_fS, perm_parity and evaluate_G_batch, as
     [(name, total, failed, witnesses)] in report order."""
     gf, n, m = arc.gf, arc.n, arc.k - 1
     out = []
@@ -480,7 +480,7 @@ def per_tuple_sweeps(arc, ts, F, sb, seed=0, random_trials=100):
     if sb is not None:
         # G once per sorted subset: permuting the rows by sigma scales G by
         # sgn(sigma)^deg(phi), and rows with a repeat give G = 0
-        G = {T: evaluate_G(gf, sb, [arc.points[i] for i in T]) for T in subsets}
+        G = dict(zip(subsets, evaluate_G_batch(gf, sb, [[arc.points[i] for i in T] for T in subsets])))
         flip = gf.pow(gf.neg(1), sb.phi.t)
         results = []
         for tup in tuples:

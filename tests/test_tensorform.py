@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from arcforms.forms import (
     Form,
     form_add,
+    form_sub,
     monomial_basis,
     monomial_vector,
     num_monomials,
@@ -877,7 +878,33 @@ def test_search_exact_stops_when_the_prefix_system_is_inconsistent(rref_widths, 
     assert search_exact_tangent_match(arc, shifted, F) == (False, None)
     N, w = F.mode_dim, len(ts.socle[0])
     assert rref_widths == [N, arc.n, w**2 + N - w]
-    assert len(evaluations) == comb(arc.n, 2)  # the residuals only
+    assert evaluations == []  # the residuals are read off one table
+
+
+@pytest.mark.parametrize("arc", [corpus_arc(q, k) for q, p, h, k in CORPUS] + [glynn_arc()],
+                         ids=[f"q{q}-k{k}" for q, p, h, k in CORPUS] + ["glynn"])
+def test_search_exact_reads_each_residual_off_the_leading_table(arc, monkeypatch):
+    # the search contracts F's leading modes once, at the arc's points, and
+    # reads F(x_S, ·) for every sorted S off that table; each form it reads
+    # is partial_evaluate at x_S, so each residual is partial_evaluate - f_S
+    ts = build_tangent_system(arc)
+    F = build_tensor_form(arc, ts)
+    gf, calls, partial_forms = arc.gf, [], tensorform._partial_forms
+
+    def spy(*args):
+        forms = list(partial_forms(*args))
+        calls.append((args, forms))
+        return iter(forms)
+
+    monkeypatch.setattr(tensorform, "_partial_forms", spy)
+    found, _ = search_exact_tangent_match(arc, ts, F)
+    assert found
+    subsets = list(itertools.combinations(range(arc.n), arc.k - 2))
+    [((_, mf, vectors, tuples), read)] = calls
+    assert mf is F and vectors == arc.points and list(tuples) == subsets
+    for S, f in zip(subsets, read, strict=True):
+        want = partial_evaluate(gf, F, [arc.points[i] for i in S])
+        assert form_sub(gf, f, ts.form(S)) == form_sub(gf, want, ts.form(S)), S
 
 
 def test_multiform_json_roundtrip(tmp_path):
