@@ -151,7 +151,7 @@ class Pipeline:
 
 
 def _tally_is_arc(report: Report, name: str, arc: Arc) -> None:
-    ok, witness = geometry.is_arc(arc.gf, arc.k, arc.points)
+    ok, witness = geometry.arc_witness(arc)
     report.check(name).tally(ok, {"subset": list(witness)} if witness else None)
 
 

@@ -63,10 +63,6 @@ class Form:
             )
 
 
-def zero_form(k: int, t: int) -> Form:
-    return Form(k, t, (0,) * num_monomials(k, t))
-
-
 def linear_form(k: int, coeffs) -> Form:
     return Form(k, 1, tuple(coeffs))
 
@@ -110,20 +106,10 @@ def evaluate(gf: GF, f: Form, x) -> int:
     return linalg.dot(gf, f.coeffs, monomial_vector(gf, x, f.t))
 
 
-def form_add(gf: GF, f: Form, g: Form) -> Form:
-    if (f.k, f.t) != (g.k, g.t):
-        raise ValueError("form shape mismatch")
-    return Form(f.k, f.t, tuple(gf.add(a, b) for a, b in zip(f.coeffs, g.coeffs)))
-
-
 def form_sub(gf: GF, f: Form, g: Form) -> Form:
     if (f.k, f.t) != (g.k, g.t):
         raise ValueError("form shape mismatch")
     return Form(f.k, f.t, tuple(gf.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)))
-
-
-def form_scale(gf: GF, c: int, f: Form) -> Form:
-    return Form(f.k, f.t, tuple(gf.mul(c, a) for a in f.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -145,14 +131,31 @@ def form_mul(gf: GF, f: Form, g: Form) -> Form:
     return Form(k, t, tuple(gf.convolve(f.coeffs, g.coeffs, positions, num_monomials(k, t))))
 
 
-def product_linear_forms(gf: GF, k: int, factors) -> Form:
-    """Product of linear forms; the empty product is the constant form 1."""
-    acc = Form(k, 0, (1,))
-    for lf in factors:
-        if not isinstance(lf, Form):
-            lf = linear_form(k, lf)
-        acc = form_mul(gf, acc, lf)
-    return acc
+def _linear_terms(acc, linear, positions, size: int) -> list:
+    """f·L over a batch, f of degree s and L linear, acc[i] and linear[j]
+    the columns of their i-th and j-th coefficients and positions =
+    _product_positions(variables, s, 1): for each coefficient of f·L, the
+    column lists (us, vs) whose GF.col_dot it is."""
+    out = [([], []) for _ in range(size)]
+    for a, row in zip(acc, positions):
+        for b, pos in zip(linear, row):
+            out[pos][0].append(a)
+            out[pos][1].append(b)
+    return out
+
+
+def product_linear_forms(gf: GF, k: int, batch) -> list:
+    """The product of each list of linear forms (Forms or coefficient
+    sequences) in the batch, all of one length; the empty product is 1.
+    Factor by factor, each coefficient is one GF.col_dot over the batch."""
+    batch = [[getattr(f, "coeffs", f) for f in factors] for factors in batch]
+    if len(set(map(len, batch))) > 1 or any(len(f) != k for f in itertools.chain(*batch)):
+        raise ValueError(f"need equally many linear forms in {k} variables per product")
+    acc = [[1] * len(batch)]
+    for s, factor in enumerate(zip(*batch)):  # factor s of every product
+        terms = _linear_terms(acc, list(zip(*factor)), _product_positions(k, s, 1), num_monomials(k, s + 1))
+        acc = [gf.col_dot(us, vs) for us, vs in terms]
+    return [Form(k, len(batch[0]), coeffs) for coeffs in zip(*acc)]
 
 
 @dataclass(frozen=True)

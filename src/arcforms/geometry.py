@@ -47,6 +47,18 @@ class Arc:
         """The GF.vec_mat map c ↦ [c·x for x in points], built once."""
         return self.gf.vec_mat(list(zip(*self.points)))
 
+    @cached_property
+    def pencils(self) -> dict:
+        """Sorted (k-2)-subset S ↦ its pencil (u, v, keys), by pencil_at."""
+        return {}
+
+    def pencil_at(self, S):
+        """geometry.pencil of the points of S off point_map, taken once per
+        Arc; ValueError, not kept, if they are dependent."""
+        if S not in self.pencils:
+            self.pencils[S] = pencil(self.gf, self.k, [self.points[i] for i in S], self.point_map)
+        return self.pencils[S]
+
     @property
     def n(self) -> int:
         return len(self.points)
@@ -104,26 +116,30 @@ def pencil(gf: GF, k: int, span, at_points):
 
 
 def is_arc(gf: GF, k: int, points):
-    """True iff no k of the points lie in a common hyperplane.
+    """arc_witness of the points as an Arc: (ok, witness)."""
+    return arc_witness(Arc(gf, k, tuple(points)))
 
-    Returns (ok, witness); the witness is the first offending k-tuple of
-    indices in combinations order (a repeated projective point shows up
-    as a singular k-subset).  The k-subsets are S + (a, b), S a (k-2)-subset
-    and a < b after it: S + (a, b) is singular iff S is dependent, or a or
-    b lies in S's span, or both lie on the same member of S's pencil.
+
+def arc_witness(arc: Arc):
+    """(ok, witness): ok iff no k of the arc's points lie in a common
+    hyperplane, the witness the first offending k-tuple of indices in
+    combinations order (a repeated projective point shows up as a singular
+    k-subset).  The k-subsets are S + (a, b), S a (k-2)-subset and a < b
+    after it: S + (a, b) is singular iff S is dependent, or a or b lies in
+    S's span, or both lie on the same member of S's pencil (arc.pencil_at).
     """
-    for p in points:
+    k, n = arc.k, arc.n
+    for p in arc.points:
         if len(p) != k:
             raise ValueError(f"point {p} does not have {k} coordinates")
         if not any(p):
             raise ValueError("the zero vector is not a projective point")
     if k < 2:  # a 1x1 minor is the point's one nonzero coordinate
         return True, None
-    n, at_points = len(points), gf.vec_mat(list(zip(*points)))
     for S in itertools.combinations(range(n - 2), k - 2):
         start = S[-1] + 1 if S else 0
         try:
-            keys = pencil(gf, k, [points[i] for i in S], lambda c: at_points(c)[start:])[2]
+            keys = arc.pencil_at(S)[2][start:]
         except ValueError:  # S is dependent: every S + (a, b) is singular
             keys = [IN_SPAN] * (n - start)
         if len({*keys, IN_SPAN}) <= len(keys):  # two keys equal, or one IN_SPAN
@@ -136,7 +152,7 @@ def is_arc(gf: GF, k: int, points):
 def check_arc(arc: Arc) -> None:
     if arc.n < arc.k:
         raise ValueError(f"arc needs at least k = {arc.k} points, has {arc.n}")
-    ok, witness = is_arc(arc.gf, arc.k, arc.points)
+    ok, witness = arc_witness(arc)
     if not ok:
         raise ValueError(f"points {witness} lie in a common hyperplane")
 
@@ -214,9 +230,9 @@ def mds_generator(arc: Arc):
 
 def mds_check(arc: Arc):
     """All-maximal-minors-nonzero test of the generator matrix: the minor on
-    a column subset is the determinant of those points, so this is is_arc.
+    a column subset is the determinant of those points, so this is arc_witness.
     Returns (ok, generator, witness) where the witness names the column
     subset of the first vanishing k x k minor, if any.
     """
-    ok, witness = is_arc(arc.gf, arc.k, arc.points)
+    ok, witness = arc_witness(arc)
     return ok, mds_generator(arc), witness

@@ -35,15 +35,19 @@ def _minors(gf: GF, batch, ncols: int) -> dict:
     The minors of the first i+1 rows come from those of the first i by
     Laplace expansion along row i: on columns c_0 < ... < c_i the minor is
     the sum of (-1)^(i+j) row_i[c_j] times the i-minor without c_j, one
-    GF.col_dot over the batch per column subset.
+    GF.col_dot over the batch per column subset (the 1 x 1 minors are the
+    entries of row 0; over GF(2^h), -1 = 1 and no sign is applied).
     All sizes are built, ~r·2^(r-1) products: exponential, for r <= ~10.
     """
     minors = {(): [1] * len(batch)}
     for i, row in enumerate(zip(*batch)):  # row i of every matrix
         entries = list(zip(*row))  # entries[c]: entry c of row i over the batch
+        if i == 0:  # the 1 x 1 minors are the entries
+            minors = {(c,): list(column) for c, column in enumerate(entries)}
+            continue
         subsets = list(itertools.combinations(range(ncols), i + 1))
         odd = {c for cols in subsets for c in cols[1 - i % 2 :: 2]}  # columns with sign -1
-        negated = {c: list(map(gf.neg, entries[c])) for c in odd}
+        negated = entries if gf.p == 2 else {c: list(map(gf.neg, entries[c])) for c in odd}
         minors = {
             cols: gf.col_dot(
                 [negated[c] if (i + j) % 2 else entries[c] for j, c in enumerate(cols)],
@@ -81,8 +85,8 @@ def minor_forms_batch(gf: GF, prefixes):
     for cols, m in _minors(gf, prefixes, k).items():
         a, b = (i for i in range(k) if i not in cols)
         # x_b is column b - 1 of [rows, x] without a; x_a is column a without b
-        grid[a][b] = list(map(gf.neg, m)) if (k + b - 1) % 2 else m
-        grid[b][a] = list(map(gf.neg, m)) if (k + a) % 2 else m
+        grid[a][b] = list(map(gf.neg, m)) if (k + b - 1) % 2 and gf.p != 2 else m
+        grid[b][a] = list(map(gf.neg, m)) if (k + a) % 2 and gf.p != 2 else m
     return [list(map(list, form)) for form in zip(*(zip(*row) for row in grid))]
 
 

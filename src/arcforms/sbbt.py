@@ -15,8 +15,12 @@ one (linalg.minor_forms_batch) and its symmetry check's row sets in one
 (evaluate_G_batch: the monomials one GF.col_dot each, phi one GF.vec_mat
 map).  With the first k-2 rows fixed, every minor is a linear form in
 the last row, so phi becomes the residual form G(S, X) of degree
-deg(phi) in X, multiplied out per prefix by a substitution plan built
-once per phi.  The verifier checks each residual against f_S^m, then
+deg(phi) in X.  Each minor form vanishes on the span of S, so it lies on
+S's pencil {u, v} (the Arc's, taken once per subset): phi at the minors
+is a binary form psi_S(U, V), built by a substitution plan made once per
+phi, and the residual is psi_S(u·X, v·X), expanded by Horner; both run
+on all C(n, k-2) prefixes at once, one GF.col_dot per coefficient.  The
+verifier checks each residual against f_S^m, then
 compares G with the m-th power of the signed tangent evaluation on every
 ordered (k-1)-tuple of arc indices.  It reads G as tangents.signed_table
 reads g, from the residual of each sorted S at every x_j: permuting the
@@ -79,20 +83,20 @@ class SBBTForm:
         """(steps, terms): the products of linear forms L_0..L_{k-1} that
         phi's nonzero monomials need, each a step (parent, j, positions,
         size) that multiplies product number parent (0 is the constant 1)
-        by L_j, its parent having one factor fewer, off its last variable;
-        and phi as its (coefficient, product number) terms."""
-        k, number, steps = self.phi.k, {(0,) * self.phi.k: 0}, []
+        by L_j, its parent having one factor fewer, off its last variable,
+        in binary forms; and phi as its (coefficient, product number) terms."""
+        number, steps = {(0,) * self.phi.k: 0}, []
 
         def product(exp):
             if exp not in number:
                 j = max(i for i, e in enumerate(exp) if e)
                 parent = product(exp[:j] + (exp[j] - 1,) + exp[j + 1 :])
                 s = sum(exp) - 1
-                steps.append((parent, j, forms._product_positions(k, s, 1), forms.num_monomials(k, s + 1)))
+                steps.append((parent, j, forms._product_positions(2, s, 1), s + 2))
                 number[exp] = len(steps)
             return number[exp]
 
-        basis = forms.monomial_basis(k, self.phi.t)
+        basis = forms.monomial_basis(self.phi.k, self.phi.t)
         return steps, [(c, product(exp)) for c, exp in zip(self.phi.coeffs, basis) if c]
 
     def to_json(self, gf: GF) -> dict:
@@ -132,8 +136,7 @@ def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
         raise ValueError("arc has t = 0; no dual hypersurface")
     m, size = check_size(arc)
     E = tuple(range(size))
-    phi = forms.zero_form(k, m * t)
-    subsets = list(combinations(E, k - 1))
+    subsets, scales, factors = list(combinations(E, k - 1)), [], []
     duals = zip(*_minor_columns(gf, [[arc.points[i] for i in T] for T in subsets]))
     for T, z in zip(subsets, duals):
         c = gf.pow(ts.eval_fS(T[:-1], T[-1]), m)  # f_{T minus last}(last), T in arc order
@@ -143,9 +146,11 @@ def build_sbbt(arc: Arc, ts: TangentSystem) -> SBBTForm:
             if d == 0:
                 raise ValueError("degenerate interpolation set: zero denominator")
             c = gf.div(c, d)
-        term = forms.form_scale(gf, c, forms.product_linear_forms(gf, k, lin))
-        phi = forms.form_add(gf, phi, term)
-    return SBBTForm(m, E, phi)
+        scales.append(c)
+        factors.append(lin)
+    products = forms.product_linear_forms(gf, k, factors)
+    coeffs = zip(*(f.coeffs for f in products))
+    return SBBTForm(m, E, forms.Form(k, m * t, tuple(gf.dot(scales, col) for col in coeffs)))
 
 
 def evaluate_G_batch(gf: GF, sbbt: SBBTForm, row_sets) -> list:
@@ -163,27 +168,35 @@ def evaluate_G_batch(gf: GF, sbbt: SBBTForm, row_sets) -> list:
     return gf.vec_mat(monomials[len(monomials) - forms.num_monomials(k, d) :])(sbbt.phi.coeffs)
 
 
-def residual_form(gf: GF, sbbt: SBBTForm, prefix_rows) -> forms.Form:
-    """G(prefix, X) as a polynomial in X: substitute, into phi, the linear
-    forms that each minor becomes once all rows but the last are fixed."""
-    if len(prefix_rows) != sbbt.phi.k - 2:
-        raise ValueError(f"need k-2 = {sbbt.phi.k - 2} prefix rows")
-    return _substitute(gf, sbbt, linalg.minor_forms_batch(gf, [prefix_rows])[0])
-
-
-def _substitute(gf: GF, sbbt: SBBTForm, linear) -> forms.Form:
-    """phi at the linear forms L_0..L_{k-1} of one prefix, by phi's
-    substitution plan: one convolve per product step, then one add_scaled
-    per nonzero term."""
-    k = sbbt.phi.k
+def _residuals(gf: GF, sbbt: SBBTForm, bases, linear) -> list:
+    """phi at the minor forms L_0..L_{k-1} of each prefix S, as a form in
+    X, given S's pencil basis (u, v) and its minor forms.  L_j vanishes on
+    the span of S, so L_j = α_j·u + β_j·v, α_j and β_j read off L_j at the
+    pivots of the reduced basis.  phi's substitution plan on the binary
+    forms α_j·U + β_j·V gives psi_S, and psi_S(u·X, v·X) is expanded by
+    Horner in U over the powers of V: each coefficient is one GF.col_dot
+    over the batch of prefixes."""
+    k, d, size = sbbt.phi.k, sbbt.phi.t, len(bases)
+    pivots = [(u.index(1), v.index(1)) for u, v in bases]
+    alpha = [[L[j][a] for L, (a, _) in zip(linear, pivots)] for j in range(k)]
+    beta = [[L[j][b] for L, (_, b) in zip(linear, pivots)] for j in range(k)]
     steps, terms = sbbt.substitution_plan
-    products = [[1]]
-    for parent, j, positions, size in steps:
-        products.append(gf.convolve(products[parent], linear[j], positions, size))
-    out = [0] * len(sbbt.phi.coeffs)
-    for c, node in terms:
-        out = gf.add_scaled(out, c, products[node])
-    return forms.Form(k, sbbt.phi.t, tuple(out))
+    products = [[[1] * size]]
+    for parent, j, positions, width in steps:
+        pairs = forms._linear_terms(products[parent], (alpha[j], beta[j]), positions, width)
+        products.append([gf.col_dot(us, vs) for us, vs in pairs])
+    psi = [[0] * size] * (d + 1)
+    if terms:  # psi's d+1 coefficient columns, side by side
+        flat = gf.vec_mat([list(chain(*products[node])) for _, node in terms])([c for c, _ in terms])
+        psi = [flat[i * size : (i + 1) * size] for i in range(d + 1)]
+    u, v = (list(zip(*w)) for w in zip(*bases))  # u[c]: coordinate c of every u
+    residual, power = [psi[0]], [[1] * size]  # power: the coefficients of (v·X)^i
+    for i in range(1, d + 1):
+        positions, width = forms._product_positions(k, i - 1, 1), forms.num_monomials(k, i)
+        power = [gf.col_dot(us, vs) for us, vs in forms._linear_terms(power, v, positions, width)]
+        pairs = zip(forms._linear_terms(residual, u, positions, width), power)
+        residual = [gf.col_dot([*us, psi[i]], [*vs, w]) for (us, vs), w in pairs]
+    return [forms.Form(k, d, coeffs) for coeffs in zip(*residual)]
 
 
 def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
@@ -256,8 +269,8 @@ def verify_sbbt(
     residuals = []  # G(S, x_j) = residual_S(x_j), and 0 on S
     subsets = list(combinations(range(arc.n), k - 2))
     linear = linalg.minor_forms_batch(gf, [[arc.points[i] for i in S] for S in subsets])
-    for S, lin in zip(subsets, linear):
-        got = _substitute(gf, sbbt, lin)
+    bases = [arc.pencil_at(S)[:2] for S in subsets]
+    for S, got in zip(subsets, _residuals(gf, sbbt, bases, linear)):
         fS = ts.form(S)
         want = fS
         for _ in range(m - 1):

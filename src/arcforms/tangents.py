@@ -19,7 +19,7 @@ from operator import ne
 
 from . import forms, linalg
 from .field import GF
-from .geometry import IN_SPAN, Arc, normalize, pencil
+from .geometry import IN_SPAN, Arc, normalize
 from .report import Report
 
 
@@ -86,7 +86,8 @@ def signed_table(arc: Arc, rows, power: int) -> list:
     row of its sorted form times sgn(sort)^power."""
     rank = {S: r for r, S in enumerate(combinations(range(arc.n), arc.k - 2))}
     rows = [*rows, [0] * arc.n]  # rank -1, a prefix with a repeat
-    signed = (rows, [list(map(arc.gf.neg, row)) for row in rows] if power % 2 else rows)
+    odd = power % 2 and arc.gf.p != 2  # over GF(2^h), -1 = 1
+    signed = (rows, [list(map(arc.gf.neg, row)) for row in rows] if odd else rows)
     prefixes = product(range(arc.n), repeat=arc.k - 2)
     return [v for p in prefixes for v in signed[perm_parity(p)][rank.get(tuple(sorted(p)), -1)]]
 
@@ -113,8 +114,8 @@ def check_buildable(arc: Arc) -> None:
 
 def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
-    the rest of the arc: the members of S's pencil (geometry.pencil, off
-    the arc's point_map) that no other arc point lies on, none if one lies
+    the rest of the arc: the members of S's pencil (arc.pencil_at, taken
+    once per Arc) that no other arc point lies on, none if one lies
     in S's span.  Raises TangentCountError if the count is off, which
     signals corrupted arc data, and ValueError if f_S would have more than
     forms.MAX_ENTRIES entries."""
@@ -123,7 +124,7 @@ def tangent_hyperplanes(arc: Arc, subset):
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")
     gf = arc.gf
-    u, v, keys = pencil(gf, arc.k, [arc.points[i] for i in subset], arc.point_map)
+    u, v, keys = arc.pencil_at(subset)
     hit = {key for i, key in enumerate(keys) if i not in subset}  # S's own points are IN_SPAN
     tangents = [
         normalize(gf, u if lam is None else gf.add_scaled(v, lam, u))
@@ -250,28 +251,34 @@ def scaling_rule(ts: TangentSystem, subset):
 def build_tangent_system(arc: Arc) -> TangentSystem:
     """Compute every scaled tangent form of the arc.
 
-    Subsets are processed by increasing distance r = |S \\ E| so the chain
-    rule only ever refers to forms already scaled; the base form is
-    normalized to take value 1 at the anchor point.  The product of the
-    tangent hyperplanes takes at x_e the product of their values there,
-    so the scale is folded into the first hyperplane before multiplying.
+    f_S = c_S·Π h over the tangent hyperplanes h at S, so each f_S(x) is
+    c_S·Π h(x).  Subsets are taken by increasing distance r = |S \\ E|,
+    so the chain rule only refers to scales already fixed: f_E(anchor) = 1
+    and f_S(x_e) = sign·f_parent(x_a).  Then all C(n, k-2) products, each
+    scale folded into its first hyperplane, are expanded in one batch.
     """
     check_buildable(arc)
     gf = arc.gf
     E = tuple(range(arc.k - 2))
     anchor = arc.k - 2
     ts = TangentSystem(arc, E, anchor, {})
-    for S in sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E))):
-        members = tangent_hyperplanes(arc, S)
+    members, scale = {}, {}
+
+    def value(S, i):  # Π h(x_i) over the tangent hyperplanes h at S
+        return reduce(gf.mul, (linalg.dot(gf, h, arc.points[i]) for h in members[S]))
+
+    order = sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E)))
+    for S in order:
+        members[S] = tangent_hyperplanes(arc, S)
         if S == E:
             e, target = anchor, 1
         else:
             e, a, parent, sign = scaling_rule(ts, S)
-            target = gf.mul(sign, ts.eval_fS(parent, a))
+            target = gf.mul(sign, gf.mul(scale[parent], value(parent, a)))
         # e is an arc point off S, hence on no tangent S-hyperplane
-        denom = reduce(gf.mul, (linalg.dot(gf, h, arc.points[e]) for h in members))
-        first = forms.form_scale(gf, gf.div(target, denom), forms.linear_form(arc.k, members[0]))
-        ts.fS[S] = forms.product_linear_forms(gf, arc.k, [first, *members[1:]])
+        scale[S] = gf.div(target, value(S, e))
+    batch = [[[gf.mul(scale[S], c) for c in members[S][0]], *members[S][1:]] for S in order]
+    ts.fS.update(zip(order, forms.product_linear_forms(gf, arc.k, batch)))
     return ts
 
 
@@ -305,7 +312,7 @@ def verify_lemma_of_tangents(ts: TangentSystem, seed: int = 0, report: Report | 
     report = report or Report("tangents-lemma", {}, [])
     arc, gf, g = ts.arc, ts.gf, ts.g_table
     n, m = arc.n, arc.k - 1
-    want = g if arc.t % 2 else list(map(gf.neg, g))
+    want = g if arc.t % 2 or gf.p == 2 else list(map(gf.neg, g))
     failing = []
     for i in range(m - 1):
         swapped = tuple_positions(n, range(n), (*range(i), i + 1, i, *range(i + 2, m)))

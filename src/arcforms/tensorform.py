@@ -231,7 +231,7 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     prop2.tally_many(len(repeats), [{"tuple": tuple_at(pos, n, blocks)} for pos in repeats if table[pos]])
 
     prop3 = report.check("block-permutation-antisymmetry")
-    signed = (table, table if arc.t % 2 else list(map(gf.neg, table)))
+    signed = (table, table if arc.t % 2 or gf.p == 2 else list(map(gf.neg, table)))
     for sigma in islice(permutations(range(blocks)), 1, None):  # all but the identity
         permuted = map(table.__getitem__, tuple_positions(n, range(n), sigma))
         prop3.tally(list(permuted) == signed[perm_parity(sigma)], {"sigma": list(sigma)})

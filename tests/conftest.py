@@ -12,7 +12,7 @@ import pytest
 
 from arcforms import linalg
 from arcforms.field import make_field
-from arcforms.forms import monomial_vector
+from arcforms.forms import Form, monomial_basis, monomial_index, monomial_vector, num_monomials
 from arcforms.geometry import Arc, normal_rational_curve
 from arcforms.tangents import _sign_power, build_tangent_system, perm_parity
 from arcforms.tensorform import build_tensor_form, evaluation_table
@@ -93,6 +93,56 @@ def g_value(ts, indices) -> int:
     prefix, last = indices[:-1], indices[-1]
     sign = _sign_power(ts.gf, perm_parity(prefix) * (ts.arc.t + 1))
     return ts.gf.mul(sign, ts.eval_fS(prefix, last))
+
+
+def zero_form(k, t):
+    return Form(k, t, (0,) * num_monomials(k, t))
+
+
+def form_add(gf, f, g):
+    if (f.k, f.t) != (g.k, g.t):
+        raise ValueError("form shape mismatch")
+    return Form(f.k, f.t, tuple(gf.add(a, b) for a, b in zip(f.coeffs, g.coeffs)))
+
+
+def form_scale(gf, c, f):
+    return Form(f.k, f.t, tuple(gf.mul(c, a) for a in f.coeffs))
+
+
+def residual_form(gf, sbbt, prefix_rows):
+    """G(prefix, X) as a polynomial in X: substitute, into phi, the linear
+    forms that each minor becomes once all rows but the last are fixed."""
+    if len(prefix_rows) != sbbt.phi.k - 2:
+        raise ValueError(f"need k-2 = {sbbt.phi.k - 2} prefix rows")
+    return _substitute(gf, sbbt, linalg.minor_forms_batch(gf, [prefix_rows])[0])
+
+
+@lru_cache(maxsize=None)
+def _times_variable(k, s):
+    """Row i, column j: the index in monomial_basis(k, s + 1) of monomial i
+    of degree s times x_j, read off monomial_index."""
+    index = monomial_index(k, s + 1)
+    return tuple(
+        tuple(index[m[:j] + (m[j] + 1,) + m[j + 1 :]] for j in range(k)) for m in monomial_basis(k, s)
+    )
+
+
+def _substitute(gf, sbbt, linear):
+    """phi at the k-ary linear forms L_0..L_{k-1} of one prefix, along the
+    (parent, j) steps of phi's substitution plan: one convolve in k
+    variables per step, then one add_scaled per nonzero term."""
+    k = sbbt.phi.k
+    steps, terms = sbbt.substitution_plan
+    products, degrees = [[1]], [0]
+    for parent, j, *_ in steps:
+        s = degrees[parent]
+        positions, size = _times_variable(k, s), num_monomials(k, s + 1)
+        products.append(gf.convolve(products[parent], linear[j], positions, size))
+        degrees.append(s + 1)
+    out = [0] * len(sbbt.phi.coeffs)
+    for c, node in terms:
+        out = gf.add_scaled(out, c, products[node])
+    return Form(k, sbbt.phi.t, tuple(out))
 
 
 def inverse(gf, rows):

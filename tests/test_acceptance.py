@@ -12,13 +12,12 @@ from arcforms import linalg
 from arcforms.forms import (
     Form,
     form_mul,
-    form_scale,
     monomial_basis,
     vanishes_on,
     vanishing_subspace,
 )
 from arcforms.geometry import Arc, mds_check, projective_points
-from arcforms.sbbt import build_sbbt, classify_hyperplanes, residual_form
+from arcforms.sbbt import build_sbbt, classify_hyperplanes
 from arcforms.tangents import (
     build_tangent_system,
     tangent_hyperplanes,
@@ -34,7 +33,16 @@ from arcforms.tensorform import (
     verify_tensor_form,
 )
 
-from conftest import corpus_arc, corpus_system, corpus_tensor, dense, g_value, is_block_congruent
+from conftest import (
+    corpus_arc,
+    corpus_system,
+    corpus_tensor,
+    dense,
+    form_scale,
+    g_value,
+    is_block_congruent,
+    residual_form,
+)
 
 CONICS = [(q, 3) for q, _, _ in [(4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]]
 CUBICS = [(q, 4) for q in (5, 7, 8)]

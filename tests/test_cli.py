@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from arcforms import linalg, sbbt, tangents, tensorform
+from arcforms import geometry, linalg, sbbt, tangents, tensorform
 from arcforms.cli import _factor_prime_power, build_parser, main
 from arcforms.field import GF, make_field
 from arcforms.geometry import Arc, normal_rational_curve
@@ -511,6 +511,21 @@ def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
     assert code == 0 and rep["passed"]
     assert dets == []
     assert evaluations == [2 * 100]
+
+
+@pytest.mark.parametrize("p,h,k", [(7, 1, 4), (2, 4, 4), (2, 3, 5), (3, 2, 5)])
+def test_suite_takes_each_pencil_once(tmp_path, capsys, monkeypatch, p, h, k):
+    # is_arc, the tangent hyperplanes and the dual-form residuals read the
+    # pencil of each sorted (k-2)-subset off the one Arc the suite loads
+    arc_path = tmp_path / "arc.json"
+    arc = normal_rational_curve(make_field(p, h), k)
+    arc_path.write_text(json.dumps(arc.to_json()))
+    calls, pencil = [], geometry.pencil
+    monkeypatch.setattr(geometry, "pencil", lambda *a: calls.append(1) or pencil(*a))
+    code, rep = run(capsys, "suite", str(arc_path))
+    assert code == 0 and rep["passed"]
+    assert "residual-equals-tangent-form-power" in [c["name"] for c in rep["checks"]]
+    assert len(calls) == comb(arc.n, k - 2)
 
 
 def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):

@@ -7,10 +7,8 @@ from arcforms import linalg
 from arcforms.field import make_field
 from arcforms.forms import (
     Form,
-    form_add,
     form_from_json,
     form_mul,
-    form_scale,
     form_sub,
     form_to_json,
     linear_form,
@@ -22,9 +20,8 @@ from arcforms.forms import (
     vanishes_on,
     vanishing_subspace,
     veronese,
-    zero_form,
 )
-from conftest import corpus_arc, field, rank
+from conftest import corpus_arc, field, form_add, form_scale, rank, zero_form
 
 
 def test_monomial_basis_examples():
@@ -112,19 +109,40 @@ def test_evaluate_is_inner_product_with_veronese(gf5):
 
 
 def test_product_linear_forms_examples(gf5):
-    f = product_linear_forms(gf5, 3, [(1, 0, 0), (0, 0, 1)])  # X1 * X3
+    f = product_linear_forms(gf5, 3, [[(1, 0, 0), (0, 0, 1)]])[0]  # X1 * X3
     idx = monomial_basis(3, 2).index((1, 0, 1))
     assert f.coeffs[idx] == 1 and sum(map(bool, f.coeffs)) == 1
-    g = product_linear_forms(gf5, 2, [(1, 1), (1, gf5.neg(1))])
+    g = product_linear_forms(gf5, 2, [[(1, 1), (1, gf5.neg(1))]])[0]
     assert g == Form(2, 2, (1, 0, gf5.neg(1)))  # X1^2 - X2^2
-    empty = product_linear_forms(gf5, 3, [])
+    empty = product_linear_forms(gf5, 3, [[]])[0]
     assert empty.t == 0 and empty.coeffs == (1,)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_batched_products_match_chained_form_mul(q):
+    # each product of a batch equals its factors multiplied out one by one
+    # by form_mul, for 0-4 factors in 1-4 variables, zero factors included
+    gf, rng = field(q), random.Random(q)
+    assert product_linear_forms(gf, 3, []) == []
+    for k in range(1, 5):
+        for t in range(5):
+            batch = [
+                [[0] * k if rng.random() < 0.1 else [rng.randrange(q) for _ in range(k)] for _ in range(t)]
+                for _ in range(6)
+            ]
+            for factors, got in zip(batch, product_linear_forms(gf, k, batch), strict=True):
+                want = Form(k, 0, (1,))
+                for lf in factors:
+                    want = form_mul(gf, want, Form(k, 1, tuple(lf)))
+                assert got == want, (k, factors)
+    with pytest.raises(ValueError):
+        product_linear_forms(gf, 2, [[(1, 0)], [(1, 0), (0, 1)]])
 
 
 def test_product_evaluation_homomorphism(gf7):
     rng = random.Random(1)
     factors = [(1, 2, 3), (0, 1, 5), (4, 4, 1)]
-    f = product_linear_forms(gf7, 3, factors)
+    f = product_linear_forms(gf7, 3, [factors])[0]
     for _ in range(100):
         x = tuple(rng.randrange(7) for _ in range(3))
         expected = 1

@@ -10,14 +10,11 @@ from arcforms.field import make_field
 from arcforms.forms import (
     Form,
     evaluate as eval_form,
-    form_add,
     form_mul,
-    form_scale,
     linear_form,
     monomial_basis,
     product_linear_forms,
     vanishing_subspace,
-    zero_form,
 )
 from arcforms.geometry import Arc, is_arc, normal_rational_curve, projective_points
 from arcforms.sbbt import (
@@ -26,9 +23,9 @@ from arcforms.sbbt import (
     build_sbbt,
     classify_hyperplanes,
     _minor_columns,
+    _residuals,
     covector_to_dual_point,
     evaluate_G_batch,
-    residual_form,
     verify_sbbt,
 )
 from arcforms.tangents import (
@@ -39,7 +36,18 @@ from arcforms.tangents import (
     tangent_hyperplanes,
 )
 
-from conftest import CORPUS, corpus_arc, corpus_system, field, g_value, glynn_arc
+from conftest import (
+    CORPUS,
+    corpus_arc,
+    corpus_system,
+    field,
+    form_add,
+    form_scale,
+    g_value,
+    glynn_arc,
+    residual_form,
+    zero_form,
+)
 
 
 def det_minor(gf, rows, j):
@@ -207,6 +215,28 @@ def test_residual_form_matches_substitution_oracle(q, k):
         if k > 2:
             prefix = [[0] * k] + [[1] * k] * (k - 3)
             assert residual_form(gf, sb, prefix) == _substituted(gf, sb.phi, prefix), (d, prefix)
+
+
+RESIDUAL_CASES = {f"q{q}-k{k}": (q, k) for q in (7, 8, 9) for k in (3, 4, 5)} | {"glynn": "glynn"}
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES.values(), ids=RESIDUAL_CASES)
+def test_batched_residuals_match_the_k_ary_oracle(case):
+    # the binary psi_S expanded at (u·X, v·X) is the k-ary substitution at
+    # every sorted S, for sparse and dense phi of degree 0-3: the two are
+    # the same polynomial, whatever phi is
+    arc = glynn_arc() if case == "glynn" else normal_rational_curve(field(case[0]), case[1])
+    gf, k, rng = arc.gf, arc.k, random.Random(str(case))
+    subsets = list(itertools.combinations(range(arc.n), k - 2))
+    prefixes = [[arc.points[i] for i in S] for S in subsets]
+    linear = linalg.minor_forms_batch(gf, prefixes)
+    bases = [arc.pencil_at(S)[:2] for S in subsets]
+    for d in range(4):
+        for density in (0.3, 1):
+            coeffs = [rng.randrange(1, gf.q) if rng.random() < density else 0 for _ in monomial_basis(k, d)]
+            sb = SBBTForm(1, (), Form(k, d, tuple(coeffs)))
+            got = _residuals(gf, sb, bases, linear)
+            assert got == [residual_form(gf, sb, rows) for rows in prefixes], (d, density)
 
 
 def test_one_substitution_plan_serves_every_residual(monkeypatch):
@@ -380,7 +410,7 @@ def _substituted(gf, phi, prefix):
     out = zero_form(k, phi.t)
     for c, exp in zip(phi.coeffs, monomial_basis(k, phi.t)):
         factors = [linear[j] for j, e in enumerate(exp) for _ in range(e)]
-        out = form_add(gf, out, form_scale(gf, c, product_linear_forms(gf, k, factors)))
+        out = form_add(gf, out, form_scale(gf, c, product_linear_forms(gf, k, [factors])[0]))
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from arcforms import linalg
 from arcforms.field import GF, make_field
-from arcforms.forms import evaluate, form_scale, form_to_json, product_linear_forms, zero_form
+from arcforms.forms import evaluate, form_to_json, product_linear_forms
 from arcforms.geometry import Arc, hyperoval, normal_rational_curve, normalize, projective_points
 from arcforms.report import Report
 from arcforms.sbbt import build_sbbt, evaluate_G_batch, verify_sbbt
@@ -29,7 +29,7 @@ from arcforms.tangents import (
 )
 from arcforms.tensorform import build_tensor_form, evaluation_table, verify_tensor_form
 
-from conftest import CORPUS, corpus_arc, corpus_system, field, g_value, glynn_arc, rank
+from conftest import CORPUS, corpus_arc, corpus_system, field, form_scale, g_value, glynn_arc, rank, zero_form
 
 
 def conic_tangent_oracle(gf, s):
@@ -209,7 +209,7 @@ def test_built_forms_equal_the_scaled_product(make_arc):
         else:
             e, a, parent, sign = scaling_rule(ts, S)
             target = gf.mul(sign, ts.eval_fS(parent, a))
-        p_S = product_linear_forms(gf, arc.k, tangent_hyperplanes(arc, S))
+        p_S = product_linear_forms(gf, arc.k, [tangent_hyperplanes(arc, S)])[0]
         assert f == form_scale(gf, gf.div(target, evaluate(gf, p_S, arc.points[e])), p_S), S
 
 

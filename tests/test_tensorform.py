@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from arcforms.forms import (
     Form,
-    form_add,
     form_sub,
     monomial_basis,
     monomial_vector,
@@ -57,6 +56,7 @@ from conftest import (
     dense_json,
     evaluate,
     field,
+    form_add,
     g_value,
     glynn_arc,
     inverse,
