@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from functools import reduce
 from itertools import compress
 
 
@@ -255,42 +256,46 @@ class GF:
     def vec_mat(self, matrix):
         """The map v ↦ v·matrix, each matrix row packed into one int with a
         lane per column.  Over GF(p) the lanes are the narrowest array code
-        of H, I and Q that holds len(matrix)·(p-1)^2, so v·matrix is one
-        int sum of the v_i·row_i, carrying no lane into the next, reduced
-        once per lane.  Over GF(2^h) it is the XOR over the nonzero v_i of
-        c·row_i, a byte per entry for q <= 256 and two bytes above, packed
-        the first time (i, c = v_i) is used.  Else, or with lanes above 64
-        bits, one dot per column, the columns taken once."""
+        of H, I and Q that holds len(matrix)·(p-1)^2, so v·matrix is one int
+        sum of the v_i·row_i, carrying no lane into the next, reduced once
+        per lane.  Over GF(2^h), a byte per entry for q <= 256 and two bytes
+        above, it is the XOR over the nonzero v_i of c·row_i, built the
+        first time (i, c = v_i) is used from row_i's h bit planes, whose
+        lanes hold 0 or 1: c·row_i is the XOR over b of plane_b times the
+        one element c·x^b, so no lane carries into the next.  Else, or with
+        lanes above 64 bits, one dot per column, the columns taken once and
+        an all-zero column skipped."""
+        # a lane's sum or product carries from its low bytes to its high
+        # ones, so ints and arrays meet in the native byte order
+        order, cols = sys.byteorder, len(matrix[0]) if matrix else 0
         if self.h == 1 or self.p != 2:
             bound = len(matrix) * (self.p - 1) ** 2
             if self.h > 1 or bound >> 64:
-                cols, dot = list(zip(*matrix)), self.dot
-                return lambda v: [dot(v, c) for c in cols]
-            # a lane's sum carries from its low bytes to its high ones, so
-            # both ends take the native byte order that array uses
+                columns, dot = [c if any(c) else None for c in zip(*matrix)], self.dot
+                return lambda v: [0 if c is None else dot(v, c) for c in columns]
             code = next(c for c in "HIQ" if bound < 1 << 8 * array(c).itemsize)
-            order, reduce = sys.byteorder, self.p.__rmod__
-            width = len(matrix[0]) * array(code).itemsize if matrix else 0
+            residue, width = self.p.__rmod__, cols * array(code).itemsize
             packed = [int.from_bytes(array(code, row).tobytes(), order) for row in matrix]
 
             def combine(v):
                 acc = sum(map(operator.mul, v, packed))
-                return list(map(reduce, array(code, acc.to_bytes(width, order))))
+                return list(map(residue, array(code, acc.to_bytes(width, order))))
 
             return combine
-        mul, code = self._mul_table, "B" if self.q <= 256 else "H"
-        width = len(matrix[0]) * array(code).itemsize if matrix else 0
-        rows = [(row, [None] * self.q) for row in matrix]
+        mul, code, bits = self._mul_table, "B" if self.q <= 256 else "H", [1 << b for b in range(self.h)]
+        width, ones = cols * array(code).itemsize, int.from_bytes(array(code, [1] * cols).tobytes(), order)
+        rows = []  # each row's bit planes, and its multiples c·row by c
+        for row in matrix:
+            packed = int.from_bytes(array(code, row).tobytes(), order)
+            rows.append(([packed >> b & ones for b in range(self.h)], [None] * self.q))
 
         def combine(v):
             acc = 0
-            for c, (row, packed) in compress(zip(v, rows), v):
-                scaled = packed[c]
-                if scaled is None:  # XOR acts byte by byte: any native layout will do
-                    scaled = array(code, map(mul[c].__getitem__, row)).tobytes()
-                    scaled = packed[c] = int.from_bytes(scaled, "little")
-                acc ^= scaled
-            return array(code, acc.to_bytes(width, "little")).tolist()
+            for c, (planes, scaled) in compress(zip(v, rows), v):
+                if scaled[c] is None:  # XOR of planes times the elements c·x^b
+                    scaled[c] = reduce(operator.xor, map(operator.mul, planes, map(mul[c].__getitem__, bits)))
+                acc ^= scaled[c]
+            return array(code, acc.to_bytes(width, order)).tolist()
 
         return combine
 

@@ -175,19 +175,28 @@ def _residuals(gf: GF, sbbt: SBBTForm, bases, linear) -> list:
     pivots of the reduced basis.  phi's substitution plan on the binary
     forms α_j·U + β_j·V gives psi_S, and psi_S(u·X, v·X) is expanded by
     Horner in U over the powers of V: each coefficient is one GF.col_dot
-    over the batch of prefixes."""
+    over the batch of prefixes.  Each product of the plan is dropped once
+    its last child step, or its term, has read it."""
     k, d, size = sbbt.phi.k, sbbt.phi.t, len(bases)
     pivots = [(u.index(1), v.index(1)) for u, v in bases]
     alpha = [[L[j][a] for L, (a, _) in zip(linear, pivots)] for j in range(k)]
     beta = [[L[j][b] for L, (_, b) in zip(linear, pivots)] for j in range(k)]
     steps, terms = sbbt.substitution_plan
-    products = [[[1] * size]]
-    for parent, j, positions, width in steps:
+    products, last = [[[1] * size]], {parent: i for i, (parent, *_) in enumerate(steps)}
+    for i, (parent, j, positions, width) in enumerate(steps):
         pairs = forms._linear_terms(products[parent], (alpha[j], beta[j]), positions, width)
         products.append([gf.col_dot(us, vs) for us, vs in pairs])
+        if last[parent] == i:  # its last child; a parent is below phi's degree, so no term
+            products[parent] = None
+    rows = []
+    for _, node in terms:  # each term's product flattened, then dropped
+        rows.append(list(chain(*products[node])))
+        products[node] = None
     psi = [[0] * size] * (d + 1)
     if terms:  # psi's d+1 coefficient columns, side by side
-        flat = gf.vec_mat([list(chain(*products[node])) for _, node in terms])([c for c, _ in terms])
+        combine = gf.vec_mat(rows)
+        rows.clear()  # the map keeps what it needs of them
+        flat = combine([c for c, _ in terms])
         psi = [flat[i * size : (i + 1) * size] for i in range(d + 1)]
     u, v = (list(zip(*w)) for w in zip(*bases))  # u[c]: coordinate c of every u
     residual, power = [psi[0]], [[1] * size]  # power: the coefficients of (v·X)^i

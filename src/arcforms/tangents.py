@@ -65,6 +65,22 @@ def tuple_positions(n: int, points, order) -> list:
     return out
 
 
+def permute_modes(table, n: int, order) -> list:
+    """The row-major table over product(range(n), repeat=m) of a ->
+    table[a o order], m = len(order): list(map(table.__getitem__,
+    tuple_positions(n, range(n), order))), read as one strided slice of
+    table per prefix a[:-1]."""
+    m = len(order)
+    weights = [n ** (m - 1 - order.index(s)) for s in range(m)]  # that of a[s]
+    step, starts = weights.pop(), [0]
+    for weight in weights:
+        starts = [p + a * weight for p in starts for a in range(n)]
+    out = []
+    for p in starts:
+        out += table[p : p + n * step : step]
+    return out
+
+
 def repeat_positions(n: int, m: int) -> list:
     """The row-major positions in product(range(n), repeat=m), ascending, of
     the tuples with a repeated index: the union over i < j of the tuples
@@ -305,9 +321,10 @@ def verify_lemma_of_tangents(ts: TangentSystem, seed: int = 0, report: Report | 
     Checks g(T with positions i, i+1 swapped) = (-1)^(t+1) g(T) for every
     ordered tuple of distinct arc indices and every adjacent transposition,
     then spot-checks full permutations with the sign (-1)^(s(t+1)).  Both
-    checks read ts.g_table; a swap is one list of table positions.  g and
-    its swaps vanish on every tuple with a repeat, so whole tables are
-    compared and only the perm(n, k-1) distinct tuples are counted.
+    checks read ts.g_table; a swap is one permute_modes call, a strided
+    slice of the table per prefix.  g and its swaps vanish on every tuple
+    with a repeat, so whole tables are compared and only the perm(n, k-1)
+    distinct tuples are counted.
     """
     report = report or Report("tangents-lemma", {}, [])
     arc, gf, g = ts.arc, ts.gf, ts.g_table
@@ -315,8 +332,7 @@ def verify_lemma_of_tangents(ts: TangentSystem, seed: int = 0, report: Report | 
     want = g if arc.t % 2 or gf.p == 2 else list(map(gf.neg, g))
     failing = []
     for i in range(m - 1):
-        swapped = tuple_positions(n, range(n), (*range(i), i + 1, i, *range(i + 2, m)))
-        got = list(map(g.__getitem__, swapped))
+        got = permute_modes(g, n, (*range(i), i + 1, i, *range(i + 2, m)))
         failing += [(pos, i, got[pos]) for pos in compress(range(len(got)), map(ne, got, want))]
     report.check("adjacent-transpositions").tally_many(perm(n, m) * (m - 1), [
         {"tuple": tuple_at(pos, n, m), "swap": i, "got": other} for pos, i, other in sorted(failing)

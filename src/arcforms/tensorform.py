@@ -13,21 +13,23 @@ build -o` writes the N^(k-1) dense coefficients as runs streamed off the
 block.  F agrees with g at every tuple of arc points, is degree t in each
 of its k-1 blocks of k variables, and its partial evaluations at
 (k-2)-tuples of arc points reproduce the scaled tangent forms up to forms
-vanishing on the arc.
+vanishing on the arc.  Every contraction, building F and evaluating it at
+points, is _contract_modes: a whole mode at a time, by one GF.vec_mat map
+over the tensor's rows along that mode applied to each matrix column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress, islice, permutations, product
-from math import comb, prod
+from math import comb
 from operator import ne
 
 from . import forms, linalg
 from .field import GF
 from .geometry import Arc
 from .report import Report
-from .tangents import TangentSystem, perm_parity, repeat_positions, tuple_at, tuple_position, tuple_positions
+from .tangents import TangentSystem, perm_parity, permute_modes, repeat_positions, tuple_at, tuple_position
 
 
 class Runs:
@@ -114,29 +116,28 @@ def coordinate_map(gf: GF, columns, dim: int):
     return P, inv
 
 
-def _contract_mode(gf: GF, shape, data, mode: int, matrix):
-    """Contract one tensor mode with an old_dim x new_dim matrix.
-
-    A gather: each fiber along the mode (the entries that differ only in
-    that index) is read as one strided slice, an all-zero fiber is
-    skipped, and otherwise its output fiber is fiber·matrix, by the one
-    gf.vec_mat kernel taken per call.
-    """
-    dim, new_dim, inner = shape[mode], len(matrix[0]), prod(shape[mode + 1 :])
-    combine, new_data = gf.vec_mat(matrix), [0] * (prod(shape[:mode]) * new_dim * inner)
-    for o, r in product(range(prod(shape[:mode])), range(inner)):
-        fiber = data[o * dim * inner + r : (o + 1) * dim * inner : inner]
-        if any(fiber):
-            out = slice(o * new_dim * inner + r, (o + 1) * new_dim * inner, inner)
-            new_data[out] = combine(fiber)
-    return shape[:mode] + [new_dim] + shape[mode + 1 :], new_data
-
-
 def _contract_modes(gf: GF, data, matrix, modes: int):
-    """Contract a tensor's leading modes, each of len(matrix) entries, with matrix; keep the rest."""
-    shape = [len(matrix)] * modes + [len(data) // len(matrix) ** modes]
-    for mode in range(modes):
-        shape, data = _contract_mode(gf, shape, data, mode, matrix)
+    """Contract a tensor's leading modes, each of len(matrix) entries, with
+    matrix; keep the rest, of `rest` entries, last.
+
+    Each round reads the data as dim rows along its leading mode, takes one
+    gf.vec_mat over those rows and applies it once to each column c of
+    matrix, writing the result at out[c::new_dim]: the new index goes
+    last, so after `modes` rounds the contracted modes are back in order,
+    and one transpose by rest slices puts the kept ones after them."""
+    dim, new_dim, columns = len(matrix), len(matrix[0]), list(zip(*matrix))
+    rest = len(data) // dim**modes
+    for _ in range(modes):
+        inner = len(data) // dim
+        combine = gf.vec_mat([data[i * inner : (i + 1) * inner] for i in range(dim)])
+        data = [0] * (inner * new_dim)
+        for c, column in enumerate(columns):
+            data[c::new_dim] = combine(column)
+    if rest > 1:
+        size, out = len(data) // rest, [0] * len(data)
+        for r in range(rest):
+            out[r::rest] = data[r * size : (r + 1) * size]
+        data = out
     return data
 
 
@@ -206,8 +207,9 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
       T[S + (j,)] = f_S(x_j) for every j, the row of S in ts.g_table;
     - a repeated prefix has a zero table row;
     - F with its blocks permuted by sigma has table a -> T[a o sigma], so
-      antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a], one
-      list of table positions per sigma;
+      antisymmetry is T[a o sigma] = (-1)^(parity(sigma)(t+1)) T[a], the
+      left side one permute_modes call per sigma (a strided slice of T
+      per prefix);
     - F is unique modulo block-vanishing terms: any form built from the
       socle core with another left inverse M' of the socle's Veronese
       matrix has the same table, since M' nu(x_j) is column j of the
@@ -233,8 +235,7 @@ def verify_tensor_form(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report
     prop3 = report.check("block-permutation-antisymmetry")
     signed = (table, table if arc.t % 2 or gf.p == 2 else list(map(gf.neg, table)))
     for sigma in islice(permutations(range(blocks)), 1, None):  # all but the identity
-        permuted = map(table.__getitem__, tuple_positions(n, range(n), sigma))
-        prop3.tally(list(permuted) == signed[perm_parity(sigma)], {"sigma": list(sigma)})
+        prop3.tally(permute_modes(table, n, sigma) == signed[perm_parity(sigma)], {"sigma": list(sigma)})
 
     prop4 = report.check("unique-modulo-block-vanishing")
     _, C = ts.socle

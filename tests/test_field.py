@@ -382,6 +382,24 @@ def test_vec_mat_matches_scalar_dots_and_mutates_nothing(p, h, modulus):
         gc.enable()
 
 
+@pytest.mark.parametrize("p,h,modulus", [(2, 4, None), (2, 8, None)] + WIDE_BINARY_FIELDS)
+def test_binary_vec_mat_lanes_do_not_carry(p, h, modulus):
+    # every lane holds q - 1, all h bits set, and every scalar c scales
+    # every row, alone and XORed with the others: c·row is built from the
+    # row's bit planes, so a carry out of a lane would show in its
+    # neighbour
+    gf = make_field(p, h, modulus)
+    top = gf.q - 1
+    matrix = [[top] * 5 for _ in range(3)]
+    combine = gf.vec_mat(matrix)
+    for c in gf.elements():
+        scaled = gf.mul(c, top)
+        for i in range(3):
+            assert combine([c if j == i else 0 for j in range(3)]) == [scaled] * 5
+        assert combine([c] * 3) == [scaled] * 5  # c·top XORed three times
+        assert combine([c, 1, 0]) == [gf.add(scaled, top)] * 5
+
+
 def scalar_form_mul(gf, f, g):
     """f·g term by term: each product of monomials found by its exponents."""
     index, out = monomial_index(f.k, f.t + g.t), [0] * num_monomials(f.k, f.t + g.t)

@@ -30,12 +30,14 @@ from arcforms.tangents import (
     TangentSystem,
     build_tangent_system,
     perm_parity,
+    permute_modes,
     tangent_hyperplanes,
+    tuple_positions,
 )
 from arcforms.tensorform import (
     MultiForm,
-    _contract_mode,
     _contract_modes,
+    _support_matrix,
     build_tensor_form,
     coordinate_map,
     evaluation_table,
@@ -63,6 +65,7 @@ from conftest import (
     is_block_congruent,
     rank,
 )
+from test_field import KERNEL_FIELDS, WIDE_BINARY_FIELDS
 
 
 def greedy_socle(arc, t):
@@ -370,10 +373,8 @@ def reversed_build(arc, ts):
     soc = greedy_socle(arc, t)
     V = [veronese(gf, arc.points[i], t) for i in soc]
     M = greedy_left_inverse(gf, V, num_monomials(arc.k, t), reverse=True)
-    shape, data = [len(soc)] * blocks, [g_value(ts, a) for a in itertools.product(soc, repeat=blocks)]
-    for mode in range(blocks):
-        shape, data = _contract_mode(gf, shape, data, mode, M)
-    return MultiForm(arc.k, blocks, t, tuple(data))
+    data = [g_value(ts, a) for a in itertools.product(soc, repeat=blocks)]
+    return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, data, M, blocks)))
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)
@@ -521,6 +522,47 @@ def test_contractions_match_direct_sum(q, blocks):
             assert list(got.coeffs) == direct_value(gf, mf, prefix)
 
 
+@pytest.mark.parametrize(
+    "p,h,modulus", [(p, h, None) for p, h in KERNEL_FIELDS] + WIDE_BINARY_FIELDS[:1]
+)
+def test_contraction_matches_direct_value_on_kernel_fields(p, h, modulus):
+    # _contract_modes over the support matrix of four points against the
+    # direct sum, for every number of contracted modes: all modes (the
+    # evaluation table) and fewer, whose kept modes (rest > 1) are
+    # transposed back last; dense, all-zero, single-entry and
+    # sparse-support tensors, over every kind of field vec_mat packs
+    gf = make_field(p, h, modulus)
+    rng = random.Random(p + h)
+    k, t = 3, 2
+    points = [tuple(rng.randrange(gf.q) for _ in range(k)) for _ in range(3)] + [(0, 0, 1)]
+    for blocks in (2, 3):
+        support = sorted(rng.sample(range(num_monomials(k, t)), 4))
+        block = tuple(rng.randrange(gf.q) if rng.random() < 0.3 else 0 for _ in range(4**blocks))
+        tensors = oracle_tensors(gf, k, blocks, t, rng) + [MultiForm(k, blocks, t, block, support)]
+        for mf, modes in itertools.product(tensors, range(1, blocks + 1)):
+            table = _contract_modes(gf, mf.block, _support_matrix(gf, mf, points), modes)
+            rest = len(mf.support) ** (blocks - modes)
+            assert len(table) == len(points) ** modes * rest
+            for pos, a in enumerate(itertools.product(points, repeat=modes)):
+                at = dict(zip(itertools.product(mf.support, repeat=blocks - modes),
+                              table[pos * rest : (pos + 1) * rest]))
+                want = direct_value(gf, mf, a)
+                got = [at.get(J, 0) for J in itertools.product(range(mf.mode_dim), repeat=blocks - modes)]
+                assert got == want, (blocks, modes, a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_permute_modes_matches_the_gather(m):
+    # every sigma of m modes over n = 1..5, on distinct entries held in a
+    # list and in a tuple
+    for n in range(1, 6):
+        table = list(range(100, 100 + n**m))
+        for sigma in itertools.permutations(range(m)):
+            want = [table[pos] for pos in tuple_positions(n, range(n), sigma)]
+            assert permute_modes(table, n, sigma) == want, (n, sigma)
+            assert permute_modes(tuple(table), n, sigma) == want
+
+
 class CountingList(list):
     """A list that counts its indexed reads (a slice is one read)."""
 
@@ -531,43 +573,35 @@ class CountingList(list):
         return super().__getitem__(i)
 
 
-@pytest.mark.parametrize("mode", [0, 1, 2])
-def test_contraction_work_follows_nonzeros(mode):
-    # one slice read per fiber along the mode, one vec_mat per contraction,
-    # and one call of its map for each fiber that is not all zero,
-    # whatever the entries
+@pytest.mark.parametrize("kept", [0, 1, 2])
+def test_contraction_work_follows_nonzeros(kept):
+    # the leading 3 - kept modes of a 6 x 6 x 6 tensor contracted 6 -> 5:
+    # one slice read per row of the leading mode, one vec_mat per
+    # contracted mode, and one call of its map per matrix column, whatever
+    # the entries; the outputs are those of contracting mode by mode
     gf = field(7)
-    rng = random.Random(mode)
-    shape, new_dim = [6, 6, 6], 5
-    fibers = prod(shape) // shape[mode]
+    rng = random.Random(kept)
+    shape, new_dim, modes = [6, 6, 6], 5, 3 - kept
     matrix = [
         [rng.randrange(7) if rng.random() < 0.5 else 0 for _ in range(new_dim)]
         for _ in range(6)
     ]
-    for J in itertools.product(range(6), repeat=3):
-        pos = (J[0] * 6 + J[1]) * 6 + J[2]
-        data = CountingList([0] * 216)
+    singles = []
+    for pos in range(216):
+        data = [0] * 216
         data[pos] = 3
+        singles.append(data)
+    sparse = [rng.randrange(1, 7) if rng.random() < 0.1 else 0 for _ in range(216)]
+    for data in singles + [sparse, [0] * 216]:
+        data = CountingList(data)
         counting = CountingField(gf)
-        new_shape, out = _contract_mode(counting, list(shape), data, mode, matrix)
-        row = matrix[J[mode]]
-        assert data.reads == fibers
-        assert (counting.kernel_calls, counting.combine_calls) == (1, 1)
-        assert new_shape == shape[:mode] + [new_dim] + shape[mode + 1 :]
-        want = [0] * len(out)
-        for j, m in enumerate(row):
-            K = J[:mode] + (j,) + J[mode + 1 :]
-            want[(K[0] * new_shape[1] + K[1]) * new_shape[2] + K[2]] = gf.mul(3, m)
+        out = _contract_modes(counting, data, matrix, modes)
+        assert data.reads == 6
+        assert (counting.kernel_calls, counting.combine_calls) == (modes, modes * new_dim)
+        want_shape, want = list(shape), list(data)
+        for mode in range(modes):
+            want_shape, want = contract_mode_by_definition(gf, want_shape, want, mode, matrix)
         assert out == want
-    # several nonzero entries: one map call per fiber holding one of them
-    data = CountingList(rng.randrange(1, 7) if rng.random() < 0.1 else 0 for _ in range(216))
-    nonzero_fibers = {
-        J[:mode] + J[mode + 1 :] for J, v in zip(itertools.product(range(6), repeat=3), data) if v
-    }
-    counting = CountingField(gf)
-    _contract_mode(counting, list(shape), data, mode, matrix)
-    assert data.reads == fibers and counting.kernel_calls == 1
-    assert counting.combine_calls == len(nonzero_fibers)
 
 
 def contract_mode_by_definition(gf, shape, data, mode, matrix):
@@ -586,23 +620,26 @@ def contract_mode_by_definition(gf, shape, data, mode, matrix):
 
 @pytest.mark.parametrize("p,h", [(11, 1), (2, 4), (3, 2), (2, 8), (2, 9)])
 def test_contractions_match_definition(p, h):
-    # every mode of a 3-mode tensor, 6 -> 5 and 6 -> 9 (with a zero
-    # column), on all-zero, dense, 10%-sparse and tuple data; GF(2^8) is
-    # the last field packed a byte per entry, GF(2^9) packs two
+    # leading modes contracted 6 -> 5 and 6 -> 9 (with a zero column), on
+    # all-zero, dense, 10%-sparse and tuple data; GF(2^8) is the last
+    # field packed a byte per entry, GF(2^9) packs two
     gf = make_field(p, h, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1] if (p, h) == (2, 9) else None)
     rng = random.Random(p * 100 + h)
     matrices = [[[rng.randrange(gf.q) for _ in range(new_dim)] for _ in range(6)] for new_dim in (5, 9)]
     for row in matrices[1]:
         row[4] = 0
-    for mode, matrix in itertools.product(range(3), matrices):
-        shape = [3, 4, 2]
-        shape[mode] = 6
+    # 1, 2 and 3 modes of 6 x 12, 6 x 6 x 2 and 6 x 6 x 6 tensors, against
+    # contracting mode by mode
+    for (modes, rest), matrix in itertools.product([(1, 12), (2, 2), (3, 1)], matrices):
+        shape = [6] * modes + [rest]
         size = prod(shape)
         dense = [rng.randrange(gf.q) for _ in range(size)]
         sparse = [rng.randrange(1, gf.q) if rng.random() < 0.1 else 0 for _ in range(size)]
         for data in ([0] * size, dense, sparse, tuple(dense)):
-            want = contract_mode_by_definition(gf, shape, data, mode, matrix)
-            assert _contract_mode(gf, list(shape), data, mode, matrix) == want
+            want_shape, want = list(shape), list(data)
+            for mode in range(modes):
+                want_shape, want = contract_mode_by_definition(gf, want_shape, want, mode, matrix)
+            assert _contract_modes(gf, data, matrix, modes) == want
     # every mode of a 6 x 6 x 6 tensor, in turn
     dense = [rng.randrange(gf.q) for _ in range(216)]
     sparse = [rng.randrange(1, gf.q) if rng.random() < 0.1 else 0 for _ in range(216)]
