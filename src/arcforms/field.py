@@ -13,7 +13,7 @@ import operator
 import sys
 from array import array
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 
 
 class NotPrimeError(ValueError):
@@ -88,7 +88,8 @@ class GF:
     Arithmetic methods take and return plain ints; operands are assumed to
     be already reduced (use :meth:`check` at trust boundaries).  The
     vector kernels dot, col_dot (a dot at every position of columns),
-    add_scaled, convolve and vec_mat (rows packed into ints) branch on the
+    col_div (a quotient at every position), add_scaled, convolve and
+    vec_mat (rows packed into ints) branch on the
     field kind as add and mul do; no bound method is stored on the
     instance, so a GF is never a reference cycle and its tables are freed
     with its last reference.
@@ -200,20 +201,31 @@ class GF:
     def col_dot(self, us, vs) -> list:
         """[Σ_i u_i[b]·v_i[b] for each position b] of r >= 1 pairs of
         equal-length columns u_i, v_i: one chain of C-level maps over the
-        positions, over GF(p) of int products and sums reduced once per
-        position, over GF(2^h) of mul-table reads and XOR, else of the
-        add and mul tables."""
+        positions, over GF(p) of int products and sums, each position's
+        sum reduced once (a comprehension: a map of p.__rmod__ is slower),
+        over GF(2^h) of mul-table reads and XOR, else of the add and mul
+        tables."""
         if self.h == 1:
-            acc = map(operator.mul, us[0], vs[0])
+            p, acc = self.p, map(operator.mul, us[0], vs[0])
             for u, v in zip(us[1:], vs[1:]):
                 acc = map(operator.add, acc, map(operator.mul, u, v))
-            return list(map(self.p.__rmod__, acc))
+            return [x % p for x in acc]
         at, mul, add = list.__getitem__, self._mul_table.__getitem__, self._add.__getitem__
         acc = map(at, map(mul, us[0]), vs[0])
         for u, v in zip(us[1:], vs[1:]):
             terms = map(at, map(mul, u), v)
             acc = map(operator.xor, acc, terms) if self.p == 2 else map(at, map(add, acc), terms)
         return list(acc)
+
+    def col_div(self, us, vs) -> list:
+        """[u_b / v_b for each position b] of two equal-length columns, no
+        v_b zero: over GF(p) a map of int products u·pow(v, -1, p), each
+        reduced once, else of inv- and mul-table reads."""
+        if self.h == 1:
+            p = self.p
+            return [x % p for x in map(operator.mul, us, map(pow, vs, repeat(-1), repeat(p)))]
+        at, mul, inv = list.__getitem__, self._mul_table.__getitem__, self._inv_table.__getitem__
+        return list(map(at, map(mul, us), map(inv, vs)))
 
     def add_scaled(self, x, c: int, y) -> list:
         """The new list x + c·y; x and y are left as they are."""

@@ -8,6 +8,7 @@ representatives, so arcs never renormalize their points.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,21 +44,18 @@ class Arc:
     points: tuple  # tuple of length-k int tuples, order significant
 
     @cached_property
-    def point_map(self):
-        """The GF.vec_mat map c ↦ [c·x for x in points], built once."""
-        return self.gf.vec_mat(list(zip(*self.points)))
-
-    @cached_property
     def pencils(self) -> dict:
-        """Sorted (k-2)-subset S ↦ its pencil (u, v, keys), by pencil_at."""
-        return {}
+        """Sorted (k-2)-subset S ↦ its pencil (u, v, keys), or None if S is
+        dependent: pencil_batch of every S at once, on first use."""
+        return pencil_batch(self.gf, self.k, self.points)
 
     def pencil_at(self, S):
-        """geometry.pencil of the points of S off point_map, taken once per
-        Arc; ValueError, not kept, if they are dependent."""
-        if S not in self.pencils:
-            self.pencils[S] = pencil(self.gf, self.k, [self.points[i] for i in S], self.point_map)
-        return self.pencils[S]
+        """The pencil of the sorted (k-2)-subset S, off Arc.pencils;
+        ValueError if S is dependent."""
+        found = self.pencils[S]
+        if found is None:
+            raise ValueError("span points are linearly dependent")
+        return found
 
     @property
     def n(self) -> int:
@@ -100,19 +98,59 @@ class Arc:
 IN_SPAN = object()  # the pencil key of a point in the span: it is on every member
 
 
-def pencil(gf: GF, k: int, span, at_points):
-    """The pencil through k-2 independent span points: (u, v, keys), {u, v}
-    the span's nullspace basis and keys[i] the member the i-th point x lies
-    on, read off at_points(u) and at_points(v), at_points(c) the list of
-    c·x over the points (one GF.vec_mat map over their columns): None for
-    u, λ = -(v·x)/(u·x) for v + λu, and IN_SPAN if u·x = v·x = 0."""
-    rk, basis = linalg.nullspace(gf, span, ncols=k)
-    if rk != k - 2:
-        raise ValueError("span points are linearly dependent")
-    u, v = basis
-    pairs = zip(at_points(u), at_points(v))
-    keys = [gf.div(gf.neg(b), a) if a else None if b else IN_SPAN for a, b in pairs]
-    return u, v, keys
+def pencil_batch(gf: GF, k: int, points) -> dict:
+    """The pencil of every sorted (k-2)-subset S of the points, off one
+    linalg._minors table: S ↦ (u, v, keys), or None if no (k-2)-minor of
+    S is nonzero.  {u, v} is linalg.nullspace's reduced basis of S's
+    kernel: its pivot set P is the Gale-largest column set with a nonzero
+    minor (the greedy pick, from the last column, of nullspace's
+    reversed-column rref), u has 1 at the lower free column and 0 at the
+    other, v the reverse, and the pivot coordinate at P_j is a signed
+    minor over minor(P) (Cramer's rule), one GF.col_dot over the subsets
+    that share P.  keys[i] names the member the i-th point x lies on:
+    None for u, λ = -(v·x)/(u·x) for v + λu, and IN_SPAN if u·x = v·x = 0,
+    read off one GF.vec_mat map over every u and one over every -v,
+    applied once per point, and one GF.col_div per point."""
+    subsets = list(itertools.combinations(range(len(points)), k - 2))
+    if not subsets:
+        return {}
+    minors = linalg._minors(gf, [[points[i] for i in S] for S in subsets], k)
+    order = sorted(minors, key=lambda cols: cols[::-1], reverse=True)  # Gale-largest first
+    groups = {}  # pivot set, None if S is dependent -> the subsets taking it
+    for s, column in enumerate(zip(*(minors[cols] for cols in order))):
+        groups.setdefault(next(itertools.compress(order, column), None), []).append(s)
+    m, minus, dependent = len(subsets), gf.neg(1), set(groups.pop(None, ()))
+    us, vs = [[0] * k] * m, [[0] * k] * m  # a dependent S keeps zero vectors
+    for P, idx in groups.items():
+        zeros, ones = [0] * len(idx), [1] * len(idx)
+        inv = gf.col_div(ones, list(map(minors[P].__getitem__, idx)))
+        signed = (gf.col_dot([inv], [[minus] * len(idx)]), inv)  # by the parity of i + j
+        basis = []
+        for f, other in itertools.permutations((c for c in range(k) if c not in P), 2):
+            coords = [None] * k
+            coords[f], coords[other] = ones, zeros
+            for j, c in enumerate(P):
+                Q = tuple(sorted(P[:j] + P[j + 1 :] + (f,)))  # column c of P replaced by f
+                minor = list(map(minors[Q].__getitem__, idx))
+                coords[c] = gf.col_dot([minor], [signed[(Q.index(f) + j) % 2]])
+            basis.append(zip(*coords))
+        for s, u, v in zip(idx, *basis):
+            us[s], vs[s] = list(u), list(v)
+    at_u = gf.vec_mat(list(zip(*us)))
+    at_v = gf.vec_mat([gf.col_dot([c], [[minus] * m]) for c in zip(*vs)])  # c·x ↦ -(v·x)
+    rows = []
+    for x in points:
+        a, b = at_u(x), at_v(x)
+        zeros = list(itertools.compress(range(m), map(operator.not_, a)))
+        for s in zeros:
+            a[s] = 1
+        rows.append(gf.col_div(b, a))
+        for s in zeros:
+            rows[-1][s] = None if b[s] else IN_SPAN
+    return {
+        S: None if s in dependent else (us[s], vs[s], list(keys))
+        for s, (S, keys) in enumerate(zip(subsets, zip(*rows)))
+    }
 
 
 def is_arc(gf: GF, k: int, points):
@@ -126,7 +164,7 @@ def arc_witness(arc: Arc):
     combinations order (a repeated projective point shows up as a singular
     k-subset).  The k-subsets are S + (a, b), S a (k-2)-subset and a < b
     after it: S + (a, b) is singular iff S is dependent, or a or b lies in
-    S's span, or both lie on the same member of S's pencil (arc.pencil_at).
+    S's span, or both lie on the same member of S's pencil (arc.pencils).
     """
     k, n = arc.k, arc.n
     for p in arc.points:
@@ -138,10 +176,8 @@ def arc_witness(arc: Arc):
         return True, None
     for S in itertools.combinations(range(n - 2), k - 2):
         start = S[-1] + 1 if S else 0
-        try:
-            keys = arc.pencil_at(S)[2][start:]
-        except ValueError:  # S is dependent: every S + (a, b) is singular
-            keys = [IN_SPAN] * (n - start)
+        pencil = arc.pencils[S]  # None if S is dependent: every S + (a, b) is singular
+        keys = [IN_SPAN] * (n - start) if pencil is None else pencil[2][start:]
         if len({*keys, IN_SPAN}) <= len(keys):  # two keys equal, or one IN_SPAN
             pairs = itertools.combinations(range(len(keys)), 2)
             a, b = next((a, b) for a, b in pairs if len({keys[a], keys[b], IN_SPAN}) < 3)

@@ -103,8 +103,7 @@ def rref(gf: GF, rows):
         if piv is None:
             continue
         m[top], m[piv] = m[piv], m[top]
-        inv_p = gf.inv(m[top][col])
-        m[top] = [gf.mul(inv_p, x) for x in m[top]]
+        m[top] = gf.col_dot([m[top]], [[gf.inv(m[top][col])] * ncols])
         for r in range(len(m)):
             if r != top and m[r][col]:
                 m[r] = gf.add_scaled(m[r], gf.neg(m[r][col]), m[top])

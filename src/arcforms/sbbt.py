@@ -16,7 +16,7 @@ one (linalg.minor_forms_batch) and its symmetry check's row sets in one
 map).  With the first k-2 rows fixed, every minor is a linear form in
 the last row, so phi becomes the residual form G(S, X) of degree
 deg(phi) in X.  Each minor form vanishes on the span of S, so it lies on
-S's pencil {u, v} (the Arc's, taken once per subset): phi at the minors
+S's pencil {u, v} (the Arc's, from one batch): phi at the minors
 is a binary form psi_S(U, V), built by a substitution plan made once per
 phi, and the residual is psi_S(u·X, v·X), expanded by Horner; both run
 on all C(n, k-2) prefixes at once, one GF.col_dot per coefficient.  The

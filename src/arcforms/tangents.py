@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, compress, permutations, product
 from math import perm
 from operator import ne
@@ -128,30 +128,37 @@ def check_buildable(arc: Arc) -> None:
     _check_form_size(arc)
 
 
+def _tangent_members(arc: Arc, subset):
+    """(u, v, lams) of the sorted subset S: S's pencil (arc.pencil_at) and
+    the keys of its members that no arc point off S lies on, in the order
+    of (None, *gf.elements()), None for u and λ for v + λu; none if an
+    arc point off S is IN_SPAN.  TangentCountError unless there are t."""
+    u, v, keys = arc.pencil_at(subset)
+    hit = set(keys)  # S's own points are IN_SPAN
+    lams = [] if keys.count(IN_SPAN) > len(subset) else [
+        lam for lam in (None, *arc.gf.elements()) if lam not in hit
+    ]
+    if len(lams) != arc.t:
+        raise TangentCountError(
+            f"subset {subset}: {len(lams)} tangent hyperplanes, expected {arc.t}"
+        )
+    return u, v, lams
+
+
 def tangent_hyperplanes(arc: Arc, subset):
     """The t hyperplanes through the points of the index subset S that avoid
-    the rest of the arc: the members of S's pencil (arc.pencil_at, taken
-    once per Arc) that no other arc point lies on, none if one lies
-    in S's span.  Raises TangentCountError if the count is off, which
-    signals corrupted arc data, and ValueError if f_S would have more than
-    forms.MAX_ENTRIES entries."""
+    the rest of the arc, normalized: the members of S's pencil (arc.pencils,
+    taken in one batch per Arc) that no other arc point lies on, none if
+    one lies in S's span.  Raises TangentCountError if the count is off,
+    which signals corrupted arc data, and ValueError if f_S would have more
+    than forms.MAX_ENTRIES entries."""
     _check_form_size(arc)
     subset = tuple(sorted(subset))
     if len(set(subset)) != arc.k - 2:
         raise ValueError(f"subset must have k-2 = {arc.k - 2} distinct indices")
     gf = arc.gf
-    u, v, keys = arc.pencil_at(subset)
-    hit = {key for i, key in enumerate(keys) if i not in subset}  # S's own points are IN_SPAN
-    tangents = [
-        normalize(gf, u if lam is None else gf.add_scaled(v, lam, u))
-        for lam in (None, *gf.elements())  # u is keyed None, v + λu by λ
-        if lam not in hit and IN_SPAN not in hit
-    ]
-    if len(tangents) != arc.t:
-        raise TangentCountError(
-            f"subset {subset}: {len(tangents)} tangent hyperplanes, expected {arc.t}"
-        )
-    return tangents
+    u, v, lams = _tangent_members(arc, subset)
+    return [normalize(gf, u if lam is None else gf.add_scaled(v, lam, u)) for lam in lams]
 
 
 @dataclass
@@ -179,6 +186,12 @@ class TangentSystem:
 
     def form(self, subset) -> forms.Form:
         return self.fS[tuple(sorted(subset))]
+
+    @cached_property
+    def chain(self) -> dict:
+        """scaling_rule of every sorted (k-2)-subset S other than E."""
+        subsets = combinations(range(self.arc.n), self.arc.k - 2)
+        return {S: scaling_rule(self, S) for S in subsets if S != self.E}
 
     @cached_property
     def point_vectors(self) -> list:
@@ -267,46 +280,61 @@ def scaling_rule(ts: TangentSystem, subset):
 def build_tangent_system(arc: Arc) -> TangentSystem:
     """Compute every scaled tangent form of the arc.
 
-    f_S = c_S·Π h over the tangent hyperplanes h at S, so each f_S(x) is
-    c_S·Π h(x).  Subsets are taken by increasing distance r = |S \\ E|,
-    so the chain rule only refers to scales already fixed: f_E(anchor) = 1
-    and f_S(x_e) = sign·f_parent(x_a).  Then all C(n, k-2) products, each
-    scale folded into its first hyperplane, are expanded in one batch.
+    f_S = c_S·Π h over the tangent hyperplanes h at S: the members c·v + d·u
+    of S's pencil off arc.pencils, (c, d) = (1, λ) for v + λu and (0, 1)
+    for u, not normalized, since c_S absorbs any scaling.  The chain rule
+    (ts.chain) fixes f_E(anchor) = 1 and f_S(x_e) = sign·f_parent(x_a), so
+    c_S = sign·c_parent·Π h(x_a) / Π h(x_e), each Π h(x) a product of
+    c·(v·x) + d·(u·x), all of them GF.col_dot and GF.col_div columns over
+    the subsets; taken by increasing distance r = |S \\ E|, each parent's
+    scale is fixed before its children's.  Then all C(n, k-2) products,
+    each scale folded into its first hyperplane, are expanded in one batch.
     """
     check_buildable(arc)
     gf = arc.gf
     E = tuple(range(arc.k - 2))
     anchor = arc.k - 2
     ts = TangentSystem(arc, E, anchor, {})
-    members, scale = {}, {}
-
-    def value(S, i):  # Π h(x_i) over the tangent hyperplanes h at S
-        return reduce(gf.mul, (linalg.dot(gf, h, arc.points[i]) for h in members[S]))
-
     order = sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E)))
-    for S in order:
-        members[S] = tangent_hyperplanes(arc, S)
-        if S == E:
-            e, target = anchor, 1
-        else:
-            e, a, parent, sign = scaling_rule(ts, S)
-            target = gf.mul(sign, gf.mul(scale[parent], value(parent, a)))
-        # e is an arc point off S, hence on no tangent S-hyperplane
-        scale[S] = gf.div(target, value(S, e))
-    batch = [[[gf.mul(scale[S], c) for c in members[S][0]], *members[S][1:]] for S in order]
-    ts.fS.update(zip(order, forms.product_linear_forms(gf, arc.k, batch)))
+    u, v, lams = zip(*(_tangent_members(arc, S) for S in order))
+    u, v, lams = list(zip(*u)), list(zip(*v)), list(zip(*lams))  # columns over order
+    c = [[0 if lam is None else 1 for lam in column] for column in lams]
+    d = [[1 if lam is None else lam for lam in column] for column in lams]
+
+    def values(idx, points):  # Π h(x_i) over the tangent hyperplanes h at order[s]
+        def pick(columns):
+            return [list(map(column.__getitem__, idx)) for column in columns]
+        xs = [[arc.points[i][j] for i in points] for j in range(arc.k)]
+        a, b, acc = gf.col_dot(pick(u), xs), gf.col_dot(pick(v), xs), [1] * len(idx)
+        for cj, dj in zip(pick(c), pick(d)):
+            acc = gf.col_dot([acc], [gf.col_dot([cj, dj], [b, a])])
+        return acc
+
+    # e is an arc point off S, hence on no tangent S-hyperplane
+    pos, rules = {S: s for s, S in enumerate(order)}, [ts.chain[S] for S in order[1:]]  # order[0] is E
+    parents = [pos[parent] for _, _, parent, _ in rules]
+    first = values(range(len(order)), [anchor, *(e for e, _, _, _ in rules)])
+    second = values(parents, [a for _, a, _, _ in rules])
+    ratio = gf.col_div([1, *gf.col_dot([[sign for *_, sign in rules]], [second])], first)
+    scale = ratio[:1]
+    for r, parent in zip(ratio[1:], parents):
+        scale.append(gf.mul(r, scale[parent]))
+    c[0], d[0] = gf.col_dot([c[0]], [scale]), gf.col_dot([d[0]], [scale])
+    factors = [zip(*(gf.col_dot([vj, uj], [cj, dj]) for uj, vj in zip(u, v))) for cj, dj in zip(c, d)]
+    ts.fS.update(zip(order, forms.product_linear_forms(gf, arc.k, list(zip(*factors)))))
     return ts
 
 
 def verify_scaling_chain(ts: TangentSystem, report: Report | None = None) -> Report:
-    """Replay the chain constraint for every subset other than the base."""
+    """Replay the chain constraint (ts.chain) for every subset other than
+    the base, on the expanded forms (eval_fS)."""
     report = report or Report("tangents-scaling", {}, [])
     gf = ts.gf
     chk = report.check("scaling-chain")
     for S in ts.fS:
         if S == ts.E:
             continue
-        e, a, parent, sign = scaling_rule(ts, S)
+        e, a, parent, sign = ts.chain[S]
         lhs = ts.eval_fS(S, e)
         rhs = gf.mul(sign, ts.eval_fS(parent, a))
         chk.tally(lhs == rhs, {"S": list(S), "lhs": lhs, "rhs": rhs})

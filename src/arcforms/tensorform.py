@@ -153,18 +153,19 @@ def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:
     return MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, ts.socle_core, inv, blocks)), P)
 
 
-def _support_matrix(gf: GF, mf: MultiForm, vectors):
-    """The support x len(vectors) matrix of the vectors' degree-t monomials."""
-    ver = [forms.monomial_vector(gf, x, mf.t) for x in vectors]
+def _support_matrix(mf: MultiForm, ver):
+    """The support x len(ver) matrix of the degree-t Veronese vectors ver
+    (forms.monomial_vector, or TangentSystem.point_vectors) on mf's support."""
     return [[v[J] for v in ver] for J in mf.support]
 
 
-def _partial_forms(gf: GF, mf: MultiForm, vectors, tuples):
-    """F(x_a, ·) for each (blocks-1)-tuple a of indices into vectors, read off one
-    table: mf's leading modes contracted by _support_matrix, row tuple_position(a, len(vectors))."""
+def _partial_forms(gf: GF, mf: MultiForm, ver, tuples):
+    """F(x_a, ·) for each (blocks-1)-tuple a of indices into the Veronese
+    vectors ver, read off one table: mf's leading modes contracted by
+    _support_matrix, row tuple_position(a, len(ver))."""
     dim = len(mf.support)
-    rows = _contract_modes(gf, mf.block, _support_matrix(gf, mf, vectors), mf.blocks - 1)
-    for pos in (tuple_position(a, len(vectors)) * dim for a in tuples):
+    rows = _contract_modes(gf, mf.block, _support_matrix(mf, ver), mf.blocks - 1)
+    for pos in (tuple_position(a, len(ver)) * dim for a in tuples):
         at = dict(zip(mf.support, rows[pos : pos + dim]))
         yield forms.Form(mf.k, mf.t, tuple(at.get(j, 0) for j in range(mf.mode_dim)))
 
@@ -173,18 +174,21 @@ def partial_evaluate(gf: GF, mf: MultiForm, prefix) -> forms.Form:
     """Evaluate all blocks but the last at points; the leftover is a form."""
     if len(prefix) != mf.blocks - 1:
         raise ValueError(f"prefix must have {mf.blocks - 1} points")
-    return next(_partial_forms(gf, mf, prefix, [range(len(prefix))]))
+    ver = [forms.monomial_vector(gf, x, mf.t) for x in prefix]
+    return next(_partial_forms(gf, mf, ver, [range(len(prefix))]))
 
 
 def evaluation_table(gf: GF, mf: MultiForm, vectors):
     """Flat table of evaluations at every tuple from `vectors`, row-major."""
-    return _contract_modes(gf, mf.block, _support_matrix(gf, mf, vectors), mf.blocks)
+    ver = [forms.monomial_vector(gf, x, mf.t) for x in vectors]
+    return _contract_modes(gf, mf.block, _support_matrix(mf, ver), mf.blocks)
 
 
 def check_signed_evaluations(arc: Arc, ts: TangentSystem, F: MultiForm, report: Report) -> list:
     """Tally the defining contract F(a) = g(a) over every tuple a of arc
-    points and return the evaluation table it was read from."""
-    table = evaluation_table(arc.gf, F, arc.points)
+    points and return the evaluation table it was read from, F's modes
+    contracted at ts.point_vectors."""
+    table = _contract_modes(arc.gf, F.block, _support_matrix(F, ts.point_vectors), F.blocks)
     report.check("matches-signed-tangent-evaluations").tally_many(len(table), [
         {"tuple": tuple_at(pos, arc.n, F.blocks), "got": table[pos]}
         for pos in compress(range(len(table)), map(ne, table, ts.g_table))
@@ -319,7 +323,7 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
     """
     gf, t, blocks = arc.gf, arc.t, arc.k - 2
     subsets = list(combinations(range(arc.n), blocks))
-    partials = zip(_partial_forms(gf, F, arc.points, subsets), subsets)
+    partials = zip(_partial_forms(gf, F, ts.point_vectors, subsets), subsets)
     residuals = [list(forms.form_sub(gf, f, ts.form(S)).coeffs) for f, S in partials]
     phi = forms.vanishing_subspace(gf, arc.k, arc.points, t)
     if phi.dim == 0:
@@ -338,9 +342,9 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
     soc, C = ts.socle
     columns, socle_rows = list(zip(*C)), []
     for S, coords in zip(subsets, rcoords):
-        row = [1]  # the Kronecker product of the columns of C at S
+        row = [1]  # the Kronecker product of the columns of C at S, one col_dot a factor
         for i in S:
-            row = [gf.mul(a, b) for a in row for b in columns[i]]
+            row = gf.col_dot([[a for a in row for _ in columns[i]]], [columns[i] * len(row)])
         socle_rows.append(row + coords)
     width = len(soc) ** blocks
     red, pivot_cols = linalg.rref(gf, socle_rows)
@@ -354,7 +358,7 @@ def search_exact_tangent_match(arc: Arc, ts: TangentSystem, F: MultiForm):
         (MultiForm(arc.k, blocks, t, tuple(_contract_modes(gf, W, inv, blocks)), P), f)
         for W, f in zip(zip(*WT), phi.forms())
     ]
-    tables = [evaluation_table(gf, U, arc.points) for U, _ in terms]
+    tables = [_contract_modes(gf, U.block, _support_matrix(U, ts.point_vectors), blocks) for U, _ in terms]
     values = [[table[tuple_position(S, arc.n)] for table in tables] for S in subsets]
     if linalg.mat_mul(gf, values, phi.basis) != residuals:
         return False, None  # the lift does not give the residuals back

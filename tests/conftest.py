@@ -5,16 +5,31 @@ Builds are cached per session because several test modules sweep the same
 arcs; everything returned is treated as immutable by the tests.
 """
 
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import combinations, product
 
 import pytest
 
 from arcforms import linalg
 from arcforms.field import make_field
-from arcforms.forms import Form, monomial_basis, monomial_index, monomial_vector, num_monomials
-from arcforms.geometry import Arc, normal_rational_curve
-from arcforms.tangents import _sign_power, build_tangent_system, perm_parity
+from arcforms.forms import (
+    Form,
+    monomial_basis,
+    monomial_index,
+    monomial_vector,
+    num_monomials,
+    product_linear_forms,
+)
+from arcforms.geometry import IN_SPAN, Arc, normal_rational_curve
+from arcforms.tangents import (
+    TangentSystem,
+    _sign_power,
+    build_tangent_system,
+    check_buildable,
+    perm_parity,
+    scaling_rule,
+    tangent_hyperplanes,
+)
 from arcforms.tensorform import build_tensor_form, evaluation_table
 
 # (q, p, h, k): conics over q in {4,5,7,8,9}, twisted cubics over {5,7,8}
@@ -143,6 +158,52 @@ def _substitute(gf, sbbt, linear):
     for c, node in terms:
         out = gf.add_scaled(out, c, products[node])
     return Form(k, sbbt.phi.t, tuple(out))
+
+
+def pencil_oracle(gf, k, points) -> dict:
+    """Sorted (k-2)-subset S of the points ↦ (u, v, keys), None if S is
+    dependent: {u, v} the linalg.nullspace basis of S's points, and
+    keys[i] the member of S's pencil the i-th point x lies on by two
+    scalar dots: None for u, -(v·x)/(u·x) for v + λu, IN_SPAN for both."""
+    out = {}
+    for S in combinations(range(len(points)), k - 2):
+        rk, basis = linalg.nullspace(gf, [points[i] for i in S], ncols=k)
+        if rk != k - 2:
+            out[S] = None
+            continue
+        u, v = basis
+        keys = []
+        for x in points:
+            a, b = (reduce(gf.add, map(gf.mul, w, x), 0) for w in (u, v))
+            keys.append(gf.div(gf.neg(b), a) if a else None if b else IN_SPAN)
+        out[S] = (u, v, keys)
+    return out
+
+
+def normalized_build(arc):
+    """The tangent system built from the normalized tangent hyperplanes:
+    c_S fixed along scaling_rule by Π h(x) of the normalized h, by
+    linalg.dot, then c_S folded into the first hyperplane of the product."""
+    check_buildable(arc)
+    gf, E, anchor = arc.gf, tuple(range(arc.k - 2)), arc.k - 2
+    ts = TangentSystem(arc, E, anchor, {})
+    members, scale = {}, {}
+
+    def value(S, i):
+        return reduce(gf.mul, (linalg.dot(gf, h, arc.points[i]) for h in members[S]))
+
+    order = sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E)))
+    for S in order:
+        members[S] = tangent_hyperplanes(arc, S)
+        if S == E:
+            e, target = anchor, 1
+        else:
+            e, a, parent, sign = scaling_rule(ts, S)
+            target = gf.mul(sign, gf.mul(scale[parent], value(parent, a)))
+        scale[S] = gf.div(target, value(S, e))
+    batch = [[[gf.mul(scale[S], c) for c in members[S][0]], *members[S][1:]] for S in order]
+    ts.fS.update(zip(order, product_linear_forms(gf, arc.k, batch)))
+    return ts
 
 
 def inverse(gf, rows):

@@ -455,7 +455,7 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
     for name in ("build_tensor_form", "coordinate_map"):
         monkeypatch.setattr(tensorform, name, counted(name, getattr(tensorform, name)))
-    for name in ("tangent_hyperplanes", "build_tangent_system"):
+    for name in ("_tangent_members", "build_tangent_system"):
         monkeypatch.setattr(tangents, name, counted(name, getattr(tangents, name)))
     monkeypatch.setattr(linalg, "rref", counted(
         "veronese rref", linalg.rref, lambda gf, rows: (len(rows), len(rows[0])) == (10, 8)
@@ -486,7 +486,7 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
     n = 8
     assert calls == Counter({
         "build_tensor_form": 1, "coordinate_map": 1, "veronese rref": 1,
-        "build_tangent_system": 1, "tangent_hyperplanes": comb(n, 2), "veronese map": 1,
+        "build_tangent_system": 1, "_tangent_members": comb(n, 2), "veronese map": 1,
     })
     assert dots["verify_lemma_of_tangents"] + dots["verify_tensor_form"] == 0
     tabulated = dots["verify_lemma_of_tangents", "veronese map"] + dots["verify_tensor_form", "veronese map"]
@@ -494,7 +494,7 @@ def test_suite_builds_tensor_form_once(tmp_path, capsys, monkeypatch):
 
 
 def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
-    # is_arc reads pencils off one nullspace per subset, the G sweep reads
+    # is_arc reads pencils off one batched minor table, the G sweep reads
     # determinants off linalg.minor_forms_batch and build_sbbt's
     # interpolation denominators off batched minor coordinates, both
     # expanded by linalg._minors, so linalg.det is never called; phi is
@@ -516,16 +516,19 @@ def test_suite_runs_no_full_determinant_sweep(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("p,h,k", [(7, 1, 4), (2, 4, 4), (2, 3, 5), (3, 2, 5)])
 def test_suite_takes_each_pencil_once(tmp_path, capsys, monkeypatch, p, h, k):
     # is_arc, the tangent hyperplanes and the dual-form residuals read the
-    # pencil of each sorted (k-2)-subset off the one Arc the suite loads
+    # pencils of every sorted (k-2)-subset off one batch, taken once on the
+    # one Arc the suite loads, with no nullspace
     arc_path = tmp_path / "arc.json"
     arc = normal_rational_curve(make_field(p, h), k)
     arc_path.write_text(json.dumps(arc.to_json()))
-    calls, pencil = [], geometry.pencil
-    monkeypatch.setattr(geometry, "pencil", lambda *a: calls.append(1) or pencil(*a))
+    calls, widths, pencil_batch, nullspace = [], [], geometry.pencil_batch, linalg.nullspace
+    monkeypatch.setattr(geometry, "pencil_batch", lambda *a: calls.append(a) or pencil_batch(*a))
+    monkeypatch.setattr(linalg, "nullspace", lambda *a, **kw: widths.append(kw["ncols"]) or nullspace(*a, **kw))
     code, rep = run(capsys, "suite", str(arc_path))
     assert code == 0 and rep["passed"]
     assert "residual-equals-tangent-form-power" in [c["name"] for c in rep["checks"]]
-    assert len(calls) == comb(arc.n, k - 2)
+    assert len(calls) == 1 and len(calls[0][2]) == arc.n
+    assert k not in widths  # the vanishing forms' kernels only
 
 
 def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):

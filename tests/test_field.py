@@ -307,6 +307,24 @@ def test_add_scaled_matches_scalar_loop_and_mutates_nothing(p, h):
             assert (x, y) == (x0, y0)
 
 
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS + [(2**61 - 1, 1)])
+def test_col_div_matches_div_at_every_position(p, h):
+    # batches of 0, 1, 3 and 17 positions: random, with u all zero, and
+    # with u and v q - 1 or 1 everywhere; lists and tuples; 2^61 - 1 has
+    # products above 64 bits
+    gf = make_field(p, h)
+    rng = random.Random(7 * p + h)
+    top = gf.q - 1
+    for size in (0, 1, 3, 17):
+        us = [rng.randrange(gf.q) for _ in range(size)]
+        vs = [rng.randrange(1, gf.q) for _ in range(size)]
+        cases = [(us, vs), ([0] * size, vs), ([top] * size, (top,) * size), (tuple(us), [1] * size)]
+        for us, vs in cases:
+            us0, vs0 = list(us), list(vs)
+            assert gf.col_div(us, vs) == [gf.div(a, b) for a, b in zip(us, vs)]
+            assert (list(us), list(vs)) == (us0, vs0)
+
+
 @pytest.mark.parametrize("p,h", KERNEL_FIELDS)
 def test_col_dot_matches_dot_at_every_position_and_mutates_nothing(p, h):
     # r = 1, 2 and 5 pairs of columns over batches of 1, 3 and 17

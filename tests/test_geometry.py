@@ -21,12 +21,13 @@ from arcforms.geometry import (
     mds_generator,
     normal_rational_curve,
     normalize,
-    pencil,
+    pencil_batch,
     project,
     projective_points,
 )
 
-from conftest import CORPUS, corpus_arc, field, glynn_arc
+from conftest import CORPUS, corpus_arc, field, glynn_arc, pencil_oracle
+from test_field import KERNEL_FIELDS
 
 
 def test_normalize(gf5):
@@ -145,8 +146,8 @@ def test_is_arc_witness_on_hand_built_pencils(gf5, points):
 
 
 def test_is_arc_dot_count(monkeypatch):
-    # no dots: one vec_mat map over the points' columns, two calls of it
-    # per (k-2)-subset S, whose pencil keys are read off its values
+    # no dots: the pencil batch's two vec_mat maps, over the k coordinates
+    # of every u and of every -v, each called once per point
     calls, maps = [], []
     dot, vec_mat = linalg.dot, GF.vec_mat
     monkeypatch.setattr(linalg, "dot", lambda *a: calls.append(1) or dot(*a))
@@ -159,38 +160,67 @@ def test_is_arc_dot_count(monkeypatch):
     for arc in [conic(make_field(31)), *(corpus_arc(q, k) for q, _, _, k in CORPUS)]:
         calls.clear(), maps.clear()
         assert is_arc(arc.gf, arc.k, arc.points) == (True, None)
-        assert calls == [] and [len(uses) for uses in maps] == [2 * math.comb(arc.n - 2, arc.k - 2)]
-
-
-def scalar_keys(gf, u, v, points):
-    """The pencil keys of the points by two scalar dots per point."""
-    keys = []
-    for x in points:
-        a, b = (functools.reduce(gf.add, map(gf.mul, w, x), 0) for w in (u, v))
-        keys.append(gf.div(gf.neg(b), a) if a else None if b else IN_SPAN)
-    return keys
+        assert calls == [] and [len(uses) for uses in maps] == [arc.n, arc.n]
 
 
 def test_pencil_keys_match_two_scalar_dots():
-    # on every S of the corpus, a GF(2^4) arc and Glynn's arc, at every arc
-    # point and at x_0 + ... + x_{k-3}, which is in the span of the first
-    # S, (0, ..., k-3); S's own points are IN_SPAN too, and for k > 3 a
-    # repeated point makes S dependent
+    # on every S of the corpus, a GF(2^4) arc and Glynn's arc, with
+    # x_0 + ... + x_{k-3} and x_0 appended, both in the span of the first
+    # S, (0, ..., k-3); S's own points are IN_SPAN too, and for k > 3 the
+    # repeated x_0 makes some S dependent
     arcs = [corpus_arc(q, k) for q, _, _, k in CORPUS]
     for arc in arcs + [normal_rational_curve(make_field(2, 4), 4), glynn_arc()]:
         gf, k = arc.gf, arc.k
-        points = [*arc.points, functools.reduce(lambda x, y: tuple(map(gf.add, x, y)), arc.points[: k - 2])]
-        at_points = gf.vec_mat(list(zip(*points)))
+        span = functools.reduce(lambda x, y: tuple(map(gf.add, x, y)), arc.points[: k - 2])
+        points = [*arc.points, span, arc.points[0]]
+        pencils = pencil_batch(gf, k, points)
+        assert pencils == pencil_oracle(gf, k, points), (gf, k)
         for S in itertools.combinations(range(arc.n), k - 2):
-            span = [arc.points[i] for i in S]
-            u, v, keys = pencil(gf, k, span, at_points)
-            assert keys == scalar_keys(gf, u, v, points), (gf, k, S)
-            assert keys[:-1] == pencil(gf, k, span, arc.point_map)[2]
-            assert [keys[i] for i in S] == [IN_SPAN] * (k - 2)
-        assert pencil(gf, k, arc.points[: k - 2], at_points)[2][-1] is IN_SPAN
-        if k > 3:
-            with pytest.raises(ValueError, match="dependent"):
-                pencil(gf, k, [arc.points[0]] * (k - 2), at_points)
+            assert [pencils[S][2][i] for i in S] == [IN_SPAN] * (k - 2)
+        assert pencils[tuple(range(k - 2))][2][-2:] == [IN_SPAN] * 2
+        assert (None in pencils.values()) == (k > 3)
+
+
+@st.composite
+def kernel_point_lists(draw):
+    """(gf, k, points) over a KERNEL_FIELDS field, k = 2..5: each point is
+    random with zero coordinates, a nonzero multiple of an earlier point
+    or a combination of up to k-2 earlier ones, so repeated points,
+    points in a subset's span and dependent subsets come up."""
+    p, h = draw(st.sampled_from(KERNEL_FIELDS))
+    gf, k = make_field(p, h), draw(st.integers(2, 5))
+    elem = st.one_of(st.integers(0, min(gf.q - 1, 3)), st.integers(0, gf.q - 1))
+    points = []
+    for _ in range(draw(st.integers(1, k + 3))):
+        kind = draw(st.sampled_from(("random", "repeat", "span"))) if points else "random"
+        if kind == "random":
+            x = draw(st.lists(elem, min_size=k, max_size=k))
+        elif kind == "repeat":
+            c, base = draw(st.integers(1, gf.q - 1)), draw(st.sampled_from(points))
+            x = [gf.mul(c, v) for v in base]
+        else:
+            x = [0] * k
+            for base in draw(st.lists(st.sampled_from(points), min_size=1, max_size=max(k - 2, 1))):
+                c = draw(elem)
+                x = [gf.add(v, gf.mul(c, b)) for v, b in zip(x, base)]
+        points.append(tuple(x) if any(x) else (1,) + (0,) * (k - 1))
+    return gf, k, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_point_lists())
+def test_pencil_batch_matches_nullspace_and_scalar_dots(case):
+    # (u, v) equal nullspace's reduced basis, the keys the scalar-dot keys,
+    # and a dependent subset is None, on which pencil_at raises
+    gf, k, points = case
+    pencils, arc = pencil_batch(gf, k, points), Arc(gf, k, tuple(points))
+    assert pencils == pencil_oracle(gf, k, points)
+    for S, pencil in pencils.items():
+        if pencil is None:
+            with pytest.raises(ValueError, match="^span points are linearly dependent$"):
+                arc.pencil_at(S)
+        else:
+            assert arc.pencil_at(S) == pencil
 
 
 @pytest.mark.parametrize("q,p,h,k", CORPUS)

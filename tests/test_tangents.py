@@ -29,7 +29,18 @@ from arcforms.tangents import (
 )
 from arcforms.tensorform import build_tensor_form, evaluation_table, verify_tensor_form
 
-from conftest import CORPUS, corpus_arc, corpus_system, field, form_scale, g_value, glynn_arc, rank, zero_form
+from conftest import (
+    CORPUS,
+    corpus_arc,
+    corpus_system,
+    field,
+    form_scale,
+    g_value,
+    glynn_arc,
+    normalized_build,
+    rank,
+    zero_form,
+)
 
 
 def conic_tangent_oracle(gf, s):
@@ -105,8 +116,8 @@ def test_tangents_match_brute_force_sweep():
 
 
 def test_tangent_hyperplanes_dot_count(monkeypatch):
-    # one nullspace, then u·x and v·x for every arc point off the arc's
-    # point_map, with no dot product
+    # the pencils come in one batch, u·x and v·x off its maps, with no
+    # dot product
     calls = []
     dot = linalg.dot
     monkeypatch.setattr(linalg, "dot", lambda *a: calls.append(1) or dot(*a))
@@ -116,9 +127,10 @@ def test_tangent_hyperplanes_dot_count(monkeypatch):
     assert calls == []
 
 
-def test_one_point_map_serves_a_whole_tangent_system_build(monkeypatch):
-    # every pencil is read off the arc's point_map: one k x n vec_mat map
-    # per Arc, called twice per (k-2)-subset, and kept for later sweeps
+def test_one_pencil_batch_serves_a_whole_tangent_system_build(monkeypatch):
+    # every pencil is read off one batch per Arc: two vec_mat maps, over
+    # the k coordinates of every u and of every -v, each called once per
+    # arc point, and kept for later sweeps
     built, calls, vec_mat = [], [], GF.vec_mat
 
     def counted_vec_mat(gf, matrix):
@@ -127,12 +139,12 @@ def test_one_point_map_serves_a_whole_tangent_system_build(monkeypatch):
         return lambda v: calls.append(1) or combine(v)
     monkeypatch.setattr(GF, "vec_mat", counted_vec_mat)
     for p, h, k in [(7, 1, 4), (3, 2, 3), (2, 4, 4)]:
-        arc = normal_rational_curve(make_field(p, h), k)  # a fresh Arc, no map yet
+        arc = normal_rational_curve(make_field(p, h), k)  # a fresh Arc, no pencils yet
         built.clear(), calls.clear()
         build_tangent_system(arc)
-        assert built == [(k, arc.n)] and len(calls) == 2 * math.comb(arc.n, k - 2), (p, h, k)
+        assert built == [(k, math.comb(arc.n, k - 2))] * 2 and len(calls) == 2 * arc.n, (p, h, k)
         verify_tangent_counts(arc)
-        assert built == [(k, arc.n)]
+        assert len(built) == 2
 
 
 def test_tangent_hyperplanes_rejects_dependent_span(gf5):
@@ -195,6 +207,14 @@ SCALED_PRODUCT_ARCS = {
     "glynn": glynn_arc,
     "gf9-t5": lambda: Arc(field(9), 4, corpus_arc(9, 4).points[:7]),
 }
+
+
+@pytest.mark.parametrize("make_arc", SCALED_PRODUCT_ARCS.values(), ids=SCALED_PRODUCT_ARCS)
+def test_built_forms_equal_the_normalized_build(make_arc):
+    # the build scales the unnormalized pencil members v + λu; c_S absorbs
+    # the scaling, so f_S is the build's from the normalized hyperplanes
+    arc = make_arc()
+    assert build_tangent_system(arc).fS == normalized_build(arc).fS
 
 
 @pytest.mark.parametrize("make_arc", SCALED_PRODUCT_ARCS.values(), ids=SCALED_PRODUCT_ARCS)

@@ -535,12 +535,13 @@ def test_contraction_matches_direct_value_on_kernel_fields(p, h, modulus):
     rng = random.Random(p + h)
     k, t = 3, 2
     points = [tuple(rng.randrange(gf.q) for _ in range(k)) for _ in range(3)] + [(0, 0, 1)]
+    vectors = [monomial_vector(gf, x, t) for x in points]
     for blocks in (2, 3):
         support = sorted(rng.sample(range(num_monomials(k, t)), 4))
         block = tuple(rng.randrange(gf.q) if rng.random() < 0.3 else 0 for _ in range(4**blocks))
         tensors = oracle_tensors(gf, k, blocks, t, rng) + [MultiForm(k, blocks, t, block, support)]
         for mf, modes in itertools.product(tensors, range(1, blocks + 1)):
-            table = _contract_modes(gf, mf.block, _support_matrix(gf, mf, points), modes)
+            table = _contract_modes(gf, mf.block, _support_matrix(mf, vectors), modes)
             rest = len(mf.support) ** (blocks - modes)
             assert len(table) == len(points) ** modes * rest
             for pos, a in enumerate(itertools.product(points, repeat=modes)):
@@ -921,9 +922,10 @@ def test_search_exact_stops_when_the_prefix_system_is_inconsistent(rref_widths, 
 @pytest.mark.parametrize("arc", [corpus_arc(q, k) for q, p, h, k in CORPUS] + [glynn_arc()],
                          ids=[f"q{q}-k{k}" for q, p, h, k in CORPUS] + ["glynn"])
 def test_search_exact_reads_each_residual_off_the_leading_table(arc, monkeypatch):
-    # the search contracts F's leading modes once, at the arc's points, and
-    # reads F(x_S, ·) for every sorted S off that table; each form it reads
-    # is partial_evaluate at x_S, so each residual is partial_evaluate - f_S
+    # the search contracts F's leading modes once, at the arc's Veronese
+    # vectors (the tangent system's own), and reads F(x_S, ·) for every
+    # sorted S off that table; each form it reads is partial_evaluate at
+    # x_S, so each residual is partial_evaluate - f_S
     ts = build_tangent_system(arc)
     F = build_tensor_form(arc, ts)
     gf, calls, partial_forms = arc.gf, [], tensorform._partial_forms
@@ -937,8 +939,8 @@ def test_search_exact_reads_each_residual_off_the_leading_table(arc, monkeypatch
     found, _ = search_exact_tangent_match(arc, ts, F)
     assert found
     subsets = list(itertools.combinations(range(arc.n), arc.k - 2))
-    [((_, mf, vectors, tuples), read)] = calls
-    assert mf is F and vectors == arc.points and list(tuples) == subsets
+    [((_, mf, ver, tuples), read)] = calls
+    assert mf is F and ver is ts.point_vectors and list(tuples) == subsets
     for S, f in zip(subsets, read, strict=True):
         want = partial_evaluate(gf, F, [arc.points[i] for i in S])
         assert form_sub(gf, f, ts.form(S)) == form_sub(gf, want, ts.form(S)), S
