@@ -22,7 +22,7 @@ from itertools import product
 
 from . import forms, geometry, sbbt as sbbt_mod, tangents, tensorform
 from .field import is_prime, make_field
-from .geometry import Arc
+from .geometry import Arc, projective_points
 from .report import Report
 from .tensorform import Runs
 
@@ -292,7 +292,7 @@ def cmd_sbbt_verify(pipeline, args, report):
         report.result = {"duals": [
             {"dual": [gf.element_to_json(c) for c in ell], "arc_points_on": on,
              "phi_value": gf.element_to_json(v)}
-            for ell, on, v in hyperplanes
+            for ell, on, v in zip(projective_points(gf, arc.k), *hyperplanes)
         ]}
 
 

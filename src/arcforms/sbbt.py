@@ -26,25 +26,31 @@ ordered (k-1)-tuple of arc indices.  It reads G as tangents.signed_table
 reads g, from the residual of each sorted S at every x_j: permuting the
 rows by σ multiplies every maximal minor by sgn σ, so
 G(rows∘σ) = sgn(σ)^deg(phi) · G(rows), and G = 0 on rows with a repeat,
-whose minors all vanish.  The hyperplane sweep evaluates phi at the dual of every
-hyperplane, each covector prefix's polynomial in the last coordinate at
-every x, and counts its arc points, by GF.vec_mat maps built once per
-sweep.
+whose minors all vanish.  The hyperplane sweep, classify_hyperplanes,
+returns two columns over every hyperplane in projective_points order: its
+arc incidence count, from one GF.vec_mat map over all covector prefixes
+called once per arc point, and phi at its dual point, from
+tensorform.values_on_every_point.  The verifier tallies both sweep checks
+off the columns by compress and count passes, and builds witnesses only
+for the failing hyperplanes.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress, islice
-from operator import ne
+from itertools import chain, combinations, compress
+from operator import and_, ne, not_, truth
 
 from . import forms, linalg
 from .field import GF
 from .geometry import Arc, projective_points
 from .report import Report
 from .tangents import RANDOM_TRIALS, TangentSystem, signed_table, tuple_at
+from .tensorform import values_on_every_point
 
 
 def _minor_columns(gf: GF, row_sets):
@@ -208,51 +214,49 @@ def _residuals(gf: GF, sbbt: SBBTForm, bases, linear) -> list:
     return [forms.Form(k, d, coeffs) for coeffs in zip(*residual)]
 
 
-def classify_hyperplanes(arc: Arc, sbbt: SBBTForm):
-    """Every hyperplane of the ambient space with its arc incidence count
-    and the value of phi at its dual point, in projective_points order.
+def classify_hyperplanes(arc: Arc, sbbt: SBBTForm) -> tuple:
+    """(counts, values): two columns over every hyperplane of the ambient
+    space, in projective_points(gf, k) order, its arc incidence count and
+    the value of phi at its dual point.
 
-    A covector is a prefix, zero or a point of PG(k-2, q), and a last
-    coordinate x.  Once per head, the first k-2 coordinates that
-    consecutive prefixes share, phi's nonzero terms are multiplied out one
-    coordinate at a time from the signed powers (σ_j·y)^e and summed by
-    tail; the prefix's last coordinate leaves phi a polynomial in x, whose
-    coefficient list one gf.vec_mat map, built once over the (d+1) x q
-    matrix of (σ_{k-1}·x)^e, evaluates at every x.  An arc point
-    p = (p', p_last) is on the hyperplane for the one x = prefix·p'·(-1/p_last)
-    when p_last != 0, and for every x or for none, as prefix·p' is 0 or
-    not, when p_last = 0: two more maps, over the columns p'·(-1/p_last)
-    and p', give both for every arc point at once.
+    A covector is a prefix P, zero or a point of PG(k-2, q), and a last
+    coordinate x, cell P·q + x of a column over every prefix at every x;
+    the zero prefix keeps only x = 1.  An arc point p = (p', p_last) is on
+    the hyperplane for the one x = P·p'·(-1/p_last) when p_last != 0, and
+    for every x or for none, as P·p' is 0 or not, when p_last = 0: one
+    GF.vec_mat map over the prefixes' coordinate columns, called once per
+    arc point, gives either for every P, and the point's cells, one-hot
+    lanes of a byte string, add to the counts as one int.  phi at the
+    dual point σ·ell is phi with each coefficient times σ^e (σ the signs
+    of covector_to_dual_point) at ell, which
+    tensorform.values_on_every_point gives for every ell at once.
     """
-    gf, k, d, add, mul = arc.gf, arc.k, sbbt.phi.t, arc.gf.add, arc.gf.mul
-    sign = covector_to_dual_point(gf, (1,) * k)
-    powers = [[[gf.pow(mul(s, y), e) for e in range(d + 1)] for y in gf.elements()] for s in sign]
-    terms = [(c, e) for c, e in zip(sbbt.phi.coeffs, forms.monomial_basis(k, d)) if c]
-    exps = [[e[j] for _, e in terms] for j in range(k - 2)]
-    tail = [e[-2:] for _, e in terms]  # a term's exponents of the last two coordinates
-    at_every_x = gf.vec_mat(list(zip(*powers[k - 1])))
-    slopes = [(p[:-1], gf.neg(gf.inv(p[-1]))) for p in arc.points if p[-1]]  # (p', -1/p_last)
-    roots = gf.vec_mat(list(zip(*([mul(c, s) for c in u] for u, s in slopes))))
-    flat = gf.vec_mat(list(zip(*(p[:-1] for p in arc.points if not p[-1]))))
-    singles = [(x,) for x in gf.elements()]
-    out, head = [], None
-    for prefix in [(0,) * (k - 1), *projective_points(gf, k - 1)]:
-        if prefix[:-1] != head:
-            head, values = prefix[:-1], [c for c, _ in terms]
-            for j, y in enumerate(head):
-                values = list(map(mul, values, map(powers[j][y].__getitem__, exps[j])))
-            tails = dict.fromkeys(tail, 0)  # phi on the head, summed by tail
-            for t, v in zip(tail, values):
-                tails[t] = add(tails[t], v)
-        power, poly = powers[k - 2][prefix[-1]], [0] * (d + 1)  # poly[e]: the x^e coefficient
-        for (a, e), v in tails.items():
-            poly[e] = add(poly[e], mul(v, power[a]))
-        counts = [flat(prefix).count(0)] * gf.q
-        for x in roots(prefix):
-            counts[x] += 1
-        rows = zip(map(prefix.__add__, singles), counts, at_every_x(poly))
-        out += rows if any(prefix) else islice(rows, 1, 2)  # the zero prefix takes x = 1 only
-    return out
+    gf, k, d, q = arc.gf, arc.k, sbbt.phi.t, arc.gf.q
+    prefixes = [(0,) * (k - 1), *projective_points(gf, k - 1)]
+    through = gf.vec_mat(list(zip(*prefixes)))  # v ↦ P·v for every prefix P
+    # the counts as lanes of one int, cell P·q + x for the covector (P, x):
+    # a point adds one x's lane per prefix, or all of P's lanes or none
+    code, order = next(c for c in "BHI" if arc.n < 1 << 8 * array(c).itemsize), sys.byteorder
+    width, at_x = q * array(code).itemsize, []  # the bytes of a prefix's q lanes; at_x[x]: lane x
+    for x in gf.elements():
+        lanes = array(code, bytes(width))
+        lanes[x] = 1
+        at_x.append(lanes.tobytes())
+    every_x = [array(code, [1] * q).tobytes(), bytes(width)]  # P·p' = 0, != 0
+    total = 0
+    for p in arc.points:
+        if p[-1]:
+            s = gf.neg(gf.inv(p[-1]))
+            cells = map(at_x.__getitem__, through([gf.mul(c, s) for c in p[:-1]]))
+        else:
+            cells = map(every_x.__getitem__, map(truth, through(p[:-1])))
+        total += int.from_bytes(b"".join(cells), order)
+    counts = array(code, total.to_bytes(len(prefixes) * width, order)).tolist()
+
+    odd = [j for j, s in enumerate(covector_to_dual_point(gf, (1,) * k)) if s != 1]
+    basis = forms.monomial_basis(k, d)
+    signed = [gf.neg(c) if sum(e[j] for j in odd) % 2 else c for c, e in zip(sbbt.phi.coeffs, basis)]
+    return counts[1:2] + counts[q:], values_on_every_point(gf, forms.Form(k, d, tuple(signed)))
 
 
 def verify_sbbt(
@@ -265,8 +269,11 @@ def verify_sbbt(
 ) -> Report:
     """Check the dual form against the tangent system.  The G rows are read
     off one GF.vec_mat map over the arc's Veronese vectors of degree
-    deg(phi), ts.veronese_map when that is t; hyperplanes, when given, is
-    classify_hyperplanes(arc, sbbt), so a caller that keeps it sweeps once."""
+    deg(phi), ts.veronese_map when that is t.  Both hyperplane sweeps and
+    the note on the rest are tallied off the columns of
+    classify_hyperplanes(arc, sbbt) by compress and count passes, the dual
+    covectors listed only when some hyperplane fails; hyperplanes, when
+    given, is those columns, so a caller that keeps them sweeps once."""
     gf, k, m, d = arc.gf, arc.k, sbbt.m, sbbt.phi.t
     if d == arc.t:
         at_points = ts.veronese_map
@@ -289,22 +296,23 @@ def verify_sbbt(
         for j in S:
             residuals[-1][j] = 0
 
-    sweep0 = report.check("vanishes-on-tangent-hyperplane-duals")
-    sweep1 = report.check("nonzero-on-secant-hyperplane-duals")
-    low = []
-    if hyperplanes is None:
-        hyperplanes = classify_hyperplanes(arc, sbbt)
-    for ell, on, value in hyperplanes:
-        if on == k - 2:
-            sweep0.tally(value == 0, {"dual": list(ell), "value": value})
-        elif on == k - 1:
-            sweep1.tally(value != 0, {"dual": list(ell)})
-        else:
-            low.append((ell, on, value))
+    counts, values = classify_hyperplanes(arc, sbbt) if hyperplanes is None else hyperplanes
+    cells = range(len(counts))
+    tangent = list(compress(cells, map(and_, map((k - 2).__eq__, counts), map(truth, values))))
+    secant = list(compress(cells, map(and_, map((k - 1).__eq__, counts), map(not_, values))))
+    duals = list(projective_points(gf, k)) if tangent or secant else []
+    on_tangent, on_secant = counts.count(k - 2), counts.count(k - 1)
+    report.check("vanishes-on-tangent-hyperplane-duals").tally_many(on_tangent, [
+        {"dual": list(duals[i]), "value": values[i]} for i in tangent
+    ])
+    report.check("nonzero-on-secant-hyperplane-duals").tally_many(on_secant, [
+        {"dual": list(duals[i])} for i in secant
+    ])
+    low = len(counts) - on_tangent - on_secant  # the hyperplanes in neither sweep
+    vanishing = values.count(0) - (on_tangent - len(tangent)) - len(secant)  # less the zeros on both sweeps
     report.notes.append(
-        f"{len(low)} hyperplanes meet the arc in fewer than k-2 points; "
-        f"phi vanishes on {sum(1 for _, _, v in low if v == 0)} of them "
-        "(recorded, not asserted)"
+        f"{low} hyperplanes meet the arc in fewer than k-2 points; "
+        f"phi vanishes on {vanishing} of them (recorded, not asserted)"
     )
 
     G = signed_table(arc, residuals, d)

@@ -282,13 +282,15 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
 
     f_S = c_S·Π h over the tangent hyperplanes h at S: the members c·v + d·u
     of S's pencil off arc.pencils, (c, d) = (1, λ) for v + λu and (0, 1)
-    for u, not normalized, since c_S absorbs any scaling.  The chain rule
+    for u, not normalized, since c_S absorbs any scaling; each member is k
+    coordinate columns over the subsets, built once.  The chain rule
     (ts.chain) fixes f_E(anchor) = 1 and f_S(x_e) = sign·f_parent(x_a), so
-    c_S = sign·c_parent·Π h(x_a) / Π h(x_e), each Π h(x) a product of
-    c·(v·x) + d·(u·x), all of them GF.col_dot and GF.col_div columns over
-    the subsets; taken by increasing distance r = |S \\ E|, each parent's
-    scale is fixed before its children's.  Then all C(n, k-2) products,
-    each scale folded into its first hyperplane, are expanded in one batch.
+    c_S = sign·c_parent·Π h(x_a) / Π h(x_e), each Π h(x) a product of h·x
+    read off the member columns, all of them GF.col_dot and GF.col_div
+    columns over the subsets; taken by increasing distance r = |S \\ E|,
+    each parent's scale is fixed before its children's.  Then all C(n, k-2)
+    products, each scale folded into its first member, are expanded in one
+    batch.
     """
     check_buildable(arc)
     gf = arc.gf
@@ -298,30 +300,32 @@ def build_tangent_system(arc: Arc) -> TangentSystem:
     order = sorted(combinations(range(arc.n), arc.k - 2), key=lambda S: len(set(S) - set(E)))
     u, v, lams = zip(*(_tangent_members(arc, S) for S in order))
     u, v, lams = list(zip(*u)), list(zip(*v)), list(zip(*lams))  # columns over order
-    c = [[0 if lam is None else 1 for lam in column] for column in lams]
-    d = [[1 if lam is None else lam for lam in column] for column in lams]
+    members = []  # members[h][j]: coordinate j of the h-th member at every subset
+    for column in lams:
+        c = [0 if lam is None else 1 for lam in column]
+        d = [1 if lam is None else lam for lam in column]
+        members.append([gf.col_dot([vj, uj], [c, d]) for uj, vj in zip(u, v)])
 
-    def values(idx, points):  # Π h(x_i) over the tangent hyperplanes h at order[s]
-        def pick(columns):
-            return [list(map(column.__getitem__, idx)) for column in columns]
+    def values(columns, points):  # Π h(x_i) over the members h, given as columns over the subsets
         xs = [[arc.points[i][j] for i in points] for j in range(arc.k)]
-        a, b, acc = gf.col_dot(pick(u), xs), gf.col_dot(pick(v), xs), [1] * len(idx)
-        for cj, dj in zip(pick(c), pick(d)):
-            acc = gf.col_dot([acc], [gf.col_dot([cj, dj], [b, a])])
+        acc = [1] * len(points)
+        for h in columns:
+            acc = gf.col_dot([acc], [gf.col_dot(h, xs)])
         return acc
 
     # e is an arc point off S, hence on no tangent S-hyperplane
     pos, rules = {S: s for s, S in enumerate(order)}, [ts.chain[S] for S in order[1:]]  # order[0] is E
     parents = [pos[parent] for _, _, parent, _ in rules]
-    first = values(range(len(order)), [anchor, *(e for e, _, _, _ in rules)])
-    second = values(parents, [a for _, a, _, _ in rules])
+    first = values(members, [anchor, *(e for e, _, _, _ in rules)])
+    at_parents = [[list(map(hj.__getitem__, parents)) for hj in h] for h in members]
+    second = values(at_parents, [a for _, a, _, _ in rules])
     ratio = gf.col_div([1, *gf.col_dot([[sign for *_, sign in rules]], [second])], first)
     scale = ratio[:1]
     for r, parent in zip(ratio[1:], parents):
         scale.append(gf.mul(r, scale[parent]))
-    c[0], d[0] = gf.col_dot([c[0]], [scale]), gf.col_dot([d[0]], [scale])
-    factors = [zip(*(gf.col_dot([vj, uj], [cj, dj]) for uj, vj in zip(u, v))) for cj, dj in zip(c, d)]
-    ts.fS.update(zip(order, forms.product_linear_forms(gf, arc.k, list(zip(*factors)))))
+    members[0] = [gf.col_dot([hj], [scale]) for hj in members[0]]
+    factors = zip(*(zip(*h) for h in members))
+    ts.fS.update(zip(order, forms.product_linear_forms(gf, arc.k, list(factors))))
     return ts
 
 

@@ -16,6 +16,8 @@ of its k-1 blocks of k variables, and its partial evaluations at
 vanishing on the arc.  Every contraction, building F and evaluating it at
 points, is _contract_modes: a whole mode at a time, by one GF.vec_mat map
 over the tensor's rows along that mode applied to each matrix column.
+values_on_every_point evaluates one form at every point of PG(k-1, q)
+the same way, its coefficients a tensor over the exponents.
 """
 
 from __future__ import annotations
@@ -139,6 +141,24 @@ def _contract_modes(gf: GF, data, matrix, modes: int):
             out[r::rest] = data[r * size : (r + 1) * size]
         data = out
     return data
+
+
+def values_on_every_point(gf: GF, f: forms.Form) -> list:
+    """f at every point of PG(k-1, q), in projective_points order.  On the
+    points (0, ..., 0, 1, y_1, ..., y_m) with the 1 at position k-1-m, f
+    is a polynomial in y_1..y_m, the (d+1)^m tensor of its coefficients
+    by exponent, so _contract_modes with the (d+1) x q matrix of powers
+    y^a gives its values on the whole grid, last coordinate fastest."""
+    k, d = f.k, f.t
+    powers = [[gf.pow(y, a) for y in gf.elements()] for a in range(d + 1)]
+    out = []
+    for m in range(k):
+        data = [0] * (d + 1) ** m
+        for c, e in zip(f.coeffs, forms.monomial_basis(k, d)):
+            if c and not any(e[: k - 1 - m]):
+                data[sum(a * (d + 1) ** (m - 1 - j) for j, a in enumerate(e[k - m :]))] = c
+        out += _contract_modes(gf, data, powers, m)
+    return out
 
 
 def build_tensor_form(arc: Arc, ts: TangentSystem) -> MultiForm:

@@ -150,7 +150,7 @@ def test_criterion_08_dual_form_even_q():
         _, nb = linalg.nullspace(gf, [t1, t2], ncols=3)
         nucleus = nb[0]
         zeros = set()
-        for ell, on, value in classify_hyperplanes(arc, sb):
+        for ell, on, value in zip(projective_points(gf, 3), *classify_hyperplanes(arc, sb)):
             if on == 1:
                 assert value == 0, (q, ell)
             if value == 0:
@@ -188,9 +188,9 @@ def test_criterion_09_dual_form_odd_q():
         fS = ts.form(S)
         got = residual_form(gf, sb, [arc.points[i] for i in S])
         assert got == form_mul(gf, fS, fS), S
-    duals = classify_hyperplanes(arc, sb)
-    assert len(duals) == 400
-    for ell, on, value in duals:
+    counts, values = classify_hyperplanes(arc, sb)
+    assert len(counts) == len(values) == 400
+    for ell, on, value in zip(projective_points(gf, 4), counts, values):
         if on == 2:
             assert value == 0, ell
         elif on == 3:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -17,6 +18,7 @@ from arcforms.forms import (
     vanishing_subspace,
 )
 from arcforms.geometry import Arc, is_arc, normal_rational_curve, projective_points
+from arcforms.report import MAX_WITNESSES
 from arcforms.sbbt import (
     SBBTForm,
     appended_det_form,
@@ -146,9 +148,8 @@ def test_even_q_zero_set_is_nucleus_pencil():
         t2 = tangent_hyperplanes(arc, (1,))[0]
         _, basis = linalg.nullspace(gf, [t1, t2], ncols=3)
         nucleus = basis[0]
-        zeros = sorted(
-            tuple(ell) for ell, _, v in classify_hyperplanes(arc, sb) if v == 0
-        )
+        _, values = classify_hyperplanes(arc, sb)
+        zeros = sorted(itertools.compress(projective_points(gf, 3), map(operator.not_, values)))
         pencil = sorted(
             tuple(ell)
             for ell in projective_points(gf, 3)
@@ -357,17 +358,14 @@ def test_sbbt_json_roundtrip():
 
 
 def _oracle_duals(arc, phi):
-    """Every hyperplane from projective_points, with its arc incidences by
-    linalg.dot and phi by forms.evaluate at its dual point."""
-    gf = arc.gf
-    return [
-        (
-            ell,
-            sum(1 for p in arc.points if linalg.dot(gf, ell, p) == 0),
-            eval_form(gf, phi, covector_to_dual_point(gf, ell)),
-        )
-        for ell in projective_points(gf, arc.k)
-    ]
+    """(counts, values) over every hyperplane from projective_points: its
+    arc incidences by linalg.dot and phi by forms.evaluate at its dual
+    point, one hyperplane at a time."""
+    gf, counts, values = arc.gf, [], []
+    for ell in projective_points(gf, arc.k):
+        counts.append(sum(1 for p in arc.points if linalg.dot(gf, ell, p) == 0))
+        values.append(eval_form(gf, phi, covector_to_dual_point(gf, ell)))
+    return counts, values
 
 
 # GF(2^9) and GF(2^11), moduli x^9+x^4+1 and x^11+x^2+1: vec_mat packs two
@@ -394,6 +392,33 @@ def test_classify_hyperplanes_matches_oracle(q, k, d, kind):
     density = {"sparse": 0.3, "dense": 1, "zero": 0}[kind]
     coeffs = [rng.randrange(1, q) if rng.random() < density else 0 for _ in monomial_basis(k, d)]
     sb = SBBTForm(1, (), Form(k, d, tuple(coeffs)))
+    assert classify_hyperplanes(arc, sb) == _oracle_duals(arc, sb.phi)
+
+
+def _with_last_coordinate(gf, points, ell):
+    """The points in coordinates whose last one is ell·x: the unit rows but
+    one where ell is nonzero, then ell (an invertible change of frame)."""
+    j0 = next(j for j, c in enumerate(ell) if c)
+    rows = [[int(c == j) for c in range(len(ell))] for j in range(len(ell)) if j != j0] + [list(ell)]
+    return tuple(tuple(linalg.mat_vec(gf, rows, x)) for x in points)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])  # GF(p) lanes, GF(2^3) bit planes, GF(3^2) tables
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("flat", [0, "k-1"])
+def test_classify_hyperplanes_matches_oracle_with_and_without_flat_points(q, k, flat):
+    # the NRC's first q + 1 - (k - 3) points in a frame whose last
+    # coordinate is the first covector on none of them, or on k-1 of them:
+    # no point has p_last = 0, or k-1 do, each on every x of the prefixes
+    # P with P·p' = 0
+    gf = field(q)
+    points = normal_rational_curve(gf, k).points[: q + 4 - k]
+    want = 0 if flat == 0 else k - 1
+    ell = next(e for e in projective_points(gf, k) if sum(linalg.dot(gf, e, x) == 0 for x in points) == want)
+    arc = Arc(gf, k, _with_last_coordinate(gf, points, ell))
+    assert sum(x[-1] == 0 for x in arc.points) == want and is_arc(gf, k, arc.points)[0]
+    rng = random.Random(10 * q + k)
+    sb = SBBTForm(1, (), Form(k, 3, tuple(rng.randrange(q) for _ in monomial_basis(k, 3))))
     assert classify_hyperplanes(arc, sb) == _oracle_duals(arc, sb.phi)
 
 
@@ -440,7 +465,7 @@ def _oracle_checks(arc, ts, sb, seed=0, random_trials=100):
 
     tangent, secant, low = [], [], []
     duals = _oracle_duals(arc, sb.phi)
-    for ell, on, value in duals:
+    for ell, on, value in zip(projective_points(gf, k), *duals):
         if on == k - 2:
             tangent.append((value == 0, {"dual": list(ell), "value": value}))
         elif on == k - 1:
@@ -508,6 +533,29 @@ def test_corrupted_dual_form_is_caught():
         assert (got, report.notes) == (checks, notes), (q, k, what)
         assert classify_hyperplanes(arc, sb) == duals, (q, k, what)
         assert tuple(c.failed for c in report.checks) == failed, (q, k, what)
+
+
+@pytest.mark.parametrize("q,k", [(7, 4), (8, 4)])
+def test_corrupted_sweep_witnesses_match_the_per_hyperplane_loop(q, k):
+    # phi' = L^deg(phi), L the appended-row form of arc point 3: L at the
+    # dual of ell is ell·x_3, so phi' vanishes exactly on the hyperplanes
+    # through x_3.  The C(n-1, k-2) secants through x_3 and the tangent
+    # hyperplanes off it each fail more than MAX_WITNESSES times; counts
+    # and the first witnesses, in projective order, are those of the
+    # per-hyperplane loop.  x_3's coordinates are distinct, so phi' is
+    # not symmetric in the covector's coordinates
+    arc, ts = corpus_system(q, k)
+    sb = build_sbbt(arc, ts)
+    L = appended_det_form(arc.gf, k, arc.points[3])
+    sb = SBBTForm(sb.m, sb.E, product_linear_forms(arc.gf, k, [[L] * sb.phi.t])[0])
+    report = verify_sbbt(arc, ts, sb)
+    checks, notes, _ = _oracle_checks(arc, ts, sb)
+    sweeps = ("vanishes-on-tangent-hyperplane-duals", "nonzero-on-secant-hyperplane-duals")
+    got = {c.name: (c.total, c.failed, c.witnesses) for c in report.checks if c.name in sweeps}
+    want = {name: (total, failed, witnesses) for name, total, failed, witnesses in checks if name in sweeps}
+    assert got == want and report.notes == notes
+    assert got[sweeps[1]][1] == math.comb(arc.n - 1, k - 2)
+    assert all(failed > MAX_WITNESSES for _, failed, _ in got.values())
 
 
 def test_glynn_arc_of_pg4_9():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from arcforms.forms import (
     Form,
+    evaluate as evaluate_form,
     form_sub,
     monomial_basis,
     monomial_vector,
@@ -21,7 +22,7 @@ from arcforms.forms import (
     veronese,
 )
 from arcforms.field import make_field
-from arcforms.geometry import Arc, normal_rational_curve, normalize
+from arcforms.geometry import Arc, normal_rational_curve, normalize, projective_points
 from arcforms import linalg, tensorform
 from arcforms.cli import _write_json
 from arcforms.linalg import identity, mat_mul
@@ -45,6 +46,7 @@ from arcforms.tensorform import (
     quadric_check,
     search_exact_tangent_match,
     shift_extract,
+    values_on_every_point,
     verify_tensor_form,
 )
 
@@ -550,6 +552,18 @@ def test_contraction_matches_direct_value_on_kernel_fields(p, h, modulus):
                 want = direct_value(gf, mf, a)
                 got = [at.get(J, 0) for J in itertools.product(range(mf.mode_dim), repeat=blocks - modes)]
                 assert got == want, (blocks, modes, a)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (7, 1), (2, 4), (3, 2), (3, 3)])
+def test_values_on_every_point_match_evaluate(p, h):
+    # the grid contraction against one forms.evaluate per point of
+    # PG(k-1, q), k = 1..4 (1..3 over GF(27)) and degrees 0..3, about half
+    # the coefficients zero
+    gf, rng = make_field(p, h), random.Random(10 * p + h)
+    for k, d in itertools.product(range(1, 4 if gf.q > 16 else 5), range(4)):
+        f = Form(k, d, tuple(rng.randrange(gf.q) if rng.random() < 0.5 else 0 for _ in monomial_basis(k, d)))
+        want = [evaluate_form(gf, f, x) for x in projective_points(gf, k)]
+        assert values_on_every_point(gf, f) == want, (k, d)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
